@@ -2,9 +2,10 @@
 
 Generates seeded menu corpora, checks each selected axiom exhaustively over
 tuples of the axiom's arity (mixtures drawn from a rational grid), and
-reports pass / fail / vacuous per axiom.  Failures carry a replayable,
-shrunken counterexample: rerunning the audit on the counterexample menus
-alone reproduces the failure.
+reports pass / fail / vacuous per axiom, or truncated when the tuple cap
+cut the enumeration short.  Failures carry a replayable, shrunken
+counterexample: rerunning the audit on the counterexample menus alone
+reproduces the failure.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -92,6 +93,7 @@ REQUIRED_AXIOMS["sl"] = REQUIRED_AXIOMS["bml"] | {Axiom.COMPLETENESS}
 STATUS_PASS = "pass"
 STATUS_PASS_ON_GRID = "pass-on-grid"
 STATUS_FAIL = "fail"
+STATUS_TRUNCATED = "truncated"
 STATUS_VACUOUS = "vacuous"
 STATUS_NOT_AUDITED = "not-audited"
 
@@ -104,7 +106,8 @@ class AuditConfig:
     (independence, favorable mixing monotonicity) are only checked at those
     mixture weights.  ``max_tuples`` is a safety valve for pathological
     configurations; at the default corpus sizes every axiom is enumerated
-    exhaustively.
+    exhaustively.  An axiom that stops at the cap without a failure is
+    reported "truncated", never "pass".
     """
 
     axioms: frozenset[Axiom] = ALL_AXIOMS
@@ -167,8 +170,13 @@ class AuditReport:
         return tuple(r for r in self.results if r.failed)
 
     @property
+    def truncations(self) -> tuple[AxiomResult, ...]:
+        return tuple(r for r in self.results if r.status == STATUS_TRUNCATED)
+
+    @property
     def passed(self) -> bool:
-        return not self.failures
+        """No axiom failed and every axiom was enumerated to the end."""
+        return not self.failures and not self.truncations
 
     def result_for(self, axiom: Axiom) -> Optional[AxiomResult]:
         for result in self.results:
@@ -364,7 +372,7 @@ def _test_axiom(
         F, G, H = menus
         assert alpha is not None
         plain = cmp.compare(F, G)
-        mixed = cmp.compare(mix_menus(F, H, alpha), mix_menus(G, H, alpha))
+        mixed = cmp.compare(_mixed(inst, F, H, alpha), _mixed(inst, G, H, alpha))
         return _HOLDS if plain is mixed else _VIOLATED
     if axiom is Axiom.EX_POST_RANDOMIZATION:
         (F,) = menus
@@ -376,10 +384,24 @@ def _test_axiom(
         assert alpha is not None
         if not (cmp.strictly_prefers(F, G) and cmp.strictly_prefers(H, H2)):
             return _VACUOUS
-        left = mix_menus(F, H, alpha)
-        right = mix_menus(G, H2, alpha)
+        left = _mixed(inst, F, H, alpha)
+        right = _mixed(inst, G, H2, alpha)
         return _HOLDS if cmp.strictly_prefers(left, right) else _VIOLATED
     raise ValueError(f"axiom {axiom} has no tuple test")
+
+
+def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
+    """``mix_menus(F, G, alpha)``, memoized on the instance.
+
+    The mixed menu is always built and evaluated: the mixing axioms must
+    not be decided through the linearity of the benefit in the menu, which
+    is what they test.
+    """
+    key = (F, G, alpha)
+    menu = inst._mixtures.get(key)
+    if menu is None:
+        menu = inst._mixtures[key] = mix_menus(F, G, alpha)
+    return menu
 
 
 def _is_lottery_menu(menu: Menu) -> bool:
@@ -476,8 +498,9 @@ def audit(cmp: Comparator, corpus: Sequence[Menu], config: AuditConfig) -> Audit
     """Check every selected axiom against the comparator over the corpus.
 
     Tuple enumeration is exhaustive up to ``config.max_tuples`` per axiom;
-    gridded axioms report "pass-on-grid" rather than "pass".  A trailing
-    entry records that continuity is not audited.
+    an axiom with tuples left over and no failure among those checked is
+    reported "truncated".  Gridded axioms report "pass-on-grid" rather than
+    "pass".  A trailing entry records that continuity is not audited.
     """
     corpus = list(corpus)
     results: list[AxiomResult] = []
@@ -490,8 +513,10 @@ def audit(cmp: Comparator, corpus: Sequence[Menu], config: AuditConfig) -> Audit
         checked = 0
         fired = 0
         failure = None
+        truncated = False
         for menus, alpha, betas in _axiom_tuples(axiom, corpus, config):
             if checked >= config.max_tuples:
+                truncated = True
                 break
             checked += 1
             outcome = _test_axiom(axiom, cmp, menus, alpha, betas)
@@ -506,6 +531,10 @@ def audit(cmp: Comparator, corpus: Sequence[Menu], config: AuditConfig) -> Audit
             menus, alpha, betas = failure
             results.append(
                 AxiomResult(axiom, STATUS_FAIL, menus, alpha, betas, checked, fired)
+            )
+        elif truncated:
+            results.append(
+                AxiomResult(axiom, STATUS_TRUNCATED, tuples_checked=checked, antecedents=fired)
             )
         elif fired == 0:
             results.append(AxiomResult(axiom, STATUS_VACUOUS, tuples_checked=checked))

@@ -11,9 +11,10 @@ structural equality order-insensitive.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .errors import (
@@ -46,6 +47,40 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational (Fraction, int, or 'p/q' string), got {value!r}")
 
 
+class _HashOnce:
+    """Base of the value types: the hash is computed on first use and kept.
+
+    The kept hash is a plain attribute, not a dataclass field, so it takes
+    no part in ``==`` or ``repr``.  It is left out of pickled state because
+    string hashes differ from one process to the next.
+    """
+
+    _hash = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_hash", None)
+        return state
+
+
+def _hash_of(*canonical_fields: str):
+    """A ``__hash__`` over the given already-canonical fields, kept after first use.
+
+    Hashing a Fraction recomputes a modular inverse every time, and these
+    values are hashed on every memo lookup, so the hash is worth keeping.
+    """
+    key = attrgetter(*canonical_fields)
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash(key(self))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    return __hash__
+
+
 def _canonical_distribution(
     entries: Mapping[str, RationalLike] | Iterable[tuple[str, RationalLike]],
     what: str,
@@ -75,7 +110,7 @@ def _canonical_distribution(
 
 
 @dataclass(frozen=True)
-class Lottery:
+class Lottery(_HashOnce):
     """A lottery over deterministic prizes with exact probabilities.
 
     ``probs`` may be given as any mapping from prize label to rational; it is
@@ -85,6 +120,7 @@ class Lottery:
     """
 
     probs: Mapping[str, RationalLike]
+    __hash__ = _hash_of("probs")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _canonical_distribution(self.probs, "prize"))
@@ -109,10 +145,11 @@ class Lottery:
 
 
 @dataclass(frozen=True)
-class Posterior:
+class Posterior(_HashOnce):
     """A probability distribution over states (a belief after learning)."""
 
     probs: Mapping[str, RationalLike]
+    __hash__ = _hash_of("probs")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", _canonical_distribution(self.probs, "state"))
@@ -136,7 +173,7 @@ class Posterior:
 
 
 @dataclass(frozen=True)
-class Act:
+class Act(_HashOnce):
     """A state-contingent assignment of lotteries.
 
     The mapping must cover every state of the instance it is used with;
@@ -144,6 +181,7 @@ class Act:
     """
 
     outcomes: Mapping[str, Lottery]
+    __hash__ = _hash_of("outcomes")
 
     def __post_init__(self) -> None:
         if isinstance(self.outcomes, Mapping):
@@ -188,10 +226,11 @@ def _act_sort_key(act: Act):
 
 
 @dataclass(frozen=True)
-class Menu:
+class Menu(_HashOnce):
     """A nonempty finite set of acts (duplicates removed, order canonical)."""
 
     acts: Iterable[Act]
+    __hash__ = _hash_of("acts")
 
     def __post_init__(self) -> None:
         unique = sorted(set(self.acts), key=_act_sort_key)
@@ -221,7 +260,7 @@ class Menu:
 
 
 @dataclass(frozen=True)
-class InfoStructure:
+class InfoStructure(_HashOnce):
     """A finitely supported distribution over posteriors.
 
     Models a member's prediction of what she will believe after learning:
@@ -231,6 +270,7 @@ class InfoStructure:
     """
 
     support: Iterable[tuple[Posterior, RationalLike]]
+    __hash__ = _hash_of("support")
 
     def __post_init__(self) -> None:
         merged: dict[Posterior, Fraction] = {}
@@ -268,7 +308,7 @@ class InfoStructure:
 
 
 @dataclass(frozen=True)
-class CredalSet:
+class CredalSet(_HashOnce):
     """A polytope of information structures, given by its generators.
 
     The represented set is the convex hull of ``generators``; exact
@@ -277,6 +317,7 @@ class CredalSet:
     """
 
     generators: Iterable[InfoStructure]
+    __hash__ = _hash_of("generators")
 
     def __post_init__(self) -> None:
         unique: list[InfoStructure] = []
@@ -301,10 +342,11 @@ class CredalSet:
 
 
 @dataclass(frozen=True)
-class Collection:
+class Collection(_HashOnce):
     """A nonempty finite family of credal sets (one per sub-group)."""
 
     members: Iterable[CredalSet]
+    __hash__ = _hash_of("members")
 
     def __post_init__(self) -> None:
         unique: list[CredalSet] = []
@@ -373,7 +415,7 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class Instance:
+class Instance(_HashOnce):
     """The ambient decision environment: states, prizes, and a vNM utility.
 
     Attributes:
@@ -387,6 +429,18 @@ class Instance:
     states: tuple[str, ...]
     prizes: tuple[str, ...]
     utility: Mapping[str, RationalLike]
+    # Evaluation memos (see `menulearn.evaluation`): owned by the instance so
+    # they are freed with it.  Act -> per-state utility, (menu, structure) ->
+    # benefit of information, (F, G, alpha) -> mixed menu.
+    _utilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __hash__ = _hash_of("states", "prizes", "utility")
+
+    def __reduce__(self):
+        # Rebuild from the value alone: neither the memos nor the kept hash
+        # are pickled.
+        return (Instance, (self.states, self.prizes, self.utility))
 
     def __post_init__(self) -> None:
         states = tuple(self.states)

@@ -2,14 +2,15 @@
 
 The central quantity is the benefit of information ``b_F(pi)``: the expected
 utility of a member who will observe her posterior (drawn according to
-``pi``), then pick the best act from the menu ``F``.  Everything here is a
-pure function of immutable inputs, so results are cached by value.
+``pi``), then pick the best act from the menu ``F``.  Every function here is
+pure in its inputs.  Two memos live on the `Instance` and are freed with it:
+each act's per-state utility is computed once per instance, and so is each
+``(menu, structure)`` benefit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .core import (
@@ -23,28 +24,41 @@ from .core import (
     Value,
     as_fraction,
 )
-from .errors import BadWeightsError, ValidationError
+from .errors import BadWeightsError, DimensionMismatchError, ValidationError
+
+
+def _utilities(f: Act, inst: Instance) -> dict[str, Fraction]:
+    """State -> expected utility of the lottery act *f* pays there (memoized on *inst*)."""
+    table = inst._utilities
+    utilities = table.get(f)
+    if utilities is None:
+        utilities = table[f] = {
+            state: inst.lottery_utility(lottery) for state, lottery in f.outcomes
+        }
+    return utilities
+
+
+def _missing_state(f: Act, state: str) -> DimensionMismatchError:
+    return DimensionMismatchError(
+        f"act has no outcome for state {state!r} (it covers {sorted(f.states)})"
+    )
 
 
 def act_value(f: Act, p: Posterior, inst: Instance) -> Value:
     """Expected utility of act *f* under posterior *p*."""
+    utilities = _utilities(f, inst)
     total = Fraction(0)
-    for state, prob in p.probs:
-        total += prob * inst.lottery_utility(f.lottery(state))
+    try:
+        for state, prob in p.probs:
+            total += prob * utilities[state]
+    except KeyError as exc:
+        raise _missing_state(f, exc.args[0]) from None
     return total
 
 
 def support_value(menu: Menu, p: Posterior, inst: Instance) -> Value:
     """Value of the menu once posterior *p* is known: the best act's expected utility."""
     return max(act_value(f, p, inst) for f in menu)
-
-
-@lru_cache(maxsize=None)
-def _benefit(menu: Menu, pi: InfoStructure, inst: Instance) -> Fraction:
-    total = Fraction(0)
-    for posterior, weight in pi.support:
-        total += weight * support_value(menu, posterior, inst)
-    return total
 
 
 def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -54,7 +68,14 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
     anticipates.  A singleton menu yields the expected utility of its act
     under the implied prior; a larger menu can only do better.
     """
-    return _benefit(menu, pi, inst)
+    key = (menu, pi)
+    total = inst._benefits.get(key)
+    if total is None:
+        total = Fraction(0)
+        for posterior, weight in pi.support:
+            total += weight * support_value(menu, posterior, inst)
+        inst._benefits[key] = total
+    return total
 
 
 def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:
@@ -74,17 +95,12 @@ def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:
     return Act({state: mix_lotteries(f.lottery(state), g.lottery(state), alpha) for state in f.states})
 
 
-@lru_cache(maxsize=None)
-def _mix_menus(F: Menu, G: Menu, alpha: Fraction) -> Menu:
-    return Menu(tuple(mix_acts(f, g, alpha) for f in F for g in G))
-
-
 def mix_menus(F: Menu, G: Menu, alpha: RationalLike) -> Menu:
     """The menu ``alpha F + (1 - alpha) G``: all pairwise act mixtures, deduplicated."""
     alpha = as_fraction(alpha)
     if not 0 <= alpha <= 1:
         raise BadWeightsError(f"mixture weight must lie in [0, 1], got {alpha}")
-    return _mix_menus(F, G, alpha)
+    return Menu(tuple(mix_acts(f, g, alpha) for f in F for g in G))
 
 
 def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:
@@ -123,11 +139,9 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     Dominance is decided on utilities, which is the outcome order once
     lotteries are ranked completely.
     """
-    f_profiles = [
-        tuple(inst.lottery_utility(f.lottery(state)) for state in inst.states) for f in F
-    ]
+    f_profiles = [_profile(f, inst) for f in F]
     for g in G:
-        g_profile = tuple(inst.lottery_utility(g.lottery(state)) for state in inst.states)
+        g_profile = _profile(g, inst)
         covered = False
         for f_profile in f_profiles:
             if strict:
@@ -140,3 +154,12 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
         if not covered:
             return False
     return True
+
+
+def _profile(f: Act, inst: Instance) -> tuple[Fraction, ...]:
+    """The act's utilities in the instance's state order; the act must be total."""
+    utilities = _utilities(f, inst)
+    try:
+        return tuple([utilities[state] for state in inst.states])
+    except KeyError as exc:
+        raise _missing_state(f, exc.args[0]) from None

@@ -1,0 +1,70 @@
+"""Reference evaluation kernel: the plain, unmemoized definitions.
+
+These are the straightforward formulas, re-deriving every lottery utility
+on every call.  `menulearn.evaluation` memoizes per instance and evaluates
+on per-act utility vectors; the differential tests require it to agree
+with these functions exactly.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from menulearn.core import Act, Instance, InfoStructure, Lottery, Menu, Posterior, as_fraction
+
+
+def act_value(f: Act, p: Posterior, inst: Instance) -> Fraction:
+    total = Fraction(0)
+    for state, prob in p.probs:
+        total += prob * inst.lottery_utility(f.lottery(state))
+    return total
+
+
+def support_value(menu: Menu, p: Posterior, inst: Instance) -> Fraction:
+    return max(act_value(f, p, inst) for f in menu)
+
+
+def benefit(menu: Menu, pi: InfoStructure, inst: Instance) -> Fraction:
+    total = Fraction(0)
+    for posterior, weight in pi.support:
+        total += weight * support_value(menu, posterior, inst)
+    return total
+
+
+def mix_lotteries(x: Lottery, y: Lottery, alpha) -> Lottery:
+    alpha = as_fraction(alpha)
+    combined: dict[str, Fraction] = {}
+    for prize, prob in x.probs:
+        combined[prize] = combined.get(prize, Fraction(0)) + alpha * prob
+    for prize, prob in y.probs:
+        combined[prize] = combined.get(prize, Fraction(0)) + (1 - alpha) * prob
+    return Lottery(combined)
+
+
+def mix_acts(f: Act, g: Act, alpha) -> Act:
+    return Act({state: mix_lotteries(f.lottery(state), g.lottery(state), alpha) for state in f.states})
+
+
+def mix_menus(F: Menu, G: Menu, alpha) -> Menu:
+    alpha = as_fraction(alpha)
+    return Menu(tuple(mix_acts(f, g, alpha) for f in F for g in G))
+
+
+def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool:
+    f_profiles = [
+        tuple(inst.lottery_utility(f.lottery(state)) for state in inst.states) for f in F
+    ]
+    for g in G:
+        g_profile = tuple(inst.lottery_utility(g.lottery(state)) for state in inst.states)
+        covered = False
+        for f_profile in f_profiles:
+            if strict:
+                ok = all(fv > gv for fv, gv in zip(f_profile, g_profile))
+            else:
+                ok = all(fv >= gv for fv, gv in zip(f_profile, g_profile))
+            if ok:
+                covered = True
+                break
+        if not covered:
+            return False
+    return True

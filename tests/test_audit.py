@@ -122,6 +122,22 @@ class TestAuditVerdicts:
         report = audit(cmp, generate_corpus(inst, config), config)
         assert report.result_for(Axiom.INDEPENDENCE).status == "pass-on-grid"
 
+    def test_cap_reports_truncated_not_pass(self, example1):
+        inst = example1.instance
+        cmp = BmlComparator(inst, example1.credal_set("both"))
+        config = AuditConfig(
+            axioms=frozenset({Axiom.TRANSITIVITY}), corpus_size=8, seed=2, max_tuples=10
+        )
+        report = audit(cmp, generate_corpus(inst, config), config)
+        result = report.result_for(Axiom.TRANSITIVITY)
+        assert result.status == "truncated" and result.tuples_checked == 10
+        assert not report.passed and report.truncations == (result,)
+        exact = AuditConfig(
+            axioms=frozenset({Axiom.TRANSITIVITY}), corpus_size=2, seed=2, max_tuples=8
+        )
+        full = audit(cmp, generate_corpus(inst, exact), exact)
+        assert full.result_for(Axiom.TRANSITIVITY).status == "pass"
+
     def test_nontriviality_vacuous_without_strict_pair(self, example1):
         inst = example1.instance
         cmp = BmlComparator(inst, example1.credal_set("both"))

@@ -1,7 +1,9 @@
 """Command-line behavior: outputs, formats, exit codes, env overrides."""
 
 import json
+from functools import partial
 
+from menulearn import AuditConfig, cli
 from menulearn.cli import (
     EXIT_BAD_KIND,
     EXIT_CHECK_FAILED,
@@ -104,6 +106,15 @@ class TestAudit:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "fail" in out
+
+    def test_truncated_required_axiom_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "AuditConfig", partial(AuditConfig, max_tuples=10))
+        code = main(
+            ["audit", EXAMPLE1, "--criterion", "bml", "--param", "both",
+             "--axioms", "transitivity", "--corpus-size", "6", "--seed", "2"]
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert "truncated" in capsys.readouterr().out
 
     def test_unknown_param_name(self, capsys):
         code = main(["audit", EXAMPLE1, "--criterion", "bml", "--param", "nope"])

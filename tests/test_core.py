@@ -1,5 +1,8 @@
 """Domain types: validation, canonicalization, and structural equality."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -155,6 +158,44 @@ class TestCanonicalForms:
     def test_empty_collection_rejected(self):
         with pytest.raises(ValidationError):
             Collection(())
+
+
+def _one_of_each_value_type() -> list:
+    lottery = Lottery({"a": Fraction(1, 3), "b": Fraction(2, 3)})
+    posterior = Posterior({"w1": Fraction(1, 4), "w2": Fraction(3, 4)})
+    act = Act({"w1": lottery, "w2": Lottery.degenerate("a")})
+    structure = InfoStructure(
+        ((posterior, Fraction(1, 2)), (Posterior.degenerate("w1"), Fraction(1, 2)))
+    )
+    credal = CredalSet((structure, InfoStructure.point_mass(posterior)))
+    return [
+        lottery,
+        posterior,
+        act,
+        Menu((act, Act({"w1": lottery, "w2": lottery}))),
+        structure,
+        credal,
+        Collection.of_singletons(credal),
+        Instance(states=("w1", "w2"), prizes=("a", "b"), utility={"a": 1, "b": 0}),
+    ]
+
+
+class TestKeptHash:
+    @pytest.mark.parametrize("value", _one_of_each_value_type(), ids=lambda v: type(v).__name__)
+    def test_copies_agree_and_the_kept_hash_stays_private(self, value):
+        shown = repr(value)
+        kept = hash(value)
+        assert repr(value) == shown and hash(value) == kept
+        state = pickle.dumps(value)
+        assert b"_hash" not in state
+        for twin in (pickle.loads(state), dataclasses.replace(value), copy.deepcopy(value)):
+            assert twin == value and hash(twin) == kept and repr(twin) == shown
+
+    def test_replace_rehashes_the_new_value(self):
+        lottery = Lottery({"a": 1})
+        hash(lottery)
+        other = dataclasses.replace(lottery, probs={"b": 1})
+        assert other == Lottery({"b": 1}) and hash(other) == hash(Lottery({"b": 1}))
 
 
 class TestVerdict:

@@ -1,0 +1,125 @@
+"""The memoized evaluation kernel against the plain reference definitions.
+
+`menulearn.evaluation` keeps its memos on the `Instance`; these tests check
+that it agrees exactly with `reference_evaluation`, that malformed acts
+raise typed errors, and that the memos are freed with their instance.
+"""
+
+import gc
+import random
+import weakref
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_evaluation as ref
+from menulearn import (
+    Act,
+    DimensionMismatchError,
+    InfoStructure,
+    Instance,
+    Lottery,
+    Menu,
+    Posterior,
+    act_value,
+    benefit_of_information,
+    cross_audit,
+    dominates,
+    mix_menus,
+    randomize,
+    support_value,
+)
+from menulearn.audit import random_instance
+
+from conftest import instances, menus, structures
+
+
+def twin_menu(menu: Menu) -> Menu:
+    """An equal menu built from fresh objects all the way down."""
+    return Menu(
+        tuple(
+            Act({state: Lottery(dict(lottery.probs)) for state, lottery in act.outcomes})
+            for act in menu
+        )
+    )
+
+
+def twin_structure(pi: InfoStructure) -> InfoStructure:
+    return InfoStructure(tuple((Posterior(dict(p.probs)), w) for p, w in pi.support))
+
+
+def twin_instance(inst: Instance) -> Instance:
+    return Instance(states=inst.states, prizes=inst.prizes, utility=dict(inst.utility))
+
+
+class TestDifferential:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        alpha=st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]),
+        scale=st.sampled_from([Fraction(1), Fraction(2, 3), Fraction(5)]),
+        shift=st.sampled_from([Fraction(0), Fraction(-7, 2), Fraction(3)]),
+    )
+    def test_kernel_matches_reference(self, data, alpha, scale, shift):
+        inst = data.draw(instances())
+        F, G, H = (data.draw(menus(inst)) for _ in range(3))
+        pis = [data.draw(structures(inst)) for _ in range(2)]
+        mixed = mix_menus(F, H, alpha)
+        assert mixed == ref.mix_menus(F, H, alpha)
+        spread = randomize(G, (alpha, 1 - alpha))
+        twins = [twin_menu(F), twin_menu(mixed)]
+        assert twins[0] is not F and twins[0] == F and hash(twins[0]) == hash(F)
+        pis.append(twin_structure(pis[0]))
+        candidates = [F, G, H, mixed, spread, *twins]
+        for target in (inst, twin_instance(inst), inst.rescaled(scale, shift)):
+            # Twice over, so the second pass reads the instance's memo.
+            for _ in range(2):
+                for menu in candidates:
+                    for pi in pis:
+                        assert benefit_of_information(menu, pi, target) == ref.benefit(
+                            menu, pi, target
+                        )
+                        for p in pi.posteriors:
+                            assert support_value(menu, p, target) == ref.support_value(
+                                menu, p, target
+                            )
+                            for f in menu:
+                                assert act_value(f, p, target) == ref.act_value(f, p, target)
+                for A in candidates:
+                    for B in candidates:
+                        for strict in (False, True):
+                            assert dominates(A, B, target, strict=strict) == ref.dominates(
+                                A, B, target, strict=strict
+                            )
+
+
+class TestTypedErrors:
+    def test_posterior_on_a_state_the_act_lacks(self, two_state_instance):
+        partial = Act({"w1": Lottery.degenerate("win")})
+        pi = InfoStructure.point_mass(Posterior({"w1": Fraction(1, 2), "w2": Fraction(1, 2)}))
+        with pytest.raises(DimensionMismatchError):
+            benefit_of_information(Menu((partial,)), pi, two_state_instance)
+        with pytest.raises(DimensionMismatchError):
+            act_value(partial, Posterior.degenerate("w2"), two_state_instance)
+
+    def test_dominance_needs_total_acts(self, two_state_instance):
+        inst = two_state_instance
+        total = Menu((Act({"w1": Lottery.degenerate("win"), "w2": Lottery.degenerate("win")}),))
+        partial = Menu((Act({"w2": Lottery.degenerate("lose")}),))
+        with pytest.raises(DimensionMismatchError):
+            dominates(total, partial, inst)
+        with pytest.raises(DimensionMismatchError):
+            dominates(partial, total, inst, strict=True)
+
+
+class TestMemoLifetime:
+    def test_instance_is_freed_after_an_audit(self):
+        inst = random_instance(random.Random(5))
+        report = cross_audit(inst, seed=5)
+        assert report.all_passed
+        alive = weakref.ref(inst)
+        del inst
+        gc.collect()
+        assert alive() is None
