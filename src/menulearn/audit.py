@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -35,7 +36,8 @@ from .core import (
     Verdict,
     constant_menu,
 )
-from .criteria import BmlComparator, Comparator, HmlComparator, JmlComparator
+from .comparative import _HOLDS, _VACUOUS, _VIOLATED, _scan
+from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import ValidationError
 from .evaluation import dominates, mix_lotteries, mix_menus, randomize
 
@@ -315,14 +317,9 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 # Axiom checking
 # ---------------------------------------------------------------------------
 
-_HOLDS = "holds"
-_VACUOUS = "vacuous"
-_VIOLATED = "violated"
-
-
 def _test_axiom(
     axiom: Axiom,
-    cmp: Comparator,
+    cmp: Criterion,
     menus: tuple[Menu, ...],
     alpha: Optional[Fraction],
     betas: Optional[tuple[Fraction, ...]],
@@ -457,7 +454,7 @@ def _axiom_tuples(
 
 def _shrink_counterexample(
     axiom: Axiom,
-    cmp: Comparator,
+    cmp: Criterion,
     menus: tuple[Menu, ...],
     alpha: Optional[Fraction],
     betas: Optional[tuple[Fraction, ...]],
@@ -482,20 +479,19 @@ def _shrink_counterexample(
     return current
 
 
-def _check_nontriviality(cmp: Comparator, corpus: Sequence[Menu]) -> AxiomResult:
-    checked = 0
-    for F, G in itertools.permutations(corpus, 2):
-        checked += 1
-        if cmp.compare(F, G) is Verdict.STRICT_BETTER:
-            return AxiomResult(
-                Axiom.NONTRIVIALITY, STATUS_PASS, tuples_checked=checked, antecedents=1
-            )
-    # No strict pair in this corpus; an existence claim cannot fail finitely.
-    return AxiomResult(Axiom.NONTRIVIALITY, STATUS_VACUOUS, tuples_checked=checked)
+def _check_nontriviality(cmp: Criterion, corpus: Sequence[Menu]) -> AxiomResult:
+    # An existence claim: the first strictly ranked pair refutes triviality.
+    # With no strict pair in this corpus it cannot fail finitely.
+    status, _, checked, fired = _scan(
+        itertools.permutations(corpus, 2),
+        lambda F, G: _VIOLATED if cmp.strictly_prefers(F, G) else _VACUOUS,
+    )
+    status = STATUS_PASS if status == STATUS_FAIL else STATUS_VACUOUS
+    return AxiomResult(Axiom.NONTRIVIALITY, status, tuples_checked=checked, antecedents=fired)
 
 
-def audit(cmp: Comparator, corpus: Sequence[Menu], config: AuditConfig) -> AuditReport:
-    """Check every selected axiom against the comparator over the corpus.
+def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditReport:
+    """Check every selected axiom against the criterion over the corpus.
 
     Tuple enumeration is exhaustive up to ``config.max_tuples`` per axiom;
     an axiom with tuples left over and no failure among those checked is
@@ -510,40 +506,20 @@ def audit(cmp: Comparator, corpus: Sequence[Menu], config: AuditConfig) -> Audit
         if axiom is Axiom.NONTRIVIALITY:
             results.append(_check_nontriviality(cmp, corpus))
             continue
-        checked = 0
-        fired = 0
-        failure = None
-        truncated = False
-        for menus, alpha, betas in _axiom_tuples(axiom, corpus, config):
-            if checked >= config.max_tuples:
-                truncated = True
-                break
-            checked += 1
-            outcome = _test_axiom(axiom, cmp, menus, alpha, betas)
-            if outcome == _VACUOUS:
-                continue
-            fired += 1
-            if outcome == _VIOLATED:
-                shrunk = _shrink_counterexample(axiom, cmp, menus, alpha, betas)
-                failure = (shrunk, alpha, betas)
-                break
-        if failure is not None:
-            menus, alpha, betas = failure
-            results.append(
-                AxiomResult(axiom, STATUS_FAIL, menus, alpha, betas, checked, fired)
-            )
-        elif truncated:
-            results.append(
-                AxiomResult(axiom, STATUS_TRUNCATED, tuples_checked=checked, antecedents=fired)
-            )
-        elif fired == 0:
-            results.append(AxiomResult(axiom, STATUS_VACUOUS, tuples_checked=checked))
-        else:
-            gridded = axiom in (Axiom.INDEPENDENCE, Axiom.FAVORABLE_MIXING_MONOTONICITY)
-            status = STATUS_PASS_ON_GRID if gridded else STATUS_PASS
-            results.append(
-                AxiomResult(axiom, status, tuples_checked=checked, antecedents=fired)
-            )
+        status, witness, checked, fired = _scan(
+            _axiom_tuples(axiom, corpus, config),
+            partial(_test_axiom, axiom, cmp),
+            config.max_tuples,
+        )
+        if status == STATUS_FAIL:
+            menus, alpha, betas = witness
+            shrunk = _shrink_counterexample(axiom, cmp, menus, alpha, betas)
+            results.append(AxiomResult(axiom, status, shrunk, alpha, betas, checked, fired))
+            continue
+        gridded = axiom in (Axiom.INDEPENDENCE, Axiom.FAVORABLE_MIXING_MONOTONICITY)
+        if status == STATUS_PASS and gridded:
+            status = STATUS_PASS_ON_GRID
+        results.append(AxiomResult(axiom, status, tuples_checked=checked, antecedents=fired))
     results.append(AxiomResult(Axiom.CONTINUITY, STATUS_NOT_AUDITED))
     return AuditReport(tuple(results))
 
@@ -593,20 +569,19 @@ def cross_audit(
     collection = random_collection(rng, inst)
     if config is None:
         config = AuditConfig(corpus_size=5, seed=seed)
-    comparators: list[tuple[str, Comparator]] = [
+    # The corpus depends only on the seed and the size, so all three
+    # criteria are audited over the same menus.
+    corpus = generate_corpus(inst, config)
+    criteria = (
         ("bml", BmlComparator(inst, credal)),
         ("jml", JmlComparator(inst, credal)),
         ("hml", HmlComparator(inst, collection)),
-    ]
-    entries = []
-    for name, comparator in comparators:
-        scoped = AuditConfig(
-            axioms=REQUIRED_AXIOMS[name],
-            corpus_size=config.corpus_size,
-            alpha_grid=config.alpha_grid,
-            seed=config.seed,
-            max_tuples=config.max_tuples,
+    )
+    return CrossAuditReport(
+        tuple(
+            CrossAuditEntry(
+                name, audit(criterion, corpus, replace(config, axioms=REQUIRED_AXIOMS[name]))
+            )
+            for name, criterion in criteria
         )
-        corpus = generate_corpus(inst, scoped)
-        entries.append(CrossAuditEntry(name, audit(comparator, corpus, scoped)))
-    return CrossAuditReport(tuple(entries))
+    )

@@ -68,11 +68,12 @@ EXIT_PARSE_ERROR = 2
 EXIT_UNKNOWN_NAME = 3
 EXIT_BAD_KIND = 4
 
-_CRITERION_PARAM_KIND = {
-    "sl": "info_structures",
-    "bml": "credal_sets",
-    "jml": "credal_sets",
-    "hml": "collections",
+#: Criterion name -> (constructor, workspace table its parameter lives in).
+_CRITERIA = {
+    "sl": (SlComparator, "info_structures"),
+    "bml": (BmlComparator, "credal_sets"),
+    "jml": (JmlComparator, "credal_sets"),
+    "hml": (HmlComparator, "collections"),
 }
 
 
@@ -87,7 +88,7 @@ def _resolve_param(workspace: Workspace, criterion: str, name: str):
     A name living in a different table is a kind mismatch, not an unknown
     name.
     """
-    kind = _CRITERION_PARAM_KIND[criterion]
+    kind = _CRITERIA[criterion][1]
     table = getattr(workspace, kind)
     if name in table:
         return table[name]
@@ -99,17 +100,6 @@ def _resolve_param(workspace: Workspace, criterion: str, name: str):
             )
     known = ", ".join(sorted(table)) or "none defined"
     raise UnknownNameError(f"unknown {kind.replace('_', ' ').rstrip('s')} {name!r} (known: {known})")
-
-
-def _comparator(workspace: Workspace, criterion: str, param):
-    inst = workspace.instance
-    if criterion == "sl":
-        return SlComparator(inst, param)
-    if criterion == "bml":
-        return BmlComparator(inst, param)
-    if criterion == "jml":
-        return JmlComparator(inst, param)
-    return HmlComparator(inst, param)
 
 
 def _print_table(rows: list[list[str]], header: list[str]) -> None:
@@ -135,42 +125,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _gap_rows(workspace: Workspace, criterion: str, param, left: Menu, right: Menu):
-    """Per-generator benefit gaps that justify the verdict."""
+    """Per-generator benefit gaps that justify the verdict.
+
+    Rows are labelled by structure name; only ``hml`` rows carry a
+    ``groupN:`` prefix naming the sub-group.
+    """
     inst = workspace.instance
-    rows = []
-    if criterion == "sl":
-        structures = [param]
-        rows.extend(
-            [
-                workspace.structure_label(pi),
-                str(benefit_of_information(left, pi, inst)),
-                str(benefit_of_information(right, pi, inst)),
-                str(benefit_gap(left, right, pi, inst)),
-            ]
-            for pi in structures
-        )
-    elif criterion in ("bml", "jml"):
-        rows.extend(
-            [
-                workspace.structure_label(pi),
-                str(benefit_of_information(left, pi, inst)),
-                str(benefit_of_information(right, pi, inst)),
-                str(benefit_gap(left, right, pi, inst)),
-            ]
-            for pi in param
-        )
+    if criterion == "hml":
+        labelled = [(f"group{i}:", pi) for i, member in enumerate(param, start=1) for pi in member]
     else:
-        for index, member in enumerate(param, start=1):
-            for pi in member:
-                rows.append(
-                    [
-                        f"group{index}:{workspace.structure_label(pi)}",
-                        str(benefit_of_information(left, pi, inst)),
-                        str(benefit_of_information(right, pi, inst)),
-                        str(benefit_gap(left, right, pi, inst)),
-                    ]
-                )
-    return rows
+        labelled = [("", pi) for pi in ((param,) if criterion == "sl" else param)]
+    return [
+        [
+            prefix + workspace.structure_label(pi),
+            str(benefit_of_information(left, pi, inst)),
+            str(benefit_of_information(right, pi, inst)),
+            str(benefit_gap(left, right, pi, inst)),
+        ]
+        for prefix, pi in labelled
+    ]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -178,7 +151,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     left = workspace.menu(args.left)
     right = workspace.menu(args.right)
     param = _resolve_param(workspace, args.criterion, args.param)
-    comparator = _comparator(workspace, args.criterion, param)
+    comparator = _CRITERIA[args.criterion][0](workspace.instance, param)
     verdict = comparator.compare(left, right)
     rows = _gap_rows(workspace, args.criterion, param, left, right)
     if args.format == "records":
@@ -220,7 +193,7 @@ def _effective_seed(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     workspace = load_path(args.file)
     param = _resolve_param(workspace, args.criterion, args.param)
-    comparator = _comparator(workspace, args.criterion, param)
+    comparator = _CRITERIA[args.criterion][0](workspace.instance, param)
     if args.axioms:
         try:
             axioms = frozenset(Axiom(name.strip()) for name in args.axioms.split(","))
@@ -373,21 +346,12 @@ def cmd_examples(args: argparse.Namespace) -> int:
     expect("b[gh | delta_p]", benefit_of_information(gh, delta_p, inst), Fraction(3, 2))
     expect("b[gh | pi]", benefit_of_information(gh, pi, inst), Fraction(3))
     both = ws1.credal_set("both")
-    expect(
-        "bml verdict f vs gh",
-        BmlComparator(inst, both).compare(f, gh).value,
-        Verdict.INCOMPARABLE.value,
-    )
-    expect(
-        "sl verdict f vs gh under delta_p",
-        SlComparator(inst, delta_p).compare(f, gh).value,
-        Verdict.STRICT_BETTER.value,
-    )
-    expect(
-        "sl verdict f vs gh under pi",
-        SlComparator(inst, pi).compare(f, gh).value,
-        Verdict.STRICT_WORSE.value,
-    )
+    for label, criterion, expected in (
+        ("bml verdict f vs gh", BmlComparator(inst, both), Verdict.INCOMPARABLE),
+        ("sl verdict f vs gh under delta_p", SlComparator(inst, delta_p), Verdict.STRICT_BETTER),
+        ("sl verdict f vs gh under pi", SlComparator(inst, pi), Verdict.STRICT_WORSE),
+    ):
+        expect(label, criterion.compare(f, gh).value, expected.value)
 
     ws2 = _bundled_workspace("example2.json")
     inst2 = ws2.instance
@@ -441,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("file")
     p_cmp.add_argument("left")
     p_cmp.add_argument("right")
-    p_cmp.add_argument("--criterion", choices=("sl", "bml", "jml", "hml"), required=True)
+    p_cmp.add_argument("--criterion", choices=tuple(_CRITERIA), required=True)
     p_cmp.add_argument("--param", required=True,
                        help="info structure (sl), credal set (bml/jml), or collection (hml)")
     p_cmp.add_argument("--format", choices=("table", "records"), default="table")
@@ -449,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_audit = sub.add_parser("audit", help="check axioms against a criterion")
     p_audit.add_argument("file")
-    p_audit.add_argument("--criterion", choices=("sl", "bml", "jml", "hml"), required=True)
+    p_audit.add_argument("--criterion", choices=tuple(_CRITERIA), required=True)
     p_audit.add_argument("--param", required=True)
     p_audit.add_argument("--axioms", default="",
                          help="comma-separated axiom names (default: all checkable)")

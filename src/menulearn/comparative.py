@@ -19,10 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import CredalSet, Instance, InfoStructure, Menu, Posterior
-from .criteria import BmlComparator, JmlComparator
+from .criteria import Criterion
 from .errors import DimensionMismatchError
 from .evaluation import dominates
 
@@ -178,6 +178,39 @@ def credal_subset(
 # ---------------------------------------------------------------------------
 
 
+#: What a check's test returns for one tuple: the implication holds, its
+#: antecedent did not fire, or it is violated.
+_HOLDS, _VACUOUS, _VIOLATED = True, None, False
+
+
+def _scan(
+    tuples: Iterable[tuple],
+    test: Callable[..., Optional[bool]],
+    max_tuples: Optional[int] = None,
+) -> tuple[str, Optional[tuple], int, int]:
+    """Test an implication on each tuple in order, stopping at the first violation.
+
+    ``test(*item)`` returns None when the antecedent does not fire, else
+    whether the consequent holds.  Returns ``(status, witness,
+    tuples_checked, antecedents)``: status "fail" with the violating tuple
+    as witness; "truncated" when *max_tuples* tuples were checked and more
+    were left; otherwise "pass", or "vacuous" when nothing fired.
+    """
+    checked = 0
+    fired = 0
+    for item in tuples:
+        if max_tuples is not None and checked >= max_tuples:
+            return "truncated", None, checked, fired
+        checked += 1
+        outcome = test(*item)
+        if outcome is _VACUOUS:
+            continue
+        fired += 1
+        if not outcome:
+            return "fail", item, checked, fired
+    return ("pass" if fired else "vacuous"), None, checked, fired
+
+
 @dataclass(frozen=True)
 class CheckReport:
     """Outcome of one comparative check over a corpus.
@@ -209,39 +242,23 @@ class CheckReport:
 
 
 def check_more_decisive(
-    cmp1: BmlComparator,
-    cmp2: BmlComparator,
-    corpus: Sequence[Menu],
+    cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Whenever the second unanimity criterion ranks a pair, the first must agree."""
-    checked = 0
-    fired = 0
-    for F, G in itertools.permutations(corpus, 2):
-        checked += 1
-        if cmp2.weakly_prefers(F, G):
-            fired += 1
-            if not cmp1.weakly_prefers(F, G):
-                return CheckReport("more_decisive", "fail", (F, G), checked, fired)
-    status = "pass" if fired else "vacuous"
-    return CheckReport("more_decisive", status, None, checked, fired)
+    def test(F: Menu, G: Menu) -> Optional[bool]:
+        return cmp1.weakly_prefers(F, G) if cmp2.weakly_prefers(F, G) else _VACUOUS
+
+    return CheckReport("more_decisive", *_scan(itertools.permutations(corpus, 2), test))
 
 
 def check_more_strict_decisive(
-    cmp1: JmlComparator,
-    cmp2: JmlComparator,
-    corpus: Sequence[Menu],
+    cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Whenever the second veto criterion is strictly decided, so is the first."""
-    checked = 0
-    fired = 0
-    for F, G in itertools.permutations(corpus, 2):
-        checked += 1
-        if cmp2.strictly_prefers(F, G):
-            fired += 1
-            if not cmp1.strictly_prefers(F, G):
-                return CheckReport("more_strict_decisive", "fail", (F, G), checked, fired)
-    status = "pass" if fired else "vacuous"
-    return CheckReport("more_strict_decisive", status, None, checked, fired)
+    def test(F: Menu, G: Menu) -> Optional[bool]:
+        return cmp1.strictly_prefers(F, G) if cmp2.strictly_prefers(F, G) else _VACUOUS
+
+    return CheckReport("more_strict_decisive", *_scan(itertools.permutations(corpus, 2), test))
 
 
 def _dominance_filtered_triples(corpus: Sequence[Menu], instance: Instance):
@@ -257,33 +274,24 @@ def _dominance_filtered_triples(corpus: Sequence[Menu], instance: Instance):
 
 
 def check_less_negative_inconsistent(
-    cmp1: BmlComparator,
-    cmp2: BmlComparator,
-    corpus: Sequence[Menu],
+    cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Indecision chains of the first criterion must be exhibited by the second.
 
     Over triples with H strictly dominating F: if the first criterion can
     rank neither H over G nor G over F, the second must be equally silent.
     """
-    checked = 0
-    fired = 0
-    for F, G, H in _dominance_filtered_triples(corpus, cmp1.instance):
-        checked += 1
-        if not cmp1.weakly_prefers(H, G) and not cmp1.weakly_prefers(G, F):
-            fired += 1
-            if cmp2.weakly_prefers(H, G) or cmp2.weakly_prefers(G, F):
-                return CheckReport(
-                    "less_negative_inconsistent", "fail", (F, G, H), checked, fired
-                )
-    status = "pass" if fired else "vacuous"
-    return CheckReport("less_negative_inconsistent", status, None, checked, fired)
+    def test(F: Menu, G: Menu, H: Menu) -> Optional[bool]:
+        if cmp1.weakly_prefers(H, G) or cmp1.weakly_prefers(G, F):
+            return _VACUOUS
+        return not (cmp2.weakly_prefers(H, G) or cmp2.weakly_prefers(G, F))
+
+    triples = _dominance_filtered_triples(corpus, cmp1.instance)
+    return CheckReport("less_negative_inconsistent", *_scan(triples, test))
 
 
 def check_less_inconsistent(
-    cmp1: JmlComparator,
-    cmp2: JmlComparator,
-    corpus: Sequence[Menu],
+    cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Transitivity violations of the first criterion must recur in the second.
 
@@ -291,13 +299,10 @@ def check_less_inconsistent(
     an inconsistency (H dominates F); if the first criterion exhibits it,
     the second must too.
     """
-    checked = 0
-    fired = 0
-    for F, G, H in _dominance_filtered_triples(corpus, cmp1.instance):
-        checked += 1
-        if cmp1.weakly_prefers(F, G) and cmp1.weakly_prefers(G, H):
-            fired += 1
-            if not (cmp2.weakly_prefers(F, G) and cmp2.weakly_prefers(G, H)):
-                return CheckReport("less_inconsistent", "fail", (F, G, H), checked, fired)
-    status = "pass" if fired else "vacuous"
-    return CheckReport("less_inconsistent", status, None, checked, fired)
+    def test(F: Menu, G: Menu, H: Menu) -> Optional[bool]:
+        if not (cmp1.weakly_prefers(F, G) and cmp1.weakly_prefers(G, H)):
+            return _VACUOUS
+        return cmp2.weakly_prefers(F, G) and cmp2.weakly_prefers(G, H)
+
+    triples = _dominance_filtered_triples(corpus, cmp1.instance)
+    return CheckReport("less_inconsistent", *_scan(triples, test))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import attrgetter
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import (
     BadProbabilityError,
@@ -81,6 +81,11 @@ def _hash_of(*canonical_fields: str):
     return __hash__
 
 
+def _pairs(entries: Mapping | Iterable[tuple]) -> list[tuple]:
+    """The (key, value) pairs of a mapping, or the given pairs as a list."""
+    return list(entries.items() if isinstance(entries, Mapping) else entries)
+
+
 def _canonical_distribution(
     entries: Mapping[str, RationalLike] | Iterable[tuple[str, RationalLike]],
     what: str,
@@ -89,12 +94,8 @@ def _canonical_distribution(
 
     Raises BadProbabilityError unless all entries are >= 0 and sum to exactly 1.
     """
-    if isinstance(entries, Mapping):
-        pairs = list(entries.items())
-    else:
-        pairs = list(entries)
     seen: dict[str, Fraction] = {}
-    for label, raw in pairs:
+    for label, raw in _pairs(entries):
         if not isinstance(label, str):
             raise TypeError(f"{what} labels must be strings, got {label!r}")
         prob = as_fraction(raw)
@@ -110,33 +111,36 @@ def _canonical_distribution(
 
 
 @dataclass(frozen=True)
-class Lottery(_HashOnce):
-    """A lottery over deterministic prizes with exact probabilities.
+class _Distribution(_HashOnce):
+    """Base of `Lottery` and `Posterior`: an exact distribution over labels.
 
-    ``probs`` may be given as any mapping from prize label to rational; it is
-    stored as a sorted tuple of (prize, Fraction) pairs with zero-probability
-    prizes removed, so two lotteries are equal iff they assign the same
-    probability to every prize.
+    ``probs`` may be given as any mapping from label to rational; it is
+    stored as a sorted tuple of (label, Fraction) pairs with zero entries
+    removed, so two distributions of the same type are equal iff they
+    assign the same probability to every label.
     """
 
     probs: Mapping[str, RationalLike]
     __hash__ = _hash_of("probs")
 
+    #: What the labels are ("prize" or "state"), for error messages.
+    _label: ClassVar[str]
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _canonical_distribution(self.probs, "prize"))
+        object.__setattr__(self, "probs", _canonical_distribution(self.probs, self._label))
 
     @classmethod
-    def degenerate(cls, prize: str) -> "Lottery":
-        """The point mass on a single prize."""
-        return cls({prize: Fraction(1)})
+    def degenerate(cls, label: str):
+        """The point mass on a single label."""
+        return cls({label: Fraction(1)})
 
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(label for label, _ in self.probs)
 
-    def prob(self, prize: str) -> Fraction:
-        for label, p in self.probs:
-            if label == prize:
+    def prob(self, label: str) -> Fraction:
+        for known, p in self.probs:
+            if known == label:
                 return p
         return Fraction(0)
 
@@ -144,32 +148,16 @@ class Lottery(_HashOnce):
         return dict(self.probs)
 
 
-@dataclass(frozen=True)
-class Posterior(_HashOnce):
+class Lottery(_Distribution):
+    """A lottery over deterministic prizes with exact probabilities."""
+
+    _label = "prize"
+
+
+class Posterior(_Distribution):
     """A probability distribution over states (a belief after learning)."""
 
-    probs: Mapping[str, RationalLike]
-    __hash__ = _hash_of("probs")
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _canonical_distribution(self.probs, "state"))
-
-    @classmethod
-    def degenerate(cls, state: str) -> "Posterior":
-        return cls({state: Fraction(1)})
-
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.probs)
-
-    def prob(self, state: str) -> Fraction:
-        for label, p in self.probs:
-            if label == state:
-                return p
-        return Fraction(0)
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.probs)
+    _label = "state"
 
 
 @dataclass(frozen=True)
@@ -184,13 +172,9 @@ class Act(_HashOnce):
     __hash__ = _hash_of("outcomes")
 
     def __post_init__(self) -> None:
-        if isinstance(self.outcomes, Mapping):
-            pairs = list(self.outcomes.items())
-        else:
-            pairs = list(self.outcomes)
         canonical = []
         seen = set()
-        for state, lottery in pairs:
+        for state, lottery in _pairs(self.outcomes):
             if not isinstance(state, str):
                 raise TypeError(f"state labels must be strings, got {state!r}")
             if not isinstance(lottery, Lottery):
@@ -400,11 +384,6 @@ class Verdict(Enum):
         """True when the left menu is at least as good as the right one."""
         return self in (Verdict.STRICT_BETTER, Verdict.INDIFFERENT)
 
-    @property
-    def weakly_preferred(self) -> bool:
-        """True when the right menu is at least as good as the left one."""
-        return self in (Verdict.STRICT_WORSE, Verdict.INDIFFERENT)
-
     def flipped(self) -> "Verdict":
         """The verdict for the same pair compared in the opposite order."""
         if self is Verdict.STRICT_BETTER:
@@ -445,11 +424,7 @@ class Instance(_HashOnce):
     def __post_init__(self) -> None:
         states = tuple(self.states)
         prizes = tuple(self.prizes)
-        if isinstance(self.utility, Mapping):
-            utility_pairs = list(self.utility.items())
-        else:
-            utility_pairs = list(self.utility)
-        utility = tuple((prize, as_fraction(value)) for prize, value in utility_pairs)
+        utility = tuple((prize, as_fraction(value)) for prize, value in _pairs(self.utility))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "utility", utility)
@@ -459,7 +434,7 @@ class Instance(_HashOnce):
         for label, value in self.utility:
             if label == prize:
                 return value
-        raise KeyError(prize)
+        raise ValidationError(f"prize {prize!r} is not in the instance {list(self.prizes)}")
 
     def lottery_utility(self, lottery: Lottery) -> Fraction:
         """Expected utility of a lottery (the affine extension of the prize utility)."""
@@ -528,12 +503,6 @@ def validate_lottery(lottery: Lottery, inst: Instance) -> None:
         raise ValidationError(f"lottery uses prizes not in the instance: {sorted(unknown)}")
 
 
-def validate_posterior(posterior: Posterior, inst: Instance) -> None:
-    unknown = set(posterior.support) - set(inst.states)
-    if unknown:
-        raise ValidationError(f"posterior uses states not in the instance: {sorted(unknown)}")
-
-
 def validate_act(act: Act, inst: Instance) -> None:
     """Check that the act is total over the instance's states."""
     if set(act.states) != set(inst.states):
@@ -543,11 +512,6 @@ def validate_act(act: Act, inst: Instance) -> None:
         )
     for _, lottery in act.outcomes:
         validate_lottery(lottery, inst)
-
-
-def validate_menu(menu: Menu, inst: Instance) -> None:
-    for act in menu:
-        validate_act(act, inst)
 
 
 def constant_act(inst: Instance, x: Lottery) -> Act:

@@ -1,22 +1,25 @@
-"""The four menu-preference criteria: SL, BML, JML, and HML.
+"""One menu-preference rule, the hierarchical (HML) criterion, and its special cases.
 
-All four rank menus through the benefit-of-information gap
-``b_F(pi) - b_G(pi)``:
+Every criterion ranks menus through the benefit-of-information gap
+``b_F(pi) - b_G(pi)``.  The hierarchical rule splits the committee into
+sub-groups, one credal set each: menu F is weakly preferred to G when some
+sub-group prefers it unanimously, i.e. the gap is nonnegative at every
+structure of that sub-group's credal set.  `Criterion` implements this rule
+over any `Collection`; the other criteria are the same rule over special
+collections, built by three constructors:
 
-* SL  (subjective learning): one structure decides; complete and transitive.
-* BML (Bewley multiple learning): unanimity over a credal set; the gap must
-  be nonnegative at every structure.  Transitive but possibly incomplete.
-* JML (justifiable multiple learning): a single structure can justify the
-  ranking; the gap must be nonnegative somewhere.  Complete but possibly
-  intransitive.
-* HML (hierarchical multiple learning): members are split into sub-groups
-  (one credal set each); a menu wins if some sub-group prefers it
-  unanimously.  Generalizes both BML (one group) and JML (all singleton
-  groups).
+* SL  (subjective learning, `SlComparator`): one singleton group; a single
+  structure decides.  Complete and transitive.
+* BML (Bewley multiple learning, `BmlComparator`): one group holding the
+  whole credal set; unanimity.  Transitive but possibly incomplete.
+* JML (justifiable multiple learning, `JmlComparator`): one singleton group
+  per generator; any single structure can justify the ranking.  Complete
+  but possibly intransitive.
 
-Since the gap is linear in the structure, its extrema over a credal
-polytope are attained at generators, so every min/max below enumerates
-generators only.  That keeps the whole pipeline exact.
+`HmlComparator` takes the collection as given.  Since the gap is linear in
+the structure, its extrema over a credal polytope are attained at
+generators, so every min/max below enumerates generators only.  That keeps
+the whole pipeline exact.
 """
 
 from __future__ import annotations
@@ -46,54 +49,89 @@ def benefit_gap(F: Menu, G: Menu, pi: InfoStructure, inst: Instance) -> Value:
     return benefit_of_information(F, pi, inst) - benefit_of_information(G, pi, inst)
 
 
+def collection_maxmin_gap(F: Menu, G: Menu, coll: Collection, inst: Instance) -> Value:
+    """Best sub-group's worst-case gap: max over members of the min over generators."""
+    return max(min(benefit_gap(F, G, gen, inst) for gen in member) for member in coll)
+
+
 def credal_min_gap(F: Menu, G: Menu, credal: CredalSet, inst: Instance) -> Value:
     """Worst-case benefit gap over the credal set (attained at a generator)."""
-    return min(benefit_gap(F, G, gen, inst) for gen in credal)
+    return collection_maxmin_gap(F, G, Collection.of_credal_set(credal), inst)
 
 
 def credal_max_gap(F: Menu, G: Menu, credal: CredalSet, inst: Instance) -> Value:
     """Best-case benefit gap over the credal set (attained at a generator)."""
-    return max(benefit_gap(F, G, gen, inst) for gen in credal)
+    return collection_maxmin_gap(F, G, Collection.of_singletons(credal), inst)
 
 
-def collection_maxmin_gap(F: Menu, G: Menu, coll: Collection, inst: Instance) -> Value:
-    """Best sub-group's worst-case gap: max over members of the min over generators."""
-    return max(credal_min_gap(F, G, member, inst) for member in coll)
+@dataclass(frozen=True)
+class Criterion:
+    """The hierarchical rule over a collection of credal sets.
+
+    F is weakly preferred to G iff some member's generators all give
+    ``b_F >= b_G``.  The test stops at the first member that agrees and at
+    the first generator that disagrees, so it never computes the whole
+    max-of-min gap.
+    """
+
+    instance: Instance
+    collection: Collection
+
+    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
+        inst = self.instance
+        return any(
+            all(
+                benefit_of_information(F, pi, inst) >= benefit_of_information(G, pi, inst)
+                for pi in member
+            )
+            for member in self.collection
+        )
+
+    def strictly_prefers(self, F: Menu, G: Menu) -> bool:
+        return self.weakly_prefers(F, G) and not self.weakly_prefers(G, F)
+
+    def compare(self, F: Menu, G: Menu) -> Verdict:
+        return Verdict.from_directions(self.weakly_prefers(F, G), self.weakly_prefers(G, F))
+
+
+def SlComparator(instance: Instance, structure: InfoStructure) -> Criterion:
+    """Subjective learning: the single structure *structure* decides."""
+    return Criterion(instance, Collection.of_credal_set(CredalSet.singleton(structure)))
+
+
+def BmlComparator(instance: Instance, credal: CredalSet) -> Criterion:
+    """Unanimity: F wins iff the gap is >= 0 at every generator of *credal*."""
+    return Criterion(instance, Collection.of_credal_set(credal))
+
+
+def JmlComparator(instance: Instance, credal: CredalSet) -> Criterion:
+    """Veto: F wins iff the gap is >= 0 at some generator of *credal*."""
+    return Criterion(instance, Collection.of_singletons(credal))
+
+
+def HmlComparator(instance: Instance, collection: Collection) -> Criterion:
+    """Hierarchical: F wins if some sub-group unanimously ranks it higher."""
+    return Criterion(instance, collection)
 
 
 def sl_compare(F: Menu, G: Menu, inst: Instance, pi: InfoStructure) -> Verdict:
     """Rank two menus by the benefit of information of a single structure."""
-    gap = benefit_gap(F, G, pi, inst)
-    return Verdict.from_directions(gap >= 0, gap <= 0)
+    return SlComparator(inst, pi).compare(F, G)
 
 
 def bml_compare(F: Menu, G: Menu, inst: Instance, credal: CredalSet) -> Verdict:
-    """Unanimity rule: F is weakly preferred iff the gap is >= 0 at every structure.
-
-    Both directions are evaluated; disagreement inside the credal set shows
-    up as ``Verdict.INCOMPARABLE``.
-    """
-    forward = credal_min_gap(F, G, credal, inst) >= 0
-    backward = credal_min_gap(G, F, credal, inst) >= 0
-    return Verdict.from_directions(forward, backward)
+    """Unanimity rule; disagreement inside the credal set is ``Verdict.INCOMPARABLE``."""
+    return BmlComparator(inst, credal).compare(F, G)
 
 
 def jml_compare(F: Menu, G: Menu, inst: Instance, credal: CredalSet) -> Verdict:
-    """Veto rule: F is weakly preferred iff the gap is >= 0 at some structure.
-
-    Complete by construction (a negative max in one direction forces a
-    positive max in the other), but transitivity can fail.
-    """
-    forward = credal_max_gap(F, G, credal, inst) >= 0
-    backward = credal_max_gap(G, F, credal, inst) >= 0
-    return Verdict.from_directions(forward, backward)
+    """Veto rule: complete by construction, but transitivity can fail."""
+    return JmlComparator(inst, credal).compare(F, G)
 
 
 def hml_compare(F: Menu, G: Menu, inst: Instance, coll: Collection) -> Verdict:
     """Hierarchical rule: F wins if some sub-group unanimously ranks it higher."""
-    forward = collection_maxmin_gap(F, G, coll, inst) >= 0
-    backward = collection_maxmin_gap(G, F, coll, inst) >= 0
-    return Verdict.from_directions(forward, backward)
+    return HmlComparator(inst, coll).compare(F, G)
 
 
 def singleton_reduction(
@@ -143,80 +181,3 @@ def alpha_maxmin_collection(credal: CredalSet, alpha: RationalLike) -> Collectio
         ]
         members.append(CredalSet(mixed))
     return Collection(members)
-
-
-# ---------------------------------------------------------------------------
-# Comparator objects: a uniform handle on (criterion, parameters) pairs for
-# the audit and comparative-statics machinery.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlComparator:
-    instance: Instance
-    structure: InfoStructure
-
-    kind = "sl"
-
-    def compare(self, F: Menu, G: Menu) -> Verdict:
-        return sl_compare(F, G, self.instance, self.structure)
-
-    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        return self.compare(F, G).weakly_prefers
-
-    def strictly_prefers(self, F: Menu, G: Menu) -> bool:
-        return self.compare(F, G) is Verdict.STRICT_BETTER
-
-
-@dataclass(frozen=True)
-class BmlComparator:
-    instance: Instance
-    credal: CredalSet
-
-    kind = "bml"
-
-    def compare(self, F: Menu, G: Menu) -> Verdict:
-        return bml_compare(F, G, self.instance, self.credal)
-
-    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        return credal_min_gap(F, G, self.credal, self.instance) >= 0
-
-    def strictly_prefers(self, F: Menu, G: Menu) -> bool:
-        return self.compare(F, G) is Verdict.STRICT_BETTER
-
-
-@dataclass(frozen=True)
-class JmlComparator:
-    instance: Instance
-    credal: CredalSet
-
-    kind = "jml"
-
-    def compare(self, F: Menu, G: Menu) -> Verdict:
-        return jml_compare(F, G, self.instance, self.credal)
-
-    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        return credal_max_gap(F, G, self.credal, self.instance) >= 0
-
-    def strictly_prefers(self, F: Menu, G: Menu) -> bool:
-        return self.compare(F, G) is Verdict.STRICT_BETTER
-
-
-@dataclass(frozen=True)
-class HmlComparator:
-    instance: Instance
-    collection: Collection
-
-    kind = "hml"
-
-    def compare(self, F: Menu, G: Menu) -> Verdict:
-        return hml_compare(F, G, self.instance, self.collection)
-
-    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        return collection_maxmin_gap(F, G, self.collection, self.instance) >= 0
-
-    def strictly_prefers(self, F: Menu, G: Menu) -> bool:
-        return self.compare(F, G) is Verdict.STRICT_BETTER
-
-
-Comparator = SlComparator | BmlComparator | JmlComparator | HmlComparator

@@ -11,6 +11,7 @@ that is robust to small perturbations of the data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
@@ -25,8 +26,8 @@ from .core import (
     as_fraction,
     constant_menu,
 )
-from .comparative import CheckReport
-from .criteria import HmlComparator, collection_maxmin_gap
+from .comparative import _VACUOUS, CheckReport, _scan
+from .criteria import Criterion, collection_maxmin_gap
 from .errors import BadWeightError
 from .evaluation import benefit_of_information, mix_lotteries
 
@@ -113,7 +114,14 @@ class AlphaPolicy:
     def custom(cls, chooser: Callable[[Menu], RationalLike] | Mapping[Menu, RationalLike]) -> "AlphaPolicy":
         if isinstance(chooser, Mapping):
             mapping = chooser
-            return cls(mode="custom", chooser=lambda menu: mapping[menu])
+
+            def lookup(menu: Menu) -> RationalLike:
+                try:
+                    return mapping[menu]
+                except KeyError:
+                    raise BadWeightError("custom policy has no weight for this menu") from None
+
+            return cls(mode="custom", chooser=lookup)
         return cls(mode="custom", chooser=chooser)
 
     def weight_for(self, menu: Menu, band: ScenarioBand) -> Fraction:
@@ -133,6 +141,11 @@ class AlphaPolicy:
             return weight
         raise BadWeightError(f"unknown policy mode {self.mode!r}")
 
+    def blend(self, menu: Menu, band: ScenarioBand) -> Value:
+        """The menu's score: its weight on the maxmin aggregate, the rest on minmax."""
+        alpha = self.weight_for(menu, band)
+        return alpha * band.maxmin + (1 - alpha) * band.minmax
+
 
 def rationalized_value(
     F: Menu,
@@ -141,9 +154,7 @@ def rationalized_value(
     inst: Instance,
 ) -> Value:
     """Score a menu by the policy's blend of its two scenario aggregates."""
-    band = scenario_band(F, coll, inst)
-    alpha = policy.weight_for(F, band)
-    return alpha * band.maxmin + (1 - alpha) * band.minmax
+    return policy.blend(F, scenario_band(F, coll, inst))
 
 
 @dataclass(frozen=True)
@@ -184,9 +195,7 @@ def rank_menus(
     scored = []
     for name, menu in zip(names, corpus):
         band = scenario_band(menu, coll, inst)
-        alpha = policy.weight_for(menu, band)
-        value = alpha * band.maxmin + (1 - alpha) * band.minmax
-        scored.append((name, menu, value, band))
+        scored.append((name, menu, policy.blend(menu, band), band))
     scored.sort(key=lambda item: (-item[2], item[0]))
     entries: list[RankEntry] = []
     rank = 0
@@ -227,7 +236,7 @@ class ConsistencyReport:
 
 def check_consistency(
     value_of: Callable[[Menu], Value],
-    comparator: HmlComparator,
+    comparator: Criterion,
     corpus: Sequence[Menu],
     lotteries: Sequence[Lottery],
 ) -> ConsistencyReport:
@@ -246,59 +255,25 @@ def check_consistency(
     """
     inst = comparator.instance
     coll = comparator.collection
-
-    lottery_checked = 0
-    lottery_fired = 0
-    lottery_witness = None
     constant_menus = [constant_menu(inst, x) for x in lotteries]
-    for i, x in enumerate(lotteries):
-        for j, y in enumerate(lotteries):
-            if i == j:
-                continue
-            lottery_checked += 1
-            if inst.lottery_utility(x) >= inst.lottery_utility(y):
-                lottery_fired += 1
-                if not value_of(constant_menus[i]) >= value_of(constant_menus[j]):
-                    lottery_witness = (constant_menus[i], constant_menus[j])
-                    break
-        if lottery_witness:
-            break
-    if lottery_witness:
-        lottery_report = CheckReport(
-            "lottery_consistency", "fail", lottery_witness, lottery_checked, lottery_fired
-        )
-    else:
-        status = "pass" if lottery_fired else "vacuous"
-        lottery_report = CheckReport(
-            "lottery_consistency", status, None, lottery_checked, lottery_fired
-        )
+    utility = {xm: inst.lottery_utility(x) for xm, x in zip(constant_menus, lotteries)}
 
-    strict_checked = 0
-    strict_fired = 0
-    strict_witness = None
-    for F in corpus:
-        for G in corpus:
-            if F == G:
-                continue
-            strict_checked += 1
-            separated = any(
-                robust_strict(F, xm, coll, inst) and robust_strict(xm, G, coll, inst)
-                for xm in constant_menus
-            )
-            if separated:
-                strict_fired += 1
-                if not value_of(F) > value_of(G):
-                    strict_witness = (F, G)
-                    break
-        if strict_witness:
-            break
-    if strict_witness:
-        strict_report = CheckReport(
-            "robust_strict_consistency", "fail", strict_witness, strict_checked, strict_fired
-        )
-    else:
-        status = "pass" if strict_fired else "vacuous"
-        strict_report = CheckReport(
-            "robust_strict_consistency", status, None, strict_checked, strict_fired
-        )
-    return ConsistencyReport(lottery_report, strict_report)
+    def lottery_test(xm: Menu, ym: Menu) -> Optional[bool]:
+        if utility[xm] < utility[ym]:
+            return _VACUOUS
+        return value_of(xm) >= value_of(ym)
+
+    def strict_test(F: Menu, G: Menu) -> Optional[bool]:
+        if not any(
+            robust_strict(F, xm, coll, inst) and robust_strict(xm, G, coll, inst)
+            for xm in constant_menus
+        ):
+            return _VACUOUS
+        return value_of(F) > value_of(G)
+
+    pairs = itertools.permutations(constant_menus, 2)
+    distinct = ((F, G) for F in corpus for G in corpus if F != G)
+    return ConsistencyReport(
+        CheckReport("lottery_consistency", *_scan(pairs, lottery_test)),
+        CheckReport("robust_strict_consistency", *_scan(distinct, strict_test)),
+    )

@@ -80,6 +80,32 @@ def point_structure(*state_weight_maps_and_weights) -> InfoStructure:
     )
 
 
+def twin_menu(menu: Menu) -> Menu:
+    """An equal menu built from fresh objects all the way down."""
+    return Menu(
+        tuple(
+            Act({state: Lottery(dict(lottery.probs)) for state, lottery in act.outcomes})
+            for act in menu
+        )
+    )
+
+
+def twin_structure(pi: InfoStructure) -> InfoStructure:
+    return InfoStructure(tuple((Posterior(dict(p.probs)), w) for p, w in pi.support))
+
+
+def twin_credal_set(credal: CredalSet) -> CredalSet:
+    return CredalSet(tuple(twin_structure(pi) for pi in credal))
+
+
+def twin_collection(coll: Collection) -> Collection:
+    return Collection(tuple(twin_credal_set(member) for member in coll))
+
+
+def twin_instance(inst: Instance) -> Instance:
+    return Instance(states=inst.states, prizes=inst.prizes, utility=dict(inst.utility))
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis strategies
 # ---------------------------------------------------------------------------

@@ -86,6 +86,18 @@ class TestCompare:
         assert record["verdict"] == "Incomparable"
         assert len(record["gaps"]) == 2
 
+    def test_gap_rows_are_labelled_by_structure(self, capsys):
+        def gap_labels(criterion, param):
+            argv = ["compare", EXAMPLE1, "f", "gh", "--criterion", criterion, "--param", param,
+                    "--format", "records"]
+            assert main(argv) == EXIT_OK
+            return [row["structure"] for row in json.loads(capsys.readouterr().out)["gaps"]]
+
+        assert gap_labels("sl", "pi") == ["pi"]
+        assert gap_labels("bml", "both") == ["delta_p", "pi"]
+        assert gap_labels("jml", "both") == ["delta_p", "pi"]
+        assert gap_labels("hml", "split") == ["group1:delta_p", "group2:pi"]
+
 
 class TestAudit:
     def test_bml_transitivity_passes(self, capsys):

@@ -7,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import menulearn
+import reference_criteria as ref
 from menulearn import (
+    BmlComparator,
     Collection,
     CredalSet,
+    Criterion,
+    HmlComparator,
+    JmlComparator,
     Menu,
+    SlComparator,
     Verdict,
     alpha_maxmin_collection,
+    benefit_gap,
     bml_compare,
+    collection_maxmin_gap,
     combine_structures,
     credal_max_gap,
     credal_min_gap,
@@ -26,7 +35,19 @@ from menulearn import (
 )
 from menulearn.audit import random_act, random_credal_set, random_instance
 
-from conftest import credal_sets, instances, menu_of, menus, scenarios
+from conftest import (
+    collections,
+    credal_sets,
+    instances,
+    menu_of,
+    menus,
+    scenarios,
+    twin_collection,
+    twin_credal_set,
+    twin_instance,
+    twin_menu,
+    twin_structure,
+)
 
 
 class TestCredalGaps:
@@ -227,3 +248,76 @@ class TestSingletonReduction:
         act = example1.menu("f").acts[0]
         with pytest.raises(ValueError):
             singleton_reduction(act, act, example1.credal_set("both"), "sl", inst)
+
+
+class TestAgainstReference:
+    """One hierarchical rule over special collections against the four separate formulas."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_criteria_match_reference(self, data):
+        inst = data.draw(instances())
+        credal = data.draw(credal_sets(inst))
+        coll = data.draw(collections(inst))
+        pi = credal.generators[-1]
+        drawn = [data.draw(menus(inst)) for _ in range(2)]
+        candidates = drawn + [twin_menu(drawn[0])]
+        assert candidates[-1] is not drawn[0] and candidates[-1] == drawn[0]
+        # (name, parameter, an equal fresh parameter, constructor, compare
+        # function, gap helper, the collection the constructor builds)
+        cases = [
+            ("sl", pi, twin_structure(pi), SlComparator, sl_compare, benefit_gap,
+             Collection.of_credal_set(CredalSet.singleton(pi))),
+            ("bml", credal, twin_credal_set(credal), BmlComparator, bml_compare,
+             credal_min_gap, Collection.of_credal_set(credal)),
+            ("jml", credal, twin_credal_set(credal), JmlComparator, jml_compare,
+             credal_max_gap, Collection.of_singletons(credal)),
+            ("hml", coll, twin_collection(coll), HmlComparator, hml_compare,
+             collection_maxmin_gap, coll),
+        ]
+        targets = (inst, twin_instance(inst))
+        for F in candidates:
+            for G in candidates:
+                for name, param, twin, build, compare, gap, collection in cases:
+                    ref_compare, ref_gap = ref.CRITERIA[name]
+                    expected = ref_compare(F, G, inst, param)
+                    expected_gap = ref_gap(F, G, param, inst)
+                    for target in targets:
+                        assert gap(F, G, param, target) == expected_gap
+                        assert compare(F, G, target, param) is expected
+                        assert compare(F, G, target, twin) is expected
+                        for criterion in (
+                            build(target, param),
+                            build(target, twin),
+                            Criterion(target, collection),
+                        ):
+                            assert criterion.compare(F, G) is expected
+                            assert criterion.weakly_prefers(F, G) is (expected_gap >= 0)
+                            assert criterion.strictly_prefers(F, G) is (
+                                expected is Verdict.STRICT_BETTER
+                            )
+
+
+class TestPublicSurface:
+    def test_constructors_build_one_criterion(self, example1):
+        inst = example1.instance
+        both = example1.credal_set("both")
+        pi = example1.info_structure("pi")
+        coll = example1.collection("split")
+        assert SlComparator(inst, pi) == Criterion(
+            inst, Collection.of_credal_set(CredalSet.singleton(pi))
+        )
+        assert BmlComparator(inst, both) == Criterion(inst, Collection.of_credal_set(both))
+        assert JmlComparator(inst, both) == Criterion(inst, Collection.of_singletons(both))
+        assert HmlComparator(inst, coll) == Criterion(inst, coll)
+        for built in (
+            SlComparator(inst, pi),
+            BmlComparator(inst, both),
+            JmlComparator(inst, both),
+            HmlComparator(inst, coll),
+        ):
+            assert type(built) is Criterion
+
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in menulearn.__all__ if not hasattr(menulearn, name)]
+        assert missing == []

@@ -19,10 +19,10 @@ from menulearn import (
     Act,
     DimensionMismatchError,
     InfoStructure,
-    Instance,
     Lottery,
     Menu,
     Posterior,
+    ValidationError,
     act_value,
     benefit_of_information,
     cross_audit,
@@ -33,25 +33,7 @@ from menulearn import (
 )
 from menulearn.audit import random_instance
 
-from conftest import instances, menus, structures
-
-
-def twin_menu(menu: Menu) -> Menu:
-    """An equal menu built from fresh objects all the way down."""
-    return Menu(
-        tuple(
-            Act({state: Lottery(dict(lottery.probs)) for state, lottery in act.outcomes})
-            for act in menu
-        )
-    )
-
-
-def twin_structure(pi: InfoStructure) -> InfoStructure:
-    return InfoStructure(tuple((Posterior(dict(p.probs)), w) for p, w in pi.support))
-
-
-def twin_instance(inst: Instance) -> Instance:
-    return Instance(states=inst.states, prizes=inst.prizes, utility=dict(inst.utility))
+from conftest import instances, menus, structures, twin_instance, twin_menu, twin_structure
 
 
 class TestDifferential:
@@ -112,6 +94,18 @@ class TestTypedErrors:
             dominates(total, partial, inst)
         with pytest.raises(DimensionMismatchError):
             dominates(partial, total, inst, strict=True)
+
+    def test_prize_outside_the_instance(self, two_state_instance):
+        inst = two_state_instance
+        stray = Lottery.degenerate("zzz")
+        menu = Menu((Act({"w1": stray, "w2": stray}),))
+        pi = InfoStructure.point_mass(Posterior.degenerate("w1"))
+        with pytest.raises(ValidationError, match="zzz"):
+            inst.lottery_utility(stray)
+        with pytest.raises(ValidationError, match="zzz"):
+            benefit_of_information(menu, pi, inst)
+        with pytest.raises(ValidationError, match="zzz"):
+            dominates(menu, menu, inst)
 
 
 class TestMemoLifetime:

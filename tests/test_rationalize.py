@@ -160,6 +160,11 @@ class TestRationalizedValue:
         policy = AlphaPolicy.custom({gh: Fraction(1)})
         assert rationalized_value(gh, split_collection, policy, inst) == 3
 
+    def test_custom_mapping_without_the_menu(self, example1, split_collection):
+        policy = AlphaPolicy.custom({})
+        with pytest.raises(BadWeightError, match="no weight"):
+            rationalized_value(example1.menu("f"), split_collection, policy, example1.instance)
+
     def test_bad_constant_weight_rejected(self):
         with pytest.raises(BadWeightError):
             AlphaPolicy.constant(2)
