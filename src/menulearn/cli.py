@@ -52,7 +52,6 @@ from .criteria import (
 )
 from .errors import (
     BadWeightError,
-    BadWeightsError,
     KindMismatchError,
     MenuLearnError,
     ParseError,
@@ -462,7 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnknownNameError as exc:
         print(f"unknown name: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
-    except (KindMismatchError, BadWeightError, BadWeightsError) as exc:
+    except (KindMismatchError, BadWeightError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_BAD_KIND
     except MenuLearnError as exc:

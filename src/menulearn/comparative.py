@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .core import CredalSet, Instance, InfoStructure, Menu, Posterior
+from .core import CredalSet, Instance, InfoStructure, Menu, Posterior, validate_posterior
 from .criteria import Criterion
 from .errors import DimensionMismatchError
 from .evaluation import dominates
@@ -154,15 +154,10 @@ def credal_subset(
     outside it raise DimensionMismatchError.
     """
     if instance is not None:
-        states = set(instance.states)
         for credal in (pi1, pi2):
             for gen in credal:
                 for posterior in gen.posteriors:
-                    unknown = set(posterior.support) - states
-                    if unknown:
-                        raise DimensionMismatchError(
-                            f"posterior over unknown states {sorted(unknown)}"
-                        )
+                    validate_posterior(posterior, instance)
     all_structures = list(pi1.generators) + list(pi2.generators)
     _, vectors = _structure_vectors(all_structures)
     target_vectors = vectors[: len(pi1.generators)]

@@ -19,7 +19,9 @@ from typing import ClassVar, Union
 
 from .errors import (
     BadProbabilityError,
+    BadWeightError,
     ConstantUtilityError,
+    DimensionMismatchError,
     EmptyStateSpaceError,
     ValidationError,
 )
@@ -45,6 +47,14 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"expected an exact rational (Fraction, int, or 'p/q' string), got {value!r}")
+
+
+def unit_weight(raw: RationalLike, what: str) -> Fraction:
+    """*raw* as an exact weight in [0, 1]; *what* names the weight in the error."""
+    weight = as_fraction(raw)
+    if not 0 <= weight <= 1:
+        raise BadWeightError(f"{what} must lie in [0, 1], got {weight}")
+    return weight
 
 
 class _HashOnce:
@@ -144,9 +154,6 @@ class _Distribution(_HashOnce):
                 return p
         return Fraction(0)
 
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(self.probs)
-
 
 class Lottery(_Distribution):
     """A lottery over deterministic prizes with exact probabilities."""
@@ -195,14 +202,18 @@ class Act(_HashOnce):
         for label, lot in self.outcomes:
             if label == state:
                 return lot
-        raise KeyError(state)
+        raise _missing_state(self, state)
 
     def is_constant(self) -> bool:
         lotteries = {lot for _, lot in self.outcomes}
         return len(lotteries) == 1
 
-    def as_dict(self) -> dict[str, Lottery]:
-        return dict(self.outcomes)
+
+def _missing_state(act: Act, state: str) -> DimensionMismatchError:
+    """The error for reading *act* in a state it assigns no lottery."""
+    return DimensionMismatchError(
+        f"act has no outcome for state {state!r} (it covers {sorted(act.states)})"
+    )
 
 
 def _act_sort_key(act: Act):
@@ -379,11 +390,6 @@ class Verdict(Enum):
             return Verdict.STRICT_WORSE
         return Verdict.INCOMPARABLE
 
-    @property
-    def weakly_prefers(self) -> bool:
-        """True when the left menu is at least as good as the right one."""
-        return self in (Verdict.STRICT_BETTER, Verdict.INDIFFERENT)
-
     def flipped(self) -> "Verdict":
         """The verdict for the same pair compared in the opposite order."""
         if self is Verdict.STRICT_BETTER:
@@ -500,18 +506,27 @@ def validate_lottery(lottery: Lottery, inst: Instance) -> None:
     """Check that the lottery only uses prizes of the instance."""
     unknown = set(lottery.support) - set(inst.prizes)
     if unknown:
-        raise ValidationError(f"lottery uses prizes not in the instance: {sorted(unknown)}")
+        raise ValidationError(f"lottery over unknown prizes {sorted(unknown)}")
 
 
 def validate_act(act: Act, inst: Instance) -> None:
-    """Check that the act is total over the instance's states."""
-    if set(act.states) != set(inst.states):
-        raise ValidationError(
-            f"act must assign a lottery to every state: has {sorted(act.states)}, "
-            f"instance has {sorted(inst.states)}"
-        )
+    """Check that the act assigns exactly the instance's states lotteries over its prizes."""
+    states, covered = set(inst.states), {state for state, _ in act.outcomes}
+    unknown = covered - states
+    if unknown:
+        raise ValidationError(f"unknown states {sorted(unknown)}")
+    missing = states - covered
+    if missing:
+        raise ValidationError(f"missing states {sorted(missing)}")
     for _, lottery in act.outcomes:
         validate_lottery(lottery, inst)
+
+
+def validate_posterior(p: Posterior | Mapping[str, RationalLike], inst: Instance) -> None:
+    """Check that the posterior, or the label map it is built from, names only known states."""
+    unknown = set(p.support if isinstance(p, Posterior) else p) - set(inst.states)
+    if unknown:
+        raise DimensionMismatchError(f"posterior over unknown states {sorted(unknown)}")
 
 
 def constant_act(inst: Instance, x: Lottery) -> Act:
@@ -556,7 +571,5 @@ def combine_structures(
 
 def mix_structures(a: InfoStructure, b: InfoStructure, alpha: RationalLike) -> InfoStructure:
     """``alpha * a + (1 - alpha) * b`` as measures over posteriors."""
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise BadProbabilityError(f"mixture weight must lie in [0, 1], got {alpha}")
+    alpha = unit_weight(alpha, "mixture weight")
     return combine_structures((a, b), (alpha, 1 - alpha))

@@ -37,9 +37,8 @@ from .core import (
     RationalLike,
     Value,
     Verdict,
-    as_fraction,
-    combine_structures,
     mean_posterior,
+    mix_structures,
 )
 from .evaluation import act_value, benefit_of_information
 
@@ -171,13 +170,6 @@ def alpha_maxmin_collection(credal: CredalSet, alpha: RationalLike) -> Collectio
     hierarchical criterion whose decision value is exactly
     ``alpha * min-gap + (1 - alpha) * max-gap``.
     """
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    members = []
-    for anchor in credal:
-        mixed = [
-            combine_structures((gen, anchor), (alpha, 1 - alpha)) for gen in credal
-        ]
-        members.append(CredalSet(mixed))
-    return Collection(members)
+    return Collection(
+        CredalSet([mix_structures(gen, anchor, alpha) for gen in credal]) for anchor in credal
+    )

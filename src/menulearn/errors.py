@@ -23,12 +23,12 @@ class ConstantUtilityError(ValidationError):
     """The utility function assigns the same value to every prize."""
 
 
-class BadWeightsError(ValidationError):
-    """A randomization weight list is negative, empty, or does not sum to one."""
-
-
 class BadWeightError(ValidationError):
-    """An aggregation weight falls outside the unit interval."""
+    """A weight falls outside [0, 1], or a weight list is negative, empty or does not sum to 1."""
+
+
+#: The former name of the randomization-weight error, now the same class.
+BadWeightsError = BadWeightError
 
 
 class DimensionMismatchError(MenuLearnError):

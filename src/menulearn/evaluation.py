@@ -22,9 +22,11 @@ from .core import (
     Posterior,
     RationalLike,
     Value,
+    _missing_state,
     as_fraction,
+    unit_weight,
 )
-from .errors import BadWeightsError, DimensionMismatchError, ValidationError
+from .errors import BadWeightError, ValidationError
 
 
 def _utilities(f: Act, inst: Instance) -> dict[str, Fraction]:
@@ -36,12 +38,6 @@ def _utilities(f: Act, inst: Instance) -> dict[str, Fraction]:
             state: inst.lottery_utility(lottery) for state, lottery in f.outcomes
         }
     return utilities
-
-
-def _missing_state(f: Act, state: str) -> DimensionMismatchError:
-    return DimensionMismatchError(
-        f"act has no outcome for state {state!r} (it covers {sorted(f.states)})"
-    )
 
 
 def act_value(f: Act, p: Posterior, inst: Instance) -> Value:
@@ -97,9 +93,7 @@ def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:
 
 def mix_menus(F: Menu, G: Menu, alpha: RationalLike) -> Menu:
     """The menu ``alpha F + (1 - alpha) G``: all pairwise act mixtures, deduplicated."""
-    alpha = as_fraction(alpha)
-    if not 0 <= alpha <= 1:
-        raise BadWeightsError(f"mixture weight must lie in [0, 1], got {alpha}")
+    alpha = unit_weight(alpha, "mixture weight")
     return Menu(tuple(mix_acts(f, g, alpha) for f in F for g in G))
 
 
@@ -113,11 +107,11 @@ def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:
     """
     weights = [as_fraction(b) for b in betas]
     if not weights:
-        raise BadWeightsError("randomization needs at least one weight")
+        raise BadWeightError("randomization needs at least one weight")
     if any(w < 0 for w in weights):
-        raise BadWeightsError(f"randomization weights must be nonnegative, got {weights}")
+        raise BadWeightError(f"randomization weights must be nonnegative, got {weights}")
     if sum(weights) != 1:
-        raise BadWeightsError(f"randomization weights sum to {sum(weights)}, expected exactly 1")
+        raise BadWeightError(f"randomization weights sum to {sum(weights)}, expected exactly 1")
     # Right fold: tail holds the renormalized mixture of the components
     # processed so far, tail_weight their total mass.
     tail = F

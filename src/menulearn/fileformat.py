@@ -41,6 +41,8 @@ from .core import (
     Lottery,
     Menu,
     Posterior,
+    validate_act,
+    validate_posterior,
 )
 from .errors import MenuLearnError, ParseError, UnknownNameError
 
@@ -55,10 +57,6 @@ def parse_fraction(text: object, where: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: malformed rational {text!r} ({exc})") from None
-
-
-def format_fraction(value: Fraction) -> str:
-    return str(value)
 
 
 @dataclass
@@ -105,25 +103,22 @@ def _parse_distribution(data: object, where: str) -> dict[str, Fraction]:
     return {label: parse_fraction(raw, f"{where}.{label}") for label, raw in data.items()}
 
 
-def _parse_act(data: object, states: tuple[str, ...], where: str) -> Act:
+def _parse_act(data: object, instance: Instance, where: str) -> Act:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
-    unknown = set(data) - set(states)
-    if unknown:
-        raise ParseError(f"{where}: unknown states {sorted(unknown)}")
-    missing = set(states) - set(data)
-    if missing:
-        raise ParseError(f"{where}: missing states {sorted(missing)}")
     outcomes = {}
     for state, lottery_data in data.items():
         probs = _parse_distribution(lottery_data, f"{where}.{state}")
-        outcomes[state] = _wrap(Lottery, probs, f"{where}.{state}")
-    return _wrap(Act, outcomes, where)
+        outcomes[state] = _wrap(Lottery, probs, where=f"{where}.{state}")
+    act = _wrap(Act, outcomes, where=where)
+    _wrap(validate_act, act, instance, where=where)
+    return act
 
 
-def _wrap(ctor, payload, where: str):
+def _wrap(fn, *args, where: str):
+    """Call *fn*; a `MenuLearnError` it raises becomes a ParseError located at *where*."""
     try:
-        return ctor(payload)
+        return fn(*args)
     except MenuLearnError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -152,13 +147,10 @@ def load_document(data: object) -> Workspace:
         if not isinstance(acts_data, list):
             raise ParseError(f"menus.{name}: expected a list of acts")
         acts = [
-            _parse_act(act_data, instance.states, f"menus.{name}[{i}]")
+            _parse_act(act_data, instance, f"menus.{name}[{i}]")
             for i, act_data in enumerate(acts_data)
         ]
-        workspace.menus[name] = _wrap(Menu, tuple(acts), f"menus.{name}")
-        for act in workspace.menus[name]:
-            for _, lottery in act.outcomes:
-                _check_prizes(lottery, instance, f"menus.{name}")
+        workspace.menus[name] = _wrap(Menu, tuple(acts), where=f"menus.{name}")
 
     for name, support_data in _expect_object(
         data.get("info_structures", {}), "info_structures"
@@ -171,26 +163,24 @@ def load_document(data: object) -> Workspace:
             if not isinstance(point, dict) or "posterior" not in point or "weight" not in point:
                 raise ParseError(f"{where}: expected an object with 'posterior' and 'weight'")
             probs = _parse_distribution(point["posterior"], f"{where}.posterior")
-            unknown = set(probs) - set(instance.states)
-            if unknown:
-                raise ParseError(f"{where}: posterior over unknown states {sorted(unknown)}")
-            posterior = _wrap(Posterior, probs, f"{where}.posterior")
+            _wrap(validate_posterior, probs, instance, where=where)
+            posterior = _wrap(Posterior, probs, where=f"{where}.posterior")
             weight = parse_fraction(point["weight"], f"{where}.weight")
             support.append((posterior, weight))
         workspace.info_structures[name] = _wrap(
-            InfoStructure, tuple(support), f"info_structures.{name}"
+            InfoStructure, tuple(support), where=f"info_structures.{name}"
         )
 
     for name, generator_names in _expect_object(
         data.get("credal_sets", {}), "credal_sets"
     ).items():
+        where = f"credal_sets.{name}"
         if not isinstance(generator_names, list):
-            raise ParseError(f"credal_sets.{name}: expected a list of structure names")
+            raise ParseError(f"{where}: expected a list of structure names")
         generators = [
-            _resolve_structure(workspace, gen_name, f"credal_sets.{name}")
-            for gen_name in generator_names
+            _resolve_structure(workspace, gen_name, where) for gen_name in generator_names
         ]
-        workspace.credal_sets[name] = _wrap(CredalSet, tuple(generators), f"credal_sets.{name}")
+        workspace.credal_sets[name] = _wrap(CredalSet, tuple(generators), where=where)
 
     for name, member_list in _expect_object(
         data.get("collections", {}), "collections"
@@ -208,12 +198,14 @@ def load_document(data: object) -> Workspace:
                 generators = [
                     _resolve_structure(workspace, gen_name, where) for gen_name in member
                 ]
-                members.append(_wrap(CredalSet, tuple(generators), where))
+                members.append(_wrap(CredalSet, tuple(generators), where=where))
             else:
                 raise ParseError(
                     f"{where}: member must be a credal-set name or a list of structure names"
                 )
-        workspace.collections[name] = _wrap(Collection, tuple(members), f"collections.{name}")
+        workspace.collections[name] = _wrap(
+            Collection, tuple(members), where=f"collections.{name}"
+        )
 
     return workspace
 
@@ -236,12 +228,6 @@ def _expect_object(data: object, where: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected a JSON object")
     return data
-
-
-def _check_prizes(lottery: Lottery, instance: Instance, where: str) -> None:
-    unknown = set(lottery.support) - set(instance.prizes)
-    if unknown:
-        raise ParseError(f"{where}: lottery over unknown prizes {sorted(unknown)}")
 
 
 def loads(text: str) -> Workspace:
@@ -267,13 +253,13 @@ def dump_document(workspace: Workspace) -> dict:
     document: dict = {
         "states": list(inst.states),
         "prizes": list(inst.prizes),
-        "utility": {prize: format_fraction(value) for prize, value in inst.utility},
+        "utility": {prize: str(value) for prize, value in inst.utility},
     }
     if workspace.menus:
         document["menus"] = {
             name: [
                 {
-                    state: {z: format_fraction(p) for z, p in lottery.probs}
+                    state: {z: str(p) for z, p in lottery.probs}
                     for state, lottery in act.outcomes
                 }
                 for act in menu
@@ -284,8 +270,8 @@ def dump_document(workspace: Workspace) -> dict:
         document["info_structures"] = {
             name: [
                 {
-                    "posterior": {s: format_fraction(p) for s, p in posterior.probs},
-                    "weight": format_fraction(weight),
+                    "posterior": {s: str(p) for s, p in posterior.probs},
+                    "weight": str(weight),
                 }
                 for posterior, weight in structure.support
             ]

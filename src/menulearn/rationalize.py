@@ -23,8 +23,8 @@ from .core import (
     Menu,
     RationalLike,
     Value,
-    as_fraction,
     constant_menu,
+    unit_weight,
 )
 from .comparative import _VACUOUS, CheckReport, _scan
 from .criteria import Criterion, collection_maxmin_gap
@@ -83,7 +83,7 @@ def robust_strict(F: Menu, G: Menu, coll: Collection, inst: Instance) -> bool:
 class AlphaPolicy:
     """How to choose the blend weight ``alpha(F)`` on the maxmin aggregate.
 
-    Modes:
+    ``weight_for(menu, band)`` is the weight; build it with a constructor:
       * ``constant``: one fixed weight for every menu.
       * ``cautious``: resolve to the band's low endpoint, whichever
         aggregate that is for the menu at hand.
@@ -91,55 +91,34 @@ class AlphaPolicy:
       * ``custom``: a caller-supplied map or function from menus to weights.
     """
 
-    mode: str
-    value: Optional[Fraction] = None
-    chooser: Optional[Callable[[Menu], RationalLike]] = None
+    weight_for: Callable[[Menu, ScenarioBand], Fraction]
 
     @classmethod
     def constant(cls, value: RationalLike) -> "AlphaPolicy":
-        value = as_fraction(value)
-        if not 0 <= value <= 1:
-            raise BadWeightError(f"constant weight must lie in [0, 1], got {value}")
-        return cls(mode="constant", value=value)
+        value = unit_weight(value, "constant weight")
+        return cls(lambda menu, band: value)
 
     @classmethod
     def cautious(cls) -> "AlphaPolicy":
-        return cls(mode="cautious")
+        # Full weight on whichever aggregate is the band's low endpoint.
+        return cls(lambda menu, band: Fraction(band.maxmin <= band.minmax))
 
     @classmethod
     def optimistic(cls) -> "AlphaPolicy":
-        return cls(mode="optimistic")
+        return cls(lambda menu, band: Fraction(band.maxmin > band.minmax))
 
     @classmethod
     def custom(cls, chooser: Callable[[Menu], RationalLike] | Mapping[Menu, RationalLike]) -> "AlphaPolicy":
         if isinstance(chooser, Mapping):
             mapping = chooser
 
-            def lookup(menu: Menu) -> RationalLike:
+            def chooser(menu: Menu) -> RationalLike:
                 try:
                     return mapping[menu]
                 except KeyError:
                     raise BadWeightError("custom policy has no weight for this menu") from None
 
-            return cls(mode="custom", chooser=lookup)
-        return cls(mode="custom", chooser=chooser)
-
-    def weight_for(self, menu: Menu, band: ScenarioBand) -> Fraction:
-        if self.mode == "constant":
-            assert self.value is not None
-            return self.value
-        if self.mode == "cautious":
-            # Full weight on whichever aggregate is the band's low endpoint.
-            return Fraction(1) if band.maxmin <= band.minmax else Fraction(0)
-        if self.mode == "optimistic":
-            return Fraction(0) if band.maxmin <= band.minmax else Fraction(1)
-        if self.mode == "custom":
-            assert self.chooser is not None
-            weight = as_fraction(self.chooser(menu))
-            if not 0 <= weight <= 1:
-                raise BadWeightError(f"policy produced weight {weight} outside [0, 1]")
-            return weight
-        raise BadWeightError(f"unknown policy mode {self.mode!r}")
+        return cls(lambda menu, band: unit_weight(chooser(menu), "policy weight"))
 
     def blend(self, menu: Menu, band: ScenarioBand) -> Value:
         """The menu's score: its weight on the maxmin aggregate, the rest on minmax."""

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 from menulearn import (
     Act,
     BadProbabilityError,
+    BadWeightError,
+    BadWeightsError,
     Collection,
     ConstantUtilityError,
     CredalSet,
+    DimensionMismatchError,
     EmptyStateSpaceError,
     InfoStructure,
     Instance,
@@ -29,6 +32,7 @@ from menulearn import (
     mix_structures,
     validate_instance,
 )
+from menulearn.core import unit_weight, validate_act, validate_posterior
 
 from conftest import instances, structures
 
@@ -247,3 +251,47 @@ class TestStructureAlgebra:
         p = InfoStructure.point_mass(Posterior.degenerate("w1"))
         with pytest.raises(BadProbabilityError):
             combine_structures((p, p), (Fraction(1, 2), Fraction(1, 4)))
+
+
+class TestInputRules:
+    """Each input rule, stated once in `core`, with one exception type."""
+
+    @pytest.mark.parametrize("raw", [0, 1, Fraction(1, 2), "1/3"])
+    def test_unit_weight_accepts_the_closed_interval(self, raw):
+        assert unit_weight(raw, "w") == Fraction(raw)
+
+    @pytest.mark.parametrize("raw", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_unit_weight_rejects_the_outside(self, raw):
+        with pytest.raises(BadWeightError, match=r"^w must lie in \[0, 1\], got"):
+            unit_weight(raw, "w")
+
+    def test_mix_structures_rejects_a_weight_outside_the_unit_interval(self):
+        p = InfoStructure.point_mass(Posterior.degenerate("w1"))
+        with pytest.raises(BadWeightError, match="mixture weight"):
+            mix_structures(p, p, 2)
+
+    def test_one_weight_error(self):
+        assert BadWeightsError is BadWeightError
+
+    def test_lottery_in_a_state_the_act_lacks(self):
+        act = Act({"w1": Lottery.degenerate("x")})
+        with pytest.raises(DimensionMismatchError, match=r"'w2' \(it covers \['w1'\]\)"):
+            act.lottery("w2")
+
+    def test_validate_act_checks_states_then_prizes(self, two_state_instance):
+        win = Lottery.degenerate("win")
+        validate_act(Act({"w1": win, "w2": win}), two_state_instance)
+        cases = [
+            (Act({"w1": win, "w3": Lottery.degenerate("zzz")}), r"^unknown states \['w3'\]"),
+            (Act({"w1": Lottery.degenerate("zzz")}), r"^missing states \['w2'\]"),
+            (Act({"w1": win, "w2": Lottery.degenerate("zzz")}), r"^lottery over unknown prizes"),
+        ]
+        for act, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                validate_act(act, two_state_instance)
+
+    def test_validate_posterior(self, two_state_instance):
+        validate_posterior(Posterior({"w1": 1}), two_state_instance)
+        for posterior in (Posterior({"w3": 1}), {"w1": 1, "w3": 0}):
+            with pytest.raises(DimensionMismatchError, match=r"over unknown states \['w3'\]"):
+                validate_posterior(posterior, two_state_instance)

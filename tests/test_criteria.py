@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import menulearn
 import reference_criteria as ref
 from menulearn import (
+    BadWeightError,
     BmlComparator,
     Collection,
     CredalSet,
@@ -21,6 +22,7 @@ from menulearn import (
     Verdict,
     alpha_maxmin_collection,
     benefit_gap,
+    benefit_of_information,
     bml_compare,
     collection_maxmin_gap,
     combine_structures,
@@ -160,6 +162,29 @@ class TestHmlReductions:
             ) * credal_max_gap(G, F, both, inst)
             expected = Verdict.from_directions(blended_forward >= 0, blended_backward >= 0)
             assert hml_compare(F, G, inst, coll) is expected
+
+    @given(
+        data=st.data(),
+        alpha=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_maxmin_value_is_the_exact_blend(self, data, alpha):
+        """Its value is alpha * min-gap + (1 - alpha) * max-gap, with gaps from the kernel."""
+        inst = data.draw(instances())
+        credal = data.draw(credal_sets(inst))
+        F = data.draw(menus(inst))
+        G = data.draw(menus(inst))
+        gaps = [
+            benefit_of_information(F, pi, inst) - benefit_of_information(G, pi, inst)
+            for pi in credal
+        ]
+        coll = alpha_maxmin_collection(credal, alpha)
+        expected = alpha * min(gaps) + (1 - alpha) * max(gaps)
+        assert collection_maxmin_gap(F, G, coll, inst) == expected
+
+    def test_alpha_maxmin_rejects_a_weight_outside_the_unit_interval(self, example1):
+        with pytest.raises(BadWeightError, match="must lie in"):
+            alpha_maxmin_collection(example1.credal_set("both"), 2)
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)

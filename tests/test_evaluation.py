@@ -4,17 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from menulearn import (
     BadWeightsError,
+    InfoStructure,
     Menu,
     Posterior,
     act_value,
     benefit_of_information,
     constant_menu,
     dominates,
+    mean_posterior,
     mix_menus,
     mix_structures,
     randomize,
@@ -27,6 +29,14 @@ from conftest import act_of, instances, menu_of, menus, structures, utility_lott
 def uniform(inst):
     n = len(inst.states)
     return Posterior({s: Fraction(1, n) for s in inst.states})
+
+
+def garbled(pi: InfoStructure, i: int, j: int, states) -> InfoStructure:
+    """*pi* with its i-th and j-th posteriors merged into their weighted mean."""
+    (p, wp), (q, wq) = pi.support[i], pi.support[j]
+    merged = Posterior({s: (wp * p.prob(s) + wq * q.prob(s)) / (wp + wq) for s in states})
+    rest = [point for k, point in enumerate(pi.support) if k not in (i, j)]
+    return InfoStructure(tuple(rest) + ((merged, wp + wq),))
 
 
 class TestActValue:
@@ -281,3 +291,26 @@ class TestFunctionalIdentities:
         pi = data.draw(structures(inst))
         if dominates(F, G, inst):
             assert benefit_of_information(F, pi, inst) >= benefit_of_information(G, pi, inst)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_garbling_never_raises_the_benefit(self, data):
+        """Blackwell (1953): merging two posteriors into their mean loses information.
+
+        No menu gains from the coarser structure, and a singleton menu, whose
+        value depends only on the prior, is indifferent to it.
+        """
+        inst = data.draw(instances())
+        pi = data.draw(structures(inst))
+        assume(len(pi.support) >= 2)
+        i, j = data.draw(
+            st.lists(st.integers(0, len(pi.support) - 1), min_size=2, max_size=2, unique=True)
+        )
+        coarse = garbled(pi, i, j, inst.states)
+        assert mean_posterior(coarse) == mean_posterior(pi)
+        F = data.draw(menus(inst))
+        assert benefit_of_information(F, coarse, inst) <= benefit_of_information(F, pi, inst)
+        single = Menu(F.acts[:1])
+        assert benefit_of_information(single, coarse, inst) == benefit_of_information(
+            single, pi, inst
+        )

@@ -52,6 +52,20 @@ class TestParsing:
         with pytest.raises(ParseError, match="unknown prizes"):
             load_document(bad)
 
+    def test_unknown_prize_is_located_at_its_act(self):
+        bad = doc(menus={"m": [{"w1": {"a": "1"}}, {"w1": {"zzz": "1"}}]})
+        with pytest.raises(ParseError, match=r"^menus\.m\[1\]: lottery over unknown prizes"):
+            load_document(bad)
+
+    def test_zero_weight_on_an_unknown_state_is_still_rejected(self):
+        bad = doc(info_structures={"pi": [{"posterior": {"w1": "1", "nope": "0"}, "weight": "1"}]})
+        with pytest.raises(ParseError, match=r"pi\[0\]: posterior over unknown states"):
+            load_document(bad)
+
+    def test_empty_act_rejected(self):
+        with pytest.raises(ParseError, match=r"^menus\.m\[0\]: "):
+            load_document(doc(menus={"m": [{}]}))
+
     def test_posterior_over_unknown_state(self):
         bad = doc(info_structures={"pi": [{"posterior": {"nope": "1"}, "weight": "1"}]})
         with pytest.raises(ParseError, match="unknown states"):
