@@ -424,14 +424,11 @@ def _axiom_tuples(
         for F, G in itertools.permutations(corpus, 2):
             yield (F, G), None, None
     elif axiom is Axiom.DOMINANCE:
-        acts: list[Act] = []
-        for menu in corpus:
-            for act in menu:
-                if act not in acts:
-                    acts.append(act)
+        acts = dict.fromkeys(act for menu in corpus for act in menu)
+        singletons = [Menu((act,)) for act in acts]
         for F in corpus:
-            for act in acts:
-                yield (F, Menu((act,))), None, None
+            for singleton in singletons:
+                yield (F, singleton), None, None
     elif axiom is Axiom.INDEPENDENCE:
         for F, G in itertools.combinations(corpus, 2):
             for H in corpus:

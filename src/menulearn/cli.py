@@ -58,7 +58,7 @@ from .errors import (
     UnknownNameError,
 )
 from .evaluation import benefit_of_information
-from .fileformat import Workspace, load_path, loads, parse_fraction
+from .fileformat import _KINDS, Workspace, load_path, loads, parse_fraction
 from .rationalize import AlphaPolicy, rank_menus
 
 EXIT_OK = 0
@@ -88,17 +88,18 @@ def _resolve_param(workspace: Workspace, criterion: str, name: str):
     name.
     """
     kind = _CRITERIA[criterion][1]
-    table = getattr(workspace, kind)
-    if name in table:
-        return table[name]
-    for other_kind in ("info_structures", "credal_sets", "collections", "menus"):
-        if other_kind != kind and name in getattr(workspace, other_kind):
-            raise KindMismatchError(
-                f"{name!r} is a {other_kind.replace('_', ' ').rstrip('s')}, "
-                f"but criterion {criterion!r} needs a {kind.replace('_', ' ').rstrip('s')}"
-            )
-    known = ", ".join(sorted(table)) or "none defined"
-    raise UnknownNameError(f"unknown {kind.replace('_', ' ').rstrip('s')} {name!r} (known: {known})")
+    if name not in getattr(workspace, kind):
+        for other in _KINDS:
+            if name in getattr(workspace, other):
+                raise KindMismatchError(
+                    f"{name!r} is {_a(_KINDS[other])}, but criterion {criterion!r} "
+                    f"needs {_a(_KINDS[kind])}"
+                )
+    return workspace._find(kind, name)
+
+
+def _a(noun: str) -> str:
+    return f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}"
 
 
 def _print_table(rows: list[list[str]], header: list[str]) -> None:

@@ -3,9 +3,12 @@
 Everything is exact: probabilities, weights, and utilities are
 :class:`fractions.Fraction` values, so the weak inequalities that decide
 preference verdicts never hinge on floating-point ties.  All types are
-immutable and hashable after construction and canonicalize their contents
-(sorted label order, zero entries dropped, duplicates merged), which makes
-structural equality order-insensitive.
+immutable and hashable after construction and canonicalize their contents,
+which makes structural equality order-insensitive: `Lottery`, `Posterior`
+and `InfoStructure` are finite probability measures in the one form
+`_measure` gives them (repeated labels summed, zeros dropped, pairs sorted),
+`Act` and `Menu` sort their contents, and `CredalSet` and `Collection` drop
+exact duplicates in first-seen order (`_distinct`).
 """
 
 from __future__ import annotations
@@ -96,36 +99,46 @@ def _pairs(entries: Mapping | Iterable[tuple]) -> list[tuple]:
     return list(entries.items() if isinstance(entries, Mapping) else entries)
 
 
-def _canonical_distribution(
-    entries: Mapping[str, RationalLike] | Iterable[tuple[str, RationalLike]],
-    what: str,
-) -> tuple[tuple[str, Fraction], ...]:
-    """Normalize a probability map: Fractions, sorted labels, zeros dropped.
+def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, key=None):
+    """A finite probability measure as sorted (label, Fraction) pairs; the one measure rule.
 
-    Raises BadProbabilityError unless all entries are >= 0 and sum to exactly 1.
+    Labels must be *label_type*s.  A negative entry is rejected before
+    repeated labels are summed; zeros are dropped and the total must be
+    exactly 1.  *what* names the entries in messages; *key* orders the pairs.
     """
-    seen: dict[str, Fraction] = {}
+    merged: dict = {}
     for label, raw in _pairs(entries):
-        if not isinstance(label, str):
-            raise TypeError(f"{what} labels must be strings, got {label!r}")
+        if not isinstance(label, label_type):
+            raise TypeError(f"{what} must be keyed by {label_type.__name__}, got {label!r}")
         prob = as_fraction(raw)
         if prob < 0:
-            raise BadProbabilityError(f"{what} probability for {label!r} is negative: {prob}")
-        if label in seen:
-            raise BadProbabilityError(f"duplicate {what} label {label!r}")
-        seen[label] = prob
-    total = sum(seen.values(), Fraction(0))
+            raise BadProbabilityError(f"{what} must be nonnegative, got {prob} for {label!r}")
+        # Not `merged.get(label, 0) + prob`: int + Fraction runs the slower `__radd__`.
+        merged[label] = merged[label] + prob if label in merged else prob
+    total = sum(merged.values(), Fraction(0))
     if total != 1:
-        raise BadProbabilityError(f"{what} probabilities sum to {total}, expected exactly 1")
-    return tuple(sorted((label, p) for label, p in seen.items() if p != 0))
+        raise BadProbabilityError(f"{what} sum to {total}, expected exactly 1")
+    return tuple(sorted(((label, p) for label, p in merged.items() if p), key=key))
+
+
+def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:
+    """The *items*, each a *item_type*, in first-seen order with exact duplicates removed."""
+    items = tuple(items)
+    for item in items:
+        if not isinstance(item, item_type):
+            article = "an" if item_type.__name__[0] in "AEIOU" else "a"
+            raise TypeError(f"expected {article} {item_type.__name__}, got {item!r}")
+    if not items:
+        raise ValidationError(empty_message)
+    return tuple(dict.fromkeys(items))
 
 
 @dataclass(frozen=True)
 class _Distribution(_HashOnce):
-    """Base of `Lottery` and `Posterior`: an exact distribution over labels.
+    """Base of `Lottery` and `Posterior`: an exact distribution over string labels.
 
-    ``probs`` may be given as any mapping from label to rational; it is
-    stored as a sorted tuple of (label, Fraction) pairs with zero entries
+    ``probs`` is a mapping or (label, rational) pairs; `_measure` stores it
+    as sorted (label, Fraction) pairs, repeated labels summed and zeros
     removed, so two distributions of the same type are equal iff they
     assign the same probability to every label.
     """
@@ -133,11 +146,11 @@ class _Distribution(_HashOnce):
     probs: Mapping[str, RationalLike]
     __hash__ = _hash_of("probs")
 
-    #: What the labels are ("prize" or "state"), for error messages.
-    _label: ClassVar[str]
+    #: What the entries are, for error messages.
+    _what: ClassVar[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _canonical_distribution(self.probs, self._label))
+        object.__setattr__(self, "probs", _measure(self.probs, self._what, str))
 
     @classmethod
     def degenerate(cls, label: str):
@@ -158,13 +171,13 @@ class _Distribution(_HashOnce):
 class Lottery(_Distribution):
     """A lottery over deterministic prizes with exact probabilities."""
 
-    _label = "prize"
+    _what = "prize probabilities"
 
 
 class Posterior(_Distribution):
     """A probability distribution over states (a belief after learning)."""
 
-    _label = "state"
+    _what = "state probabilities"
 
 
 @dataclass(frozen=True)
@@ -249,42 +262,25 @@ class Menu(_HashOnce):
         extra = other.acts if isinstance(other, Menu) else tuple(other)
         return Menu(self.acts + tuple(extra))
 
-    def is_constant(self) -> bool:
-        """True when every act pays the same lottery in every state."""
-        return all(act.is_constant() for act in self.acts)
-
 
 @dataclass(frozen=True)
 class InfoStructure(_HashOnce):
     """A finitely supported distribution over posteriors.
 
     Models a member's prediction of what she will believe after learning:
-    posterior ``p`` arrives with probability ``weight``.  Duplicate
-    posteriors are merged, zero weights dropped; weights must be positive
-    and sum to exactly one.
+    posterior ``p`` arrives with probability ``weight``.  The measure rule
+    `_measure` canonicalizes the support: weights nonnegative, repeated
+    posteriors summed, zero weights dropped, total exactly one, pairs
+    ordered by the posteriors' probabilities.
     """
 
     support: Iterable[tuple[Posterior, RationalLike]]
     __hash__ = _hash_of("support")
 
     def __post_init__(self) -> None:
-        merged: dict[Posterior, Fraction] = {}
-        for posterior, raw in self.support:
-            if not isinstance(posterior, Posterior):
-                raise TypeError(f"expected a Posterior, got {posterior!r}")
-            weight = as_fraction(raw)
-            if weight < 0:
-                raise BadProbabilityError(f"information-structure weight is negative: {weight}")
-            if weight == 0:
-                continue
-            merged[posterior] = merged.get(posterior, Fraction(0)) + weight
-        total = sum(merged.values(), Fraction(0))
-        if total != 1:
-            raise BadProbabilityError(
-                f"information-structure weights sum to {total}, expected exactly 1"
-            )
-        canonical = tuple(sorted(merged.items(), key=lambda item: item[0].probs))
-        object.__setattr__(self, "support", canonical)
+        what = "information-structure weights"
+        support = _measure(self.support, what, Posterior, key=lambda pair: pair[0].probs)
+        object.__setattr__(self, "support", support)
 
     @classmethod
     def point_mass(cls, posterior: Posterior) -> "InfoStructure":
@@ -315,15 +311,10 @@ class CredalSet(_HashOnce):
     __hash__ = _hash_of("generators")
 
     def __post_init__(self) -> None:
-        unique: list[InfoStructure] = []
-        for gen in self.generators:
-            if not isinstance(gen, InfoStructure):
-                raise TypeError(f"expected an InfoStructure, got {gen!r}")
-            if gen not in unique:
-                unique.append(gen)
-        if not unique:
-            raise ValidationError("credal set needs at least one generator")
-        object.__setattr__(self, "generators", tuple(unique))
+        generators = _distinct(
+            self.generators, InfoStructure, "credal set needs at least one generator"
+        )
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def singleton(cls, structure: InfoStructure) -> "CredalSet":
@@ -344,15 +335,8 @@ class Collection(_HashOnce):
     __hash__ = _hash_of("members")
 
     def __post_init__(self) -> None:
-        unique: list[CredalSet] = []
-        for member in self.members:
-            if not isinstance(member, CredalSet):
-                raise TypeError(f"expected a CredalSet, got {member!r}")
-            if member not in unique:
-                unique.append(member)
-        if not unique:
-            raise ValidationError("collection needs at least one credal set")
-        object.__setattr__(self, "members", tuple(unique))
+        members = _distinct(self.members, CredalSet, "collection needs at least one credal set")
+        object.__setattr__(self, "members", members)
 
     @classmethod
     def of_credal_set(cls, credal: CredalSet) -> "Collection":
@@ -502,9 +486,10 @@ def validate_instance(inst: Instance) -> None:
         raise ConstantUtilityError("utility assigns the same value to every prize")
 
 
-def validate_lottery(lottery: Lottery, inst: Instance) -> None:
-    """Check that the lottery only uses prizes of the instance."""
-    unknown = set(lottery.support) - set(inst.prizes)
+def validate_lottery(lottery: Lottery | Mapping[str, RationalLike], inst: Instance) -> None:
+    """Check that the lottery, or the label map it is built from, names only known prizes."""
+    labels = lottery.support if isinstance(lottery, Lottery) else lottery
+    unknown = set(labels) - set(inst.prizes)
     if unknown:
         raise ValidationError(f"lottery over unknown prizes {sorted(unknown)}")
 
@@ -542,11 +527,7 @@ def constant_menu(inst: Instance, x: Lottery) -> Menu:
 
 def mean_posterior(pi: InfoStructure) -> Posterior:
     """The prior implied by an information structure: the weighted average posterior."""
-    accumulated: dict[str, Fraction] = {}
-    for posterior, weight in pi.support:
-        for state, prob in posterior.probs:
-            accumulated[state] = accumulated.get(state, Fraction(0)) + weight * prob
-    return Posterior(accumulated)
+    return Posterior([(s, w * p) for posterior, w in pi.support for s, p in posterior.probs])
 
 
 def combine_structures(
@@ -560,13 +541,9 @@ def combine_structures(
         raise ValidationError("need one weight per structure and at least one structure")
     if any(w < 0 for w in weights) or sum(weights) != 1:
         raise BadProbabilityError("combination weights must be nonnegative and sum to 1")
-    accumulated: dict[Posterior, Fraction] = {}
-    for structure, w in zip(structures, weights):
-        if w == 0:
-            continue
-        for posterior, weight in structure.support:
-            accumulated[posterior] = accumulated.get(posterior, Fraction(0)) + w * weight
-    return InfoStructure(tuple(accumulated.items()))
+    return InfoStructure(
+        [(p, w * v) for structure, w in zip(structures, weights) for p, v in structure.support]
+    )
 
 
 def mix_structures(a: InfoStructure, b: InfoStructure, alpha: RationalLike) -> InfoStructure:

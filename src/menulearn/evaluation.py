@@ -75,13 +75,10 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
 
 def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:
-    alpha = as_fraction(alpha)
-    combined: dict[str, Fraction] = {}
-    for prize, prob in x.probs:
-        combined[prize] = combined.get(prize, Fraction(0)) + alpha * prob
-    for prize, prob in y.probs:
-        combined[prize] = combined.get(prize, Fraction(0)) + (1 - alpha) * prob
-    return Lottery(combined)
+    """The lottery ``alpha x + (1 - alpha) y``."""
+    alpha = unit_weight(alpha, "mixture weight")
+    beta = 1 - alpha
+    return Lottery([(z, alpha * p) for z, p in x.probs] + [(z, beta * p) for z, p in y.probs])
 
 
 def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:

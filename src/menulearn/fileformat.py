@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
 
 from .core import (
     Act,
@@ -42,6 +41,7 @@ from .core import (
     Menu,
     Posterior,
     validate_act,
+    validate_lottery,
     validate_posterior,
 )
 from .errors import MenuLearnError, ParseError, UnknownNameError
@@ -59,6 +59,12 @@ def parse_fraction(text: object, where: str) -> Fraction:
         raise ParseError(f"{where}: malformed rational {text!r} ({exc})") from None
 
 
+#: Workspace table -> the noun every message uses for its objects, parameter
+#: kinds first (the order in which the CLI looks for a kind mismatch).
+_KINDS = {"info_structures": "information structure", "credal_sets": "credal set",
+          "collections": "collection", "menus": "menu"}
+
+
 @dataclass
 class Workspace:
     """A parsed instance document with name lookups for every object kind."""
@@ -70,16 +76,24 @@ class Workspace:
     collections: dict[str, Collection] = field(default_factory=dict)
 
     def menu(self, name: str) -> Menu:
-        return _lookup(self.menus, name, "menu")
+        return self._find("menus", name)
 
     def info_structure(self, name: str) -> InfoStructure:
-        return _lookup(self.info_structures, name, "information structure")
+        return self._find("info_structures", name)
 
     def credal_set(self, name: str) -> CredalSet:
-        return _lookup(self.credal_sets, name, "credal set")
+        return self._find("credal_sets", name)
 
     def collection(self, name: str) -> Collection:
-        return _lookup(self.collections, name, "collection")
+        return self._find("collections", name)
+
+    def _find(self, kind: str, name: str):
+        """The object called *name* in the table *kind* (a key of `_KINDS`)."""
+        table = getattr(self, kind)
+        if name not in table:
+            known = ", ".join(sorted(table)) or "none defined"
+            raise UnknownNameError(f"unknown {_KINDS[kind]} {name!r} (known: {known})")
+        return table[name]
 
     def structure_label(self, structure: InfoStructure) -> str:
         """The document name of a structure, or a compact inline rendering."""
@@ -88,13 +102,6 @@ class Workspace:
                 return name
         parts = [f"{dict(p.probs)}@{w}" for p, w in structure.support]
         return "{" + ", ".join(parts) + "}"
-
-
-def _lookup(table: Mapping[str, object], name: str, kind: str):
-    if name not in table:
-        known = ", ".join(sorted(table)) or "none defined"
-        raise UnknownNameError(f"unknown {kind} {name!r} (known: {known})")
-    return table[name]
 
 
 def _parse_distribution(data: object, where: str) -> dict[str, Fraction]:
@@ -106,12 +113,17 @@ def _parse_distribution(data: object, where: str) -> dict[str, Fraction]:
 def _parse_act(data: object, instance: Instance, where: str) -> Act:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
-    outcomes = {}
+    outcomes, with_zeros = {}, []
     for state, lottery_data in data.items():
         probs = _parse_distribution(lottery_data, f"{where}.{state}")
-        outcomes[state] = _wrap(Lottery, probs, where=f"{where}.{state}")
+        outcomes[state] = lottery = _wrap(Lottery, probs, where=f"{where}.{state}")
+        if len(lottery.probs) < len(probs):
+            with_zeros.append(probs)
     act = _wrap(Act, outcomes, where=where)
     _wrap(validate_act, act, instance, where=where)
+    for probs in with_zeros:
+        # The lottery dropped the zero entries; an unknown prize among them is still a fault.
+        _wrap(validate_lottery, probs, instance, where=where)
     return act
 
 
@@ -191,9 +203,7 @@ def load_document(data: object) -> Workspace:
         for i, member in enumerate(member_list):
             where = f"collections.{name}[{i}]"
             if isinstance(member, str):
-                if member not in workspace.credal_sets:
-                    raise ParseError(f"{where}: unknown credal set {member!r}")
-                members.append(workspace.credal_sets[member])
+                members.append(_wrap(workspace.credal_set, member, where=where))
             elif isinstance(member, list):
                 generators = [
                     _resolve_structure(workspace, gen_name, where) for gen_name in member
@@ -213,9 +223,7 @@ def load_document(data: object) -> Workspace:
 def _resolve_structure(workspace: Workspace, name: object, where: str) -> InfoStructure:
     if not isinstance(name, str):
         raise ParseError(f"{where}: expected an information-structure name, got {name!r}")
-    if name not in workspace.info_structures:
-        raise ParseError(f"{where}: unknown information structure {name!r}")
-    return workspace.info_structures[name]
+    return _wrap(workspace.info_structure, name, where=where)
 
 
 def _parse_labels(data: object, where: str) -> tuple[str, ...]:

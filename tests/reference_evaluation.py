@@ -3,7 +3,9 @@
 These are the straightforward formulas, re-deriving every lottery utility
 on every call.  `menulearn.evaluation` memoizes per instance and evaluates
 on per-act utility vectors; the differential tests require it to agree
-with these functions exactly.
+with these functions exactly.  The mixtures (`mix_lotteries`,
+`mean_posterior`, `combine_structures`) accumulate each weighted sum in a
+dict, where `menulearn` lists weighted pairs for the one measure rule.
 """
 
 from __future__ import annotations
@@ -39,6 +41,24 @@ def mix_lotteries(x: Lottery, y: Lottery, alpha) -> Lottery:
     for prize, prob in y.probs:
         combined[prize] = combined.get(prize, Fraction(0)) + (1 - alpha) * prob
     return Lottery(combined)
+
+
+def mean_posterior(pi: InfoStructure) -> Posterior:
+    accumulated: dict[str, Fraction] = {}
+    for posterior, weight in pi.support:
+        for state, prob in posterior.probs:
+            accumulated[state] = accumulated.get(state, Fraction(0)) + weight * prob
+    return Posterior(accumulated)
+
+
+def combine_structures(structures, weights) -> InfoStructure:
+    accumulated: dict[Posterior, Fraction] = {}
+    for structure, w in zip(structures, weights):
+        if w == 0:
+            continue
+        for posterior, weight in structure.support:
+            accumulated[posterior] = accumulated.get(posterior, Fraction(0)) + w * weight
+    return InfoStructure(tuple(accumulated.items()))
 
 
 def mix_acts(f: Act, g: Act, alpha) -> Act:

@@ -76,6 +76,23 @@ class TestCompare:
         assert code == EXIT_BAD_KIND
         assert "needs a collection" in capsys.readouterr().err
 
+    def test_messages_name_each_kind_with_the_parser_noun(self, capsys):
+        cases = [
+            (["compare", EXAMPLE1, "f", "gh", "--criterion", "sl", "--param", "both"],
+             EXIT_BAD_KIND,
+             "'both' is a credal set, but criterion 'sl' needs an information structure"),
+            (["compare", EXAMPLE1, "f", "gh", "--criterion", "bml", "--param", "pi"],
+             EXIT_BAD_KIND,
+             "'pi' is an information structure, but criterion 'bml' needs a credal set"),
+            (["compare", EXAMPLE1, "f", "gh", "--criterion", "sl", "--param", "nope"],
+             EXIT_UNKNOWN_NAME, "unknown information structure 'nope'"),
+            (["evaluate", EXAMPLE1, "--menu", "f", "--info", "nope"],
+             EXIT_UNKNOWN_NAME, "unknown information structure 'nope'"),
+        ]
+        for argv, code, message in cases:
+            assert main(argv) == code
+            assert message in capsys.readouterr().err
+
     def test_records_format(self, capsys):
         code = main(
             ["compare", EXAMPLE1, "f", "gh", "--criterion", "bml", "--param", "both",

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,12 +30,13 @@ from menulearn import (
     combine_structures,
     constant_act,
     mean_posterior,
+    mix_lotteries,
     mix_structures,
     validate_instance,
 )
 from menulearn.core import unit_weight, validate_act, validate_posterior
 
-from conftest import instances, structures
+from conftest import instances, lotteries, posteriors, structures
 
 
 class TestInstanceValidation:
@@ -153,6 +155,56 @@ class TestCanonicalForms:
         with pytest.raises(BadProbabilityError):
             InfoStructure(((Posterior.degenerate("w1"), Fraction(1, 2)),))
 
+    def test_repeated_labels_are_summed(self):
+        half = Fraction(1, 2)
+        assert Lottery([("a", half), ("a", half)]) == Lottery.degenerate("a")
+        assert Posterior([("w1", half), ("w2", 0), ("w1", half)]) == Posterior.degenerate("w1")
+
+    def test_negative_entry_is_rejected_before_merging(self):
+        p = Posterior.degenerate("w1")
+        with pytest.raises(BadProbabilityError):
+            InfoStructure(((p, Fraction(-1, 4)), (p, Fraction(5, 4))))
+        with pytest.raises(BadProbabilityError):
+            Lottery([("a", Fraction(-1, 4)), ("a", Fraction(5, 4))])
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (
+                lambda: Lottery({"a": Fraction(1, 2)}),
+                "prize probabilities sum to 1/2, expected exactly 1",
+            ),
+            (lambda: Posterior({"w1": 2}), "state probabilities sum to 2, expected exactly 1"),
+            (
+                lambda: InfoStructure(((Posterior.degenerate("w1"), Fraction(1, 3)),)),
+                "information-structure weights sum to 1/3, expected exactly 1",
+            ),
+        ],
+    )
+    def test_sum_messages(self, build, message):
+        with pytest.raises(BadProbabilityError) as caught:
+            build()
+        assert str(caught.value) == message
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_measure_rebuilt_from_split_shuffled_pairs_is_the_same_value(self, data, seed):
+        inst = data.draw(instances())
+        rng = random.Random(seed)
+        for value, pairs_of, build in (
+            (data.draw(lotteries(inst)), lambda v: v.probs, Lottery),
+            (data.draw(posteriors(inst)), lambda v: v.probs, Posterior),
+            (data.draw(structures(inst)), lambda v: v.support, InfoStructure),
+        ):
+            pieces = []
+            for label, mass in pairs_of(value):
+                cut = mass * Fraction(rng.randint(0, 4), 4)
+                pieces += [(label, cut), (label, mass - cut), (label, 0)]
+            rng.shuffle(pieces)
+            rebuilt = build(pieces)
+            assert rebuilt == value and hash(rebuilt) == hash(value)
+            assert repr(rebuilt) == repr(value)
+
     def test_credal_set_dedups_but_keeps_order(self):
         a = InfoStructure.point_mass(Posterior.degenerate("w2"))
         b = InfoStructure.point_mass(Posterior.degenerate("w1"))
@@ -269,6 +321,11 @@ class TestInputRules:
         p = InfoStructure.point_mass(Posterior.degenerate("w1"))
         with pytest.raises(BadWeightError, match="mixture weight"):
             mix_structures(p, p, 2)
+
+    def test_mix_lotteries_rejects_a_weight_outside_the_unit_interval(self):
+        x, y = Lottery.degenerate("a"), Lottery.degenerate("b")
+        with pytest.raises(BadWeightError, match="mixture weight"):
+            mix_lotteries(x, y, 2)
 
     def test_one_weight_error(self):
         assert BadWeightsError is BadWeightError

@@ -57,6 +57,17 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"^menus\.m\[1\]: lottery over unknown prizes"):
             load_document(bad)
 
+    def test_zero_probability_on_an_unknown_prize_is_rejected_at_its_act(self):
+        bad = doc(menus={"m": [{"w1": {"a": "1"}}, {"w1": {"zzz": "0", "a": "1"}}]})
+        with pytest.raises(
+            ParseError, match=r"^menus\.m\[1\]: lottery over unknown prizes \['zzz'\]$"
+        ):
+            load_document(bad)
+        # States are still checked before prizes.
+        bad = doc(menus={"m": [{"w1": {"zzz": "0", "a": "1"}, "w9": {"a": "1"}}]})
+        with pytest.raises(ParseError, match=r"^menus\.m\[0\]: unknown states \['w9'\]$"):
+            load_document(bad)
+
     def test_zero_weight_on_an_unknown_state_is_still_rejected(self):
         bad = doc(info_structures={"pi": [{"posterior": {"w1": "1", "nope": "0"}, "weight": "1"}]})
         with pytest.raises(ParseError, match=r"pi\[0\]: posterior over unknown states"):

@@ -25,15 +25,26 @@ from menulearn import (
     ValidationError,
     act_value,
     benefit_of_information,
+    combine_structures,
     cross_audit,
     dominates,
+    mean_posterior,
+    mix_lotteries,
     mix_menus,
     randomize,
     support_value,
 )
 from menulearn.audit import random_instance
 
-from conftest import instances, menus, structures, twin_instance, twin_menu, twin_structure
+from conftest import (
+    instances,
+    lotteries,
+    menus,
+    structures,
+    twin_instance,
+    twin_menu,
+    twin_structure,
+)
 
 
 class TestDifferential:
@@ -75,6 +86,29 @@ class TestDifferential:
                             assert dominates(A, B, target, strict=strict) == ref.dominates(
                                 A, B, target, strict=strict
                             )
+
+
+class TestMixturesAgainstReference:
+    """The mixtures list weighted pairs; the reference accumulates them in a dict."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), alpha=st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]))
+    def test_mixtures_match_reference(self, data, alpha):
+        inst = data.draw(instances())
+        x, y = data.draw(lotteries(inst)), data.draw(lotteries(inst))
+        mixed, expected = mix_lotteries(x, y, alpha), ref.mix_lotteries(x, y, alpha)
+        assert mixed == expected and repr(mixed) == repr(expected)
+        parts = [data.draw(structures(inst)) for _ in range(data.draw(st.integers(1, 3)))]
+        raw = data.draw(st.lists(st.integers(0, 3), min_size=len(parts), max_size=len(parts)))
+        if not any(raw):
+            raw[0] = 1
+        weights = [Fraction(w, sum(raw)) for w in raw]
+        combined = combine_structures(parts, weights)
+        expected = ref.combine_structures(parts, weights)
+        assert combined == expected and repr(combined) == repr(expected)
+        for pi in (*parts, combined):
+            prior, expected = mean_posterior(pi), ref.mean_posterior(pi)
+            assert prior == expected and repr(prior) == repr(expected)
 
 
 class TestTypedErrors:
