@@ -278,7 +278,8 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
     The corpus front-loads structure the axioms need to bite: constant
     menus, a strict-dominance pair (a menu and its mixture toward the worst
     prize), and a subset chain; the rest is random menus on the probability
-    grid.  The same seed always yields the same corpus.
+    grid.  The same seed always yields the same corpus, and its menus are
+    interned on *inst*, so calls with one instance return the same objects.
     """
     rng = random.Random(config.seed)
     best = Lottery.degenerate(inst.best_prize())
@@ -310,7 +311,7 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
     corpus = structured[: config.corpus_size]
     while len(corpus) < config.corpus_size:
         corpus.append(random_menu(rng, inst))
-    return corpus
+    return [inst._intern(menu) for menu in corpus]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +364,7 @@ def _test_axiom(
         F, g_menu = menus
         if len(g_menu) != 1 or not dominates(F, g_menu, inst):
             return _VACUOUS
-        widened = F.union(g_menu)
+        widened = inst._intern(F.union(g_menu))
         return _HOLDS if cmp.compare(F, widened) is Verdict.INDIFFERENT else _VIOLATED
     if axiom is Axiom.INDEPENDENCE:
         F, G, H = menus
@@ -374,7 +375,7 @@ def _test_axiom(
     if axiom is Axiom.EX_POST_RANDOMIZATION:
         (F,) = menus
         assert betas is not None
-        spread = randomize(F, betas)
+        spread = inst._intern(randomize(F, betas))
         return _HOLDS if cmp.compare(spread, F) is Verdict.INDIFFERENT else _VIOLATED
     if axiom is Axiom.FAVORABLE_MIXING_MONOTONICITY:
         F, G, H, H2 = menus
@@ -388,7 +389,7 @@ def _test_axiom(
 
 
 def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
-    """``mix_menus(F, G, alpha)``, memoized on the instance.
+    """``mix_menus(F, G, alpha)``, memoized and interned on the instance.
 
     The mixed menu is always built and evaluated: the mixing axioms must
     not be decided through the linearity of the benefit in the menu, which
@@ -397,7 +398,7 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     key = (F, G, alpha)
     menu = inst._mixtures.get(key)
     if menu is None:
-        menu = inst._mixtures[key] = mix_menus(F, G, alpha)
+        menu = inst._mixtures[key] = inst._intern(mix_menus(F, G, alpha))
     return menu
 
 
@@ -409,8 +410,13 @@ def _axiom_tuples(
     axiom: Axiom,
     corpus: Sequence[Menu],
     config: AuditConfig,
+    inst: Instance,
 ) -> Iterator[tuple[tuple[Menu, ...], Optional[Fraction], Optional[tuple[Fraction, ...]]]]:
-    """All candidate tuples for one axiom, in deterministic order."""
+    """All candidate tuples for one axiom, in deterministic order.
+
+    The dominance singletons are menus built here, so they are interned on
+    *inst* like the corpus.
+    """
     if axiom in (Axiom.COMPLETENESS, Axiom.COMPLETENESS_FOR_LOTTERIES):
         for F, G in itertools.combinations(corpus, 2):
             yield (F, G), None, None
@@ -425,7 +431,7 @@ def _axiom_tuples(
             yield (F, G), None, None
     elif axiom is Axiom.DOMINANCE:
         acts = dict.fromkeys(act for menu in corpus for act in menu)
-        singletons = [Menu((act,)) for act in acts]
+        singletons = [inst._intern(Menu((act,))) for act in acts]
         for F in corpus:
             for singleton in singletons:
                 yield (F, singleton), None, None
@@ -504,7 +510,7 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
             results.append(_check_nontriviality(cmp, corpus))
             continue
         status, witness, checked, fired = _scan(
-            _axiom_tuples(axiom, corpus, config),
+            _axiom_tuples(axiom, corpus, config, cmp.instance),
             partial(_test_axiom, axiom, cmp),
             config.max_tuples,
         )

@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("right")
     p_cmp.add_argument("--criterion", choices=tuple(_CRITERIA), required=True)
     p_cmp.add_argument("--param", required=True,
-                       help="info structure (sl), credal set (bml/jml), or collection (hml)")
+                       help="information structure (sl), credal set (bml/jml), or collection (hml)")
     p_cmp.add_argument("--format", choices=("table", "records"), default="table")
     p_cmp.set_defaults(func=cmd_compare)
 

@@ -400,10 +400,12 @@ class Instance(_HashOnce):
     utility: Mapping[str, RationalLike]
     # Evaluation memos (see `menulearn.evaluation`): owned by the instance so
     # they are freed with it.  Act -> per-state utility, (menu, structure) ->
-    # benefit of information, (F, G, alpha) -> mixed menu.
+    # benefit of information, (F, G, alpha) -> mixed menu, and the menu
+    # intern table (see `_intern`).
     _utilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _menus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __hash__ = _hash_of("states", "prizes", "utility")
 
     def __reduce__(self):
@@ -419,6 +421,15 @@ class Instance(_HashOnce):
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "utility", utility)
         validate_instance(self)
+
+    def _intern(self, menu: Menu) -> Menu:
+        """The one menu object this instance holds for *menu*'s value.
+
+        Memo keys compare by identity before value, so a menu that reaches
+        the memos through this table finds its entries without comparing
+        acts, lotteries and Fractions one by one.
+        """
+        return self._menus.setdefault(menu, menu)
 
     def utility_of(self, prize: str) -> Fraction:
         for label, value in self.utility:

@@ -24,7 +24,8 @@ the whole pipeline exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import ge
 from typing import Literal
 
 from .core import (
@@ -68,23 +69,31 @@ class Criterion:
     """The hierarchical rule over a collection of credal sets.
 
     F is weakly preferred to G iff some member's generators all give
-    ``b_F >= b_G``.  The test stops at the first member that agrees and at
-    the first generator that disagrees, so it never computes the whole
-    max-of-min gap.
+    ``b_F >= b_G``.  Each menu is read through its row: ``b_F`` at every
+    generator of every member, in collection order.  A row is built once
+    per menu through the instance's benefit memo and kept in a table the
+    criterion owns, so it is freed with the criterion; a verdict compares
+    two rows.  Since a row evaluates every generator, a menu that cannot be
+    evaluated at one of them raises even where another member would
+    already decide the verdict.
     """
 
     instance: Instance
     collection: Collection
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _row(self, menu: Menu) -> tuple[tuple[Value, ...], ...]:
+        row = self._rows.get(menu)
+        if row is None:
+            inst = self.instance
+            row = self._rows[menu] = tuple(
+                tuple(benefit_of_information(menu, pi, inst) for pi in member)
+                for member in self.collection
+            )
+        return row
 
     def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        inst = self.instance
-        return any(
-            all(
-                benefit_of_information(F, pi, inst) >= benefit_of_information(G, pi, inst)
-                for pi in member
-            )
-            for member in self.collection
-        )
+        return any(all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G)))
 
     def strictly_prefers(self, F: Menu, G: Menu) -> bool:
         return self.weakly_prefers(F, G) and not self.weakly_prefers(G, F)

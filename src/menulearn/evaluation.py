@@ -5,7 +5,11 @@ utility of a member who will observe her posterior (drawn according to
 ``pi``), then pick the best act from the menu ``F``.  Every function here is
 pure in its inputs.  Two memos live on the `Instance` and are freed with it:
 each act's per-state utility is computed once per instance, and so is each
-``(menu, structure)`` benefit.
+``(menu, structure)`` benefit.  The audit engine sends the menus it builds
+through the instance's intern table (`Instance._intern`, also freed with
+the instance), so a memo hit finds its key by identity.  Each `Criterion`
+keeps one row of benefits per menu it has ranked, built through this memo;
+the criterion owns that table and frees it.
 """
 
 from __future__ import annotations
@@ -76,7 +80,11 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
 def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:
     """The lottery ``alpha x + (1 - alpha) y``."""
-    alpha = unit_weight(alpha, "mixture weight")
+    return _mix_lotteries(x, y, unit_weight(alpha, "mixture weight"))
+
+
+def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction) -> Lottery:
+    """`mix_lotteries` for an *alpha* the caller has already checked."""
     beta = 1 - alpha
     return Lottery([(z, alpha * p) for z, p in x.probs] + [(z, beta * p) for z, p in y.probs])
 
@@ -85,7 +93,10 @@ def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:
     """Statewise lottery mixture of two acts over the same states."""
     if set(f.states) != set(g.states):
         raise ValidationError("cannot mix acts defined over different state spaces")
-    return Act({state: mix_lotteries(f.lottery(state), g.lottery(state), alpha) for state in f.states})
+    alpha = unit_weight(alpha, "mixture weight")
+    return Act(
+        {state: _mix_lotteries(f.lottery(state), g.lottery(state), alpha) for state in f.states}
+    )
 
 
 def mix_menus(F: Menu, G: Menu, alpha: RationalLike) -> Menu:

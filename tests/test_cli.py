@@ -3,6 +3,8 @@
 import json
 from functools import partial
 
+import pytest
+
 from menulearn import AuditConfig, cli
 from menulearn.cli import (
     EXIT_BAD_KIND,
@@ -102,6 +104,13 @@ class TestCompare:
         record = json.loads(capsys.readouterr().out)
         assert record["verdict"] == "Incomparable"
         assert len(record["gaps"]) == 2
+
+    def test_param_help_names_each_kind_with_the_parser_noun(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["compare", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "information structure (sl), credal set (bml/jml), or collection (hml)" in out
+        assert "info structure" not in out
 
     def test_gap_rows_are_labelled_by_structure(self, capsys):
         def gap_labels(criterion, param):

@@ -322,6 +322,41 @@ class TestAgainstReference:
                                 expected is Verdict.STRICT_BETTER
                             )
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_held_criterion_matches_reference(self, data):
+        # One criterion per case ranks every pair, twice over, so most rows
+        # come from its row table; the twins are equal but distinct menus,
+        # so they must find the rows of their originals.
+        inst = data.draw(instances())
+        credal = data.draw(credal_sets(inst))
+        coll = data.draw(collections(inst))
+        drawn = [data.draw(menus(inst)) for _ in range(3)]
+        candidates = [(i, menu) for i, menu in enumerate(drawn)]
+        candidates += [(i, twin_menu(menu)) for i, menu in enumerate(drawn)]
+        pi = credal.generators[0]
+        cases = [
+            ("sl", pi, Collection.of_credal_set(CredalSet.singleton(pi))),
+            ("bml", credal, Collection.of_credal_set(credal)),
+            ("jml", credal, Collection.of_singletons(credal)),
+            ("hml", coll, coll),
+        ]
+        for name, param, collection in cases:
+            ref_compare, ref_gap = ref.CRITERIA[name]
+            expected = {
+                (i, j): (ref_compare(F, G, inst, param), ref_gap(F, G, param, inst) >= 0)
+                for i, F in enumerate(drawn)
+                for j, G in enumerate(drawn)
+            }
+            criterion = Criterion(inst, collection)
+            for _ in range(2):
+                for i, F in candidates:
+                    for j, G in candidates:
+                        verdict, weak = expected[i, j]
+                        assert criterion.compare(F, G) is verdict
+                        assert criterion.weakly_prefers(F, G) is weak
+            assert len(criterion._rows) == len(set(drawn))
+
 
 class TestPublicSurface:
     def test_constructors_build_one_criterion(self, example1):

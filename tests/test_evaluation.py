@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from menulearn import (
+    BadWeightError,
     BadWeightsError,
     InfoStructure,
     Menu,
@@ -17,6 +18,8 @@ from menulearn import (
     constant_menu,
     dominates,
     mean_posterior,
+    mix_acts,
+    mix_lotteries,
     mix_menus,
     mix_structures,
     randomize,
@@ -116,6 +119,15 @@ class TestMixMenus:
         F = menu_of(two_state_instance, (1, 1))
         with pytest.raises(BadWeightsError):
             mix_menus(F, F, 2)
+
+    def test_act_and_lottery_mixers_check_their_weight(self, two_state_instance):
+        f = act_of(two_state_instance, 1, 1)
+        x = utility_lottery(two_state_instance, 1)
+        for alpha in (2, -1, "3/2"):
+            with pytest.raises(BadWeightError):
+                mix_acts(f, f, alpha)
+            with pytest.raises(BadWeightError):
+                mix_lotteries(x, x, alpha)
 
 
 class TestRandomize:

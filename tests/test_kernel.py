@@ -1,8 +1,10 @@
 """The memoized evaluation kernel against the plain reference definitions.
 
-`menulearn.evaluation` keeps its memos on the `Instance`; these tests check
-that it agrees exactly with `reference_evaluation`, that malformed acts
-raise typed errors, and that the memos are freed with their instance.
+`menulearn.evaluation` keeps its memos and the audit's menu intern table on
+the `Instance`, and each `Criterion` keeps its benefit rows; these tests
+check that the kernel agrees exactly with `reference_evaluation`, that the
+audit's menus are interned without changing any report, that malformed
+acts raise typed errors, and that every table is freed with its owner.
 """
 
 import gc
@@ -16,25 +18,41 @@ from hypothesis import strategies as st
 
 import reference_evaluation as ref
 from menulearn import (
+    ALL_AXIOMS,
     Act,
+    AuditConfig,
+    Axiom,
+    BmlComparator,
+    Collection,
+    CredalSet,
     DimensionMismatchError,
+    HmlComparator,
     InfoStructure,
+    JmlComparator,
     Lottery,
     Menu,
     Posterior,
     ValidationError,
     act_value,
+    audit,
     benefit_of_information,
     combine_structures,
     cross_audit,
     dominates,
+    generate_corpus,
     mean_posterior,
     mix_lotteries,
     mix_menus,
     randomize,
     support_value,
 )
-from menulearn.audit import random_instance
+from menulearn.audit import (
+    _axiom_tuples,
+    _mixed,
+    random_collection,
+    random_credal_set,
+    random_instance,
+)
 
 from conftest import (
     instances,
@@ -111,6 +129,70 @@ class TestMixturesAgainstReference:
             assert prior == expected and repr(prior) == repr(expected)
 
 
+class TestInterning:
+    """The audit's menus reach the memos as one object per value."""
+
+    def test_corpus_menus_are_the_same_objects(self):
+        inst = random_instance(random.Random(3))
+        config = AuditConfig(corpus_size=6, seed=3)
+        first, second = generate_corpus(inst, config), generate_corpus(inst, config)
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
+        # A fresh but equal instance has its own table.
+        other = generate_corpus(twin_instance(inst), config)
+        assert other == first and not any(a is b for a, b in zip(other, first))
+
+    def test_mixtures_and_dominance_singletons_are_interned(self):
+        for seed in range(6):
+            inst = random_instance(random.Random(seed))
+            config = AuditConfig(corpus_size=6, seed=seed)
+            corpus = generate_corpus(inst, config)
+            alpha = Fraction(1, 2)
+            for F in corpus:
+                for G in corpus:
+                    mixed = _mixed(inst, F, G, alpha)
+                    assert inst._intern(mix_menus(F, G, alpha)) is mixed
+                    assert _mixed(inst, twin_menu(F), twin_menu(G), alpha) is mixed
+                if len(F) == 1:
+                    # A one-act menu mixed with itself is itself.
+                    assert _mixed(inst, F, F, alpha) is F
+            singletons = {
+                menus[1] for menus, _, _ in _axiom_tuples(Axiom.DOMINANCE, corpus, config, inst)
+            }
+            for singleton in singletons:
+                assert len(singleton) == 1
+                assert inst._intern(Menu(singleton.acts)) is singleton
+            for F in corpus:
+                if len(F) == 1:
+                    assert any(singleton is F for singleton in singletons)
+
+    def test_twin_corpus_gives_identical_reports(self):
+        # Report equality covers every result's status, tuple and antecedent
+        # counts and witness (menus, alpha, betas).
+        witnesses = 0
+        for seed in (9, 10, 11):  # seeds whose audits fail somewhere
+            rng = random.Random(seed)
+            inst = random_instance(rng)
+            credal = random_credal_set(rng, inst)
+            collection = random_collection(rng, inst)
+            config = AuditConfig(axioms=ALL_AXIOMS, corpus_size=8, seed=seed)
+            corpus = generate_corpus(inst, config)
+            twins = [twin_menu(menu) for menu in corpus]
+            assert all(t == m and t is not m for t, m in zip(twins, corpus))
+            for build, param in (
+                (BmlComparator, credal),
+                (JmlComparator, credal),
+                (HmlComparator, collection),
+            ):
+                expected = audit(build(inst, param), corpus, config)
+                witnesses += len(expected.failures)
+                for target in (inst, twin_instance(inst)):
+                    report = audit(build(target, param), twins, config)
+                    assert report == expected
+                    assert report.to_records() == expected.to_records()
+        assert witnesses > 0
+
+
 class TestTypedErrors:
     def test_posterior_on_a_state_the_act_lacks(self, two_state_instance):
         partial = Act({"w1": Lottery.degenerate("win")})
@@ -128,6 +210,30 @@ class TestTypedErrors:
             dominates(total, partial, inst)
         with pytest.raises(DimensionMismatchError):
             dominates(partial, total, inst, strict=True)
+
+    def test_criterion_evaluates_every_generator(self, two_state_instance):
+        # The first singleton member already decides both directions, but
+        # the menu's row also needs the second generator, which names the
+        # state the act lacks.
+        inst = two_state_instance
+        partial = Menu((Act({"w1": Lottery.degenerate("win")}),))
+        total = Menu((Act({"w1": Lottery.degenerate("win"), "w2": Lottery.degenerate("lose")}),))
+        credal = CredalSet(
+            (
+                InfoStructure.point_mass(Posterior.degenerate("w1")),
+                InfoStructure.point_mass(Posterior.degenerate("w2")),
+            )
+        )
+        for criterion in (
+            JmlComparator(inst, credal),
+            HmlComparator(inst, Collection.of_singletons(credal)),
+            BmlComparator(inst, credal),
+        ):
+            for F, G in ((partial, total), (total, partial)):
+                with pytest.raises(DimensionMismatchError):
+                    criterion.compare(F, G)
+                with pytest.raises(DimensionMismatchError):
+                    criterion.weakly_prefers(F, G)
 
     def test_prize_outside_the_instance(self, two_state_instance):
         inst = two_state_instance
@@ -151,3 +257,16 @@ class TestMemoLifetime:
         del inst
         gc.collect()
         assert alive() is None
+
+    def test_held_criterion_and_instance_are_freed_after_an_audit(self):
+        rng = random.Random(8)
+        inst = random_instance(rng)
+        criterion = BmlComparator(inst, random_credal_set(rng, inst))
+        config = AuditConfig(corpus_size=5, seed=8)
+        corpus = generate_corpus(inst, config)
+        audit(criterion, corpus, config)
+        assert criterion._rows and inst._menus and inst._benefits
+        alive = [weakref.ref(criterion), weakref.ref(inst)]
+        del criterion, corpus, inst
+        gc.collect()
+        assert [weak() for weak in alive] == [None, None]
