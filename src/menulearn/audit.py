@@ -39,7 +39,7 @@ from .core import (
 from .comparative import _HOLDS, _VACUOUS, _VIOLATED, _scan
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import ValidationError
-from .evaluation import dominates, mix_lotteries, mix_menus, randomize
+from .evaluation import _randomize, dominates, mix_acts, mix_lotteries, mix_menus
 
 
 class Axiom(Enum):
@@ -106,10 +106,11 @@ class AuditConfig:
 
     ``alpha_grid`` entries must lie strictly inside (0, 1); gridded axioms
     (independence, favorable mixing monotonicity) are only checked at those
-    mixture weights.  ``max_tuples`` is a safety valve for pathological
-    configurations; at the default corpus sizes every axiom is enumerated
-    exhaustively.  An axiom that stops at the cap without a failure is
-    reported "truncated", never "pass".
+    mixture weights, each once (a repeated weight keeps its first place).
+    ``max_tuples`` is a safety valve for pathological configurations; at
+    the default corpus sizes every axiom is enumerated exhaustively.  An
+    axiom that stops at the cap without a failure is reported "truncated",
+    never "pass".
     """
 
     axioms: frozenset[Axiom] = ALL_AXIOMS
@@ -120,7 +121,8 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axioms", frozenset(self.axioms))
-        object.__setattr__(self, "alpha_grid", tuple(Fraction(a) for a in self.alpha_grid))
+        grid = tuple(dict.fromkeys(Fraction(a) for a in self.alpha_grid))
+        object.__setattr__(self, "alpha_grid", grid)
         if not self.axioms:
             raise ValidationError("audit needs at least one axiom")
         if Axiom.CONTINUITY in self.axioms:
@@ -375,7 +377,7 @@ def _test_axiom(
     if axiom is Axiom.EX_POST_RANDOMIZATION:
         (F,) = menus
         assert betas is not None
-        spread = inst._intern(randomize(F, betas))
+        spread = _randomize(F, betas, partial(_mixed, inst))
         return _HOLDS if cmp.compare(spread, F) is Verdict.INDIFFERENT else _VIOLATED
     if axiom is Axiom.FAVORABLE_MIXING_MONOTONICITY:
         F, G, H, H2 = menus
@@ -391,14 +393,24 @@ def _test_axiom(
 def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     """``mix_menus(F, G, alpha)``, memoized and interned on the instance.
 
+    Each act mixture ``mix_acts(f, g, alpha)`` is also built once per
+    instance, in the same table (Act and Menu keys never compare equal).
     The mixed menu is always built and evaluated: the mixing axioms must
     not be decided through the linearity of the benefit in the menu, which
     is what they test.
     """
-    key = (F, G, alpha)
-    menu = inst._mixtures.get(key)
+    table = inst._mixtures
+    menu = table.get((F, G, alpha))
     if menu is None:
-        menu = inst._mixtures[key] = inst._intern(mix_menus(F, G, alpha))
+        acts = []
+        for f in F:
+            for g in G:
+                key = (f, g, alpha)
+                act = table.get(key)
+                if act is None:
+                    act = table[key] = mix_acts(f, g, alpha)
+                acts.append(act)
+        menu = table[F, G, alpha] = inst._intern(Menu(tuple(acts)))
     return menu
 
 
@@ -471,7 +483,7 @@ def _shrink_counterexample(
             if len(menu) <= 1:
                 continue
             for act in menu:
-                smaller = Menu(tuple(a for a in menu.acts if a != act))
+                smaller = cmp.instance._intern(Menu(tuple(a for a in menu.acts if a != act)))
                 candidate = current[:i] + (smaller,) + current[i + 1:]
                 if _test_axiom(axiom, cmp, candidate, alpha, betas) == _VIOLATED:
                     current = candidate

@@ -400,10 +400,13 @@ class Instance(_HashOnce):
     utility: Mapping[str, RationalLike]
     # Evaluation memos (see `menulearn.evaluation`): owned by the instance so
     # they are freed with it.  Act -> per-state utility, (menu, structure) ->
-    # benefit of information, (F, G, alpha) -> mixed menu, and the menu
-    # intern table (see `_intern`).
+    # benefit of information, (F, G, strict) -> dominance verdict, the
+    # audit's mixtures ((f, g, alpha) -> mixed act and (F, G, alpha) -> mixed
+    # menu in one table: Act and Menu keys never compare equal), and the
+    # menu intern table (see `_intern`).
     _utilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _dominance: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _menus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __hash__ = _hash_of("states", "prizes", "utility")

@@ -71,16 +71,23 @@ class Criterion:
     F is weakly preferred to G iff some member's generators all give
     ``b_F >= b_G``.  Each menu is read through its row: ``b_F`` at every
     generator of every member, in collection order.  A row is built once
-    per menu through the instance's benefit memo and kept in a table the
-    criterion owns, so it is freed with the criterion; a verdict compares
-    two rows.  Since a row evaluates every generator, a menu that cannot be
-    evaluated at one of them raises even where another member would
-    already decide the verdict.
+    per menu through the instance's benefit memo and kept in the row table
+    ``_rows``; a weak-preference verdict compares two rows once per ordered
+    pair ``(F, G)`` and is kept in the pair table ``_pairs``.  The criterion
+    owns both tables, so they are freed with it, and neither is pickled or
+    copied: a criterion rebuilds from its instance and collection.  Since a
+    row evaluates every generator, a menu that cannot be evaluated at one
+    of them raises even where another member would already decide the
+    verdict.
     """
 
     instance: Instance
     collection: Collection
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return (Criterion, (self.instance, self.collection))
 
     def _row(self, menu: Menu) -> tuple[tuple[Value, ...], ...]:
         row = self._rows.get(menu)
@@ -93,7 +100,13 @@ class Criterion:
         return row
 
     def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        return any(all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G)))
+        key = (F, G)
+        verdict = self._pairs.get(key)
+        if verdict is None:
+            verdict = self._pairs[key] = any(
+                all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G))
+            )
+        return verdict
 
     def strictly_prefers(self, F: Menu, G: Menu) -> bool:
         return self.weakly_prefers(F, G) and not self.weakly_prefers(G, F)

@@ -3,19 +3,24 @@
 The central quantity is the benefit of information ``b_F(pi)``: the expected
 utility of a member who will observe her posterior (drawn according to
 ``pi``), then pick the best act from the menu ``F``.  Every function here is
-pure in its inputs.  Two memos live on the `Instance` and are freed with it:
-each act's per-state utility is computed once per instance, and so is each
-``(menu, structure)`` benefit.  The audit engine sends the menus it builds
-through the instance's intern table (`Instance._intern`, also freed with
-the instance), so a memo hit finds its key by identity.  Each `Criterion`
-keeps one row of benefits per menu it has ranked, built through this memo;
-the criterion owns that table and frees it.
+pure in its inputs.  Three memos live on the `Instance` and are freed with
+it: each act's per-state utility (`Instance._utilities`), each
+``(menu, structure)`` benefit (`Instance._benefits`) and each
+``(F, G, strict)`` dominance verdict (`Instance._dominance`) are computed
+once per instance.  The audit engine builds each mixed act and each mixed
+menu once per instance (`Instance._mixtures`, keyed ``(f, g, alpha)`` and
+``(F, G, alpha)``) and sends the menus it builds through the instance's
+intern table (`Instance._intern`), both freed with the instance, so a memo
+hit finds its key by identity.  Each `Criterion` keeps one row of benefits
+per menu it has ranked, built through this memo, and one weak-preference
+verdict per ordered menu pair it has been asked about; the criterion owns
+both tables and frees them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Act,
@@ -113,6 +118,17 @@ def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:
     maximize expected utility never need such randomizations, which is why
     criteria are expected to rank the result indifferent to *F*.
     """
+    return _randomize(F, betas, mix_menus)
+
+
+def _randomize(
+    F: Menu, betas: Sequence[RationalLike], mix: Callable[[Menu, Menu, Fraction], Menu]
+) -> Menu:
+    """`randomize` folded through the pairwise menu mixer *mix*, weights checked here.
+
+    The audit passes its memoized mixer, so a step such as
+    ``mix(F, F, alpha)`` is the menu its mixing axioms have already built.
+    """
     weights = [as_fraction(b) for b in betas]
     if not weights:
         raise BadWeightError("randomization needs at least one weight")
@@ -128,7 +144,7 @@ def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:
         new_weight = w + tail_weight
         if new_weight == 0:
             continue
-        tail = mix_menus(F, tail, w / new_weight)
+        tail = mix(F, tail, w / new_weight)
         tail_weight = new_weight
     return tail
 
@@ -139,8 +155,18 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     True when every act of *G* is covered by some act of *F* that is at
     least as good (``strict=True``: strictly better) in every single state.
     Dominance is decided on utilities, which is the outcome order once
-    lotteries are ranked completely.
+    lotteries are ranked completely.  Each ``(F, G, strict)`` verdict is
+    decided once per instance and kept in its dominance memo.
     """
+    strict = bool(strict)
+    key = (F, G, strict)
+    verdict = inst._dominance.get(key)
+    if verdict is None:
+        verdict = inst._dominance[key] = _dominates(F, G, inst, strict)
+    return verdict
+
+
+def _dominates(F: Menu, G: Menu, inst: Instance, strict: bool) -> bool:
     f_profiles = [_profile(f, inst) for f in F]
     for g in G:
         g_profile = _profile(g, inst)

@@ -58,6 +58,35 @@ class TestGenerateCorpus:
             AuditConfig(axioms=frozenset({Axiom.CONTINUITY}))
 
 
+class TestAlphaGrid:
+    def test_repeated_weights_are_kept_once_in_first_seen_order(self):
+        assert AuditConfig().alpha_grid == (Fraction(1, 2),)
+        assert AuditConfig(alpha_grid=("1/2", "0.5")).alpha_grid == (Fraction(1, 2),)
+        assert AuditConfig(alpha_grid=("2/3", "1/3", "4/6", Fraction(1, 3))).alpha_grid == (
+            Fraction(2, 3),
+            Fraction(1, 3),
+        )
+
+    def test_repeated_weights_are_audited_once(self, example1):
+        inst = example1.instance
+        gridded = frozenset(
+            {
+                Axiom.INDEPENDENCE,
+                Axiom.EX_POST_RANDOMIZATION,
+                Axiom.FAVORABLE_MIXING_MONOTONICITY,
+            }
+        )
+        single = AuditConfig(axioms=gridded, corpus_size=4, seed=3)
+        repeated = AuditConfig(axioms=gridded, corpus_size=4, seed=3, alpha_grid=("1/2", "0.5"))
+        corpus = generate_corpus(inst, single)
+        for build in (BmlComparator, JmlComparator):
+            expected = audit(build(inst, example1.credal_set("both")), corpus, single)
+            report = audit(build(inst, example1.credal_set("both")), corpus, repeated)
+            assert report == expected
+            # C(4, 2) pairs times 4 third menus at one weight.
+            assert report.result_for(Axiom.INDEPENDENCE).tuples_checked == 24
+
+
 class TestAuditVerdicts:
     def test_bml_satisfies_transitivity(self, example1):
         inst = example1.instance

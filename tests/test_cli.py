@@ -154,6 +154,17 @@ class TestAudit:
         assert code == EXIT_CHECK_FAILED
         assert "truncated" in capsys.readouterr().out
 
+    def test_repeated_alpha_grid_weight_is_audited_once(self, capsys):
+        outputs = []
+        for grid in ("1/2", "1/2,0.5"):
+            code = main(
+                ["audit", EXAMPLE1, "--criterion", "jml", "--param", "both",
+                 "--axioms", "independence,favorable_mixing_monotonicity,ex_post_randomization",
+                 "--corpus-size", "4", "--alpha-grid", grid, "--format", "records"]
+            )
+            outputs.append((code, json.loads(capsys.readouterr().out)))
+        assert outputs[0] == outputs[1]
+
     def test_unknown_param_name(self, capsys):
         code = main(["audit", EXAMPLE1, "--criterion", "bml", "--param", "nope"])
         assert code == EXIT_UNKNOWN_NAME

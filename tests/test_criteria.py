@@ -1,5 +1,7 @@
 """The four criteria: worked-example verdicts, reductions, and axial properties."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import menulearn
 import reference_criteria as ref
 from menulearn import (
+    AuditConfig,
     BadWeightError,
     BmlComparator,
     Collection,
@@ -21,6 +24,7 @@ from menulearn import (
     SlComparator,
     Verdict,
     alpha_maxmin_collection,
+    audit,
     benefit_gap,
     benefit_of_information,
     bml_compare,
@@ -29,6 +33,7 @@ from menulearn import (
     credal_max_gap,
     credal_min_gap,
     dominates,
+    generate_corpus,
     hml_compare,
     jml_compare,
     mix_menus,
@@ -356,6 +361,54 @@ class TestAgainstReference:
                         assert criterion.compare(F, G) is verdict
                         assert criterion.weakly_prefers(F, G) is weak
             assert len(criterion._rows) == len(set(drawn))
+            assert len(criterion._pairs) == len(set(drawn)) ** 2
+
+    def test_pair_table_is_ordered_and_owned_by_its_criterion(self, example1):
+        # SL at delta_p ranks f strictly above gh, so a table that stored
+        # (G, F) would answer the reverse question wrongly; BML on "both"
+        # leaves (f, gh) unranked while JML ranks it, so a table shared
+        # between criteria would hand JML the BML verdict.
+        inst = twin_instance(example1.instance)
+        f, gh = example1.menu("f"), example1.menu("gh")
+        sl = SlComparator(inst, example1.info_structure("delta_p"))
+        for _ in range(2):
+            for F, G in ((f, gh), (gh, f), (twin_menu(f), twin_menu(gh))):
+                expected = ref.benefit_gap(F, G, example1.info_structure("delta_p"), inst) >= 0
+                assert sl.weakly_prefers(F, G) is expected
+        assert sl.weakly_prefers(f, gh) and not sl.weakly_prefers(gh, f)
+        both = example1.credal_set("both")
+        bml, jml = BmlComparator(inst, both), JmlComparator(inst, both)
+        for first, second in ((bml, jml), (jml, bml)):
+            for criterion in (first, second):
+                for F, G in ((f, gh), (gh, f)):
+                    kind = "bml" if criterion is bml else "jml"
+                    expected = ref.CRITERIA[kind][1](F, G, both, inst) >= 0
+                    assert criterion.weakly_prefers(F, G) is expected
+        assert not bml.weakly_prefers(f, gh) and jml.weakly_prefers(f, gh)
+        assert bml._pairs is not jml._pairs
+
+
+class TestCopies:
+    """A criterion pickles and copies as its value: its tables stay behind."""
+
+    def test_pickle_and_deepcopy_drop_the_tables(self):
+        rng = random.Random(6)
+        inst = random_instance(rng)
+        credal = random_credal_set(rng, inst)
+        config = AuditConfig(corpus_size=6, seed=6)
+        corpus = generate_corpus(inst, config)
+        audited = BmlComparator(inst, credal)
+        audit(audited, corpus, config)
+        assert audited._rows and audited._pairs
+        fresh = BmlComparator(twin_instance(inst), twin_credal_set(credal))
+        assert len(pickle.dumps(audited)) == len(pickle.dumps(fresh))
+        for copied in (pickle.loads(pickle.dumps(audited)), copy.deepcopy(audited)):
+            assert copied == audited and hash(copied) == hash(audited)
+            assert copied._rows == {} and copied._pairs == {}
+            for F in corpus:
+                for G in corpus:
+                    assert copied.compare(F, G) is audited.compare(F, G)
+                    assert copied.weakly_prefers(F, G) is audited.weakly_prefers(F, G)
 
 
 class TestPublicSurface:

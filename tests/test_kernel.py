@@ -1,16 +1,22 @@
 """The memoized evaluation kernel against the plain reference definitions.
 
-`menulearn.evaluation` keeps its memos and the audit's menu intern table on
-the `Instance`, and each `Criterion` keeps its benefit rows; these tests
-check that the kernel agrees exactly with `reference_evaluation`, that the
-audit's menus are interned without changing any report, that malformed
-acts raise typed errors, and that every table is freed with its owner.
+`menulearn.evaluation` keeps its memos (utilities, benefits, dominance
+verdicts), the audit's mixtures and its menu intern table on the
+`Instance`, and each `Criterion` keeps its benefit rows and pair verdicts;
+these tests check that the kernel agrees exactly with
+`reference_evaluation`, that each memo keeps apart the questions it must
+(strict from weak dominance), that the audit's mixtures and randomizations
+equal the public mixers' and its menus are interned without changing any
+report, that malformed acts raise typed errors, and that every table is
+freed with its owner.
 """
 
 import gc
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +28,7 @@ from menulearn import (
     Act,
     AuditConfig,
     Axiom,
+    BadWeightError,
     BmlComparator,
     Collection,
     CredalSet,
@@ -41,6 +48,7 @@ from menulearn import (
     dominates,
     generate_corpus,
     mean_posterior,
+    mix_acts,
     mix_lotteries,
     mix_menus,
     randomize,
@@ -53,10 +61,12 @@ from menulearn.audit import (
     random_credal_set,
     random_instance,
 )
+from menulearn.evaluation import _randomize
 
 from conftest import (
     instances,
     lotteries,
+    menu_of,
     menus,
     structures,
     twin_instance,
@@ -129,6 +139,79 @@ class TestMixturesAgainstReference:
             assert prior == expected and repr(prior) == repr(expected)
 
 
+class TestDerivedMemos:
+    """Dominance verdicts and the audit's mixtures, memoized on the instance."""
+
+    def test_weak_and_strict_dominance_are_separate_entries(self, two_state_instance):
+        # Weak dominance holds (3 >= 3 in w1) and strict dominance does not,
+        # so a memo that forgot the flag would answer the second question
+        # with the first one's verdict, in either call order.
+        upper = menu_of(two_state_instance, (3, 1))
+        lower = menu_of(two_state_instance, (3, 0))
+        for order in ((False, True), (True, False)):
+            inst = twin_instance(two_state_instance)
+            F, G = twin_menu(upper), twin_menu(lower)
+            for _ in range(2):
+                for strict in order:
+                    assert dominates(F, G, inst, strict=strict) is (not strict)
+                    assert ref.dominates(F, G, inst, strict=strict) is (not strict)
+                    assert dominates(G, F, inst, strict=strict) is False
+            assert len(inst._dominance) == 4
+
+    def test_mixed_acts_and_menus_equal_the_public_mixers(self):
+        for seed in range(6):
+            inst = random_instance(random.Random(seed))
+            corpus = generate_corpus(inst, AuditConfig(corpus_size=5, seed=seed))
+            for alpha in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+                for F in corpus:
+                    for G in corpus:
+                        mixed = _mixed(inst, F, G, alpha)
+                        assert mixed == mix_menus(F, G, alpha) == ref.mix_menus(F, G, alpha)
+                        for f in F:
+                            for g in G:
+                                act = inst._mixtures[f, g, alpha]
+                                assert act == mix_acts(f, g, alpha)
+                                assert act in mixed
+
+    def test_audit_randomization_equals_randomize(self):
+        config = AuditConfig(
+            axioms=frozenset({Axiom.EX_POST_RANDOMIZATION}),
+            corpus_size=6,
+            alpha_grid=(Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)),
+        )
+        for seed in range(6):
+            inst = random_instance(random.Random(seed))
+            corpus = generate_corpus(inst, replace(config, seed=seed))
+            tuples = list(_axiom_tuples(Axiom.EX_POST_RANDOMIZATION, corpus, config, inst))
+            assert {betas for _, _, betas in tuples} == {
+                (Fraction(1, 3), Fraction(2, 3)),
+                (Fraction(1, 2), Fraction(1, 2)),
+                (Fraction(4, 5), Fraction(1, 5)),
+                (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)),
+            }
+            for (F,), _, betas in tuples:
+                spread = _randomize(F, betas, partial(_mixed, inst))
+                assert spread == randomize(F, betas)
+                assert inst._intern(spread) is spread
+            # The two-weight fold's only step is the mixture the mixing
+            # axioms build.
+            for F in corpus:
+                half = (Fraction(1, 2), Fraction(1, 2))
+                assert _randomize(F, half, partial(_mixed, inst)) is _mixed(
+                    inst, F, F, Fraction(1, 2)
+                )
+
+    def test_audit_randomization_checks_its_weights(self, two_state_instance):
+        inst = two_state_instance
+        F = menu_of(inst, (3, 0), (0, 3))
+        mixer = partial(_mixed, inst)
+        for betas in ((), (Fraction(3, 2), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 3))):
+            with pytest.raises(BadWeightError):
+                _randomize(F, betas, mixer)
+            with pytest.raises(BadWeightError):
+                randomize(F, betas)
+
+
 class TestInterning:
     """The audit's menus reach the memos as one object per value."""
 
@@ -165,6 +248,25 @@ class TestInterning:
             for F in corpus:
                 if len(F) == 1:
                     assert any(singleton is F for singleton in singletons)
+
+    def test_shrunk_witness_menus_are_interned(self, example2):
+        # Shrinking the padded middle menu builds a new two-act menu; it
+        # must reach the memos as the instance's one object for its value,
+        # here the twin of `gh` interned before the audit.
+        inst = twin_instance(example2.instance)
+        cmp = JmlComparator(inst, example2.credal_set("both"))
+        gh = example2.menu("gh")
+        early = inst._intern(twin_menu(gh))
+        fat = gh.union(example2.menu("f"))
+        corpus = [example2.menu("fstar"), fat, example2.menu("f")]
+        config = AuditConfig(axioms=frozenset({Axiom.TRANSITIVITY}), corpus_size=3)
+        result = audit(cmp, corpus, config).result_for(Axiom.TRANSITIVITY)
+        assert (result.status, result.tuples_checked, result.antecedents) == ("fail", 22, 17)
+        assert [len(menu) for menu in result.counterexample] == [1, 2, 1]
+        assert result.counterexample[1] == gh and result.counterexample[1] is early
+        assert all(inst._intern(menu) is menu for menu in result.counterexample)
+        replay = audit(cmp, list(result.counterexample), config)
+        assert replay.result_for(Axiom.TRANSITIVITY).status == "fail"
 
     def test_twin_corpus_gives_identical_reports(self):
         # Report equality covers every result's status, tuple and antecedent
@@ -265,7 +367,8 @@ class TestMemoLifetime:
         config = AuditConfig(corpus_size=5, seed=8)
         corpus = generate_corpus(inst, config)
         audit(criterion, corpus, config)
-        assert criterion._rows and inst._menus and inst._benefits
+        assert criterion._rows and criterion._pairs
+        assert inst._menus and inst._benefits and inst._dominance and inst._mixtures
         alive = [weakref.ref(criterion), weakref.ref(inst)]
         del criterion, corpus, inst
         gc.collect()
