@@ -158,7 +158,6 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     lotteries are ranked completely.  Each ``(F, G, strict)`` verdict is
     decided once per instance and kept in its dominance memo.
     """
-    strict = bool(strict)
     key = (F, G, strict)
     verdict = inst._dominance.get(key)
     if verdict is None:
