@@ -37,8 +37,9 @@ from .core import (
     constant_menu,
 )
 from .comparative import _HOLDS, _VACUOUS, _VIOLATED, _scan
+from .comparative import STATUS_FAIL, STATUS_PASS, STATUS_TRUNCATED, STATUS_VACUOUS
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
-from .errors import ValidationError
+from .errors import BadWeightError, ValidationError
 from .evaluation import _randomize, dominates, mix_acts, mix_lotteries, mix_menus
 
 
@@ -92,11 +93,7 @@ REQUIRED_AXIOMS: dict[str, frozenset[Axiom]] = {
 }
 REQUIRED_AXIOMS["sl"] = REQUIRED_AXIOMS["bml"] | {Axiom.COMPLETENESS}
 
-STATUS_PASS = "pass"
 STATUS_PASS_ON_GRID = "pass-on-grid"
-STATUS_FAIL = "fail"
-STATUS_TRUNCATED = "truncated"
-STATUS_VACUOUS = "vacuous"
 STATUS_NOT_AUDITED = "not-audited"
 
 
@@ -128,7 +125,7 @@ class AuditConfig:
         if Axiom.CONTINUITY in self.axioms:
             raise ValidationError("continuity is not finitely checkable and cannot be selected")
         if any(not 0 < a < 1 for a in self.alpha_grid):
-            raise ValidationError("alpha grid entries must lie strictly between 0 and 1")
+            raise BadWeightError("alpha grid entries must lie strictly between 0 and 1")
         if self.corpus_size < 1:
             raise ValidationError("corpus size must be positive")
 

@@ -176,6 +176,8 @@ def credal_subset(
 #: What a check's test returns for one tuple: the implication holds, its
 #: antecedent did not fire, or it is violated.
 _HOLDS, _VACUOUS, _VIOLATED = True, None, False
+#: What a scan reports; the audit and every check print these strings.
+STATUS_PASS, STATUS_FAIL, STATUS_TRUNCATED, STATUS_VACUOUS = "pass", "fail", "truncated", "vacuous"
 
 
 def _scan(
@@ -195,15 +197,15 @@ def _scan(
     fired = 0
     for item in tuples:
         if max_tuples is not None and checked >= max_tuples:
-            return "truncated", None, checked, fired
+            return STATUS_TRUNCATED, None, checked, fired
         checked += 1
         outcome = test(*item)
         if outcome is _VACUOUS:
             continue
         fired += 1
         if not outcome:
-            return "fail", item, checked, fired
-    return ("pass" if fired else "vacuous"), None, checked, fired
+            return STATUS_FAIL, item, checked, fired
+    return (STATUS_PASS if fired else STATUS_VACUOUS), None, checked, fired
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.status != "fail"
+        return self.status != STATUS_FAIL
 
     def to_record(self) -> dict:
         record = {

@@ -5,8 +5,9 @@ Every criterion ranks menus through the benefit-of-information gap
 sub-groups, one credal set each: menu F is weakly preferred to G when some
 sub-group prefers it unanimously, i.e. the gap is nonnegative at every
 structure of that sub-group's credal set.  `Criterion` implements this rule
-over any `Collection`; the other criteria are the same rule over special
-collections, built by three constructors:
+over any `Collection` and is the only way to rank menus; hold one while
+ranking so its tables serve every pair.  The other criteria are the same
+rule over special collections, built by three constructors:
 
 * SL  (subjective learning, `SlComparator`): one singleton group; a single
   structure decides.  Complete and transitive.
@@ -26,10 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import ge
-from typing import Literal
 
 from .core import (
-    Act,
     Collection,
     CredalSet,
     Instance,
@@ -38,10 +37,9 @@ from .core import (
     RationalLike,
     Value,
     Verdict,
-    mean_posterior,
     mix_structures,
 )
-from .evaluation import act_value, benefit_of_information
+from .evaluation import benefit_of_information
 
 
 def benefit_gap(F: Menu, G: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -54,16 +52,6 @@ def collection_maxmin_gap(F: Menu, G: Menu, coll: Collection, inst: Instance) ->
     return max(min(benefit_gap(F, G, gen, inst) for gen in member) for member in coll)
 
 
-def credal_min_gap(F: Menu, G: Menu, credal: CredalSet, inst: Instance) -> Value:
-    """Worst-case benefit gap over the credal set (attained at a generator)."""
-    return collection_maxmin_gap(F, G, Collection.of_credal_set(credal), inst)
-
-
-def credal_max_gap(F: Menu, G: Menu, credal: CredalSet, inst: Instance) -> Value:
-    """Best-case benefit gap over the credal set (attained at a generator)."""
-    return collection_maxmin_gap(F, G, Collection.of_singletons(credal), inst)
-
-
 @dataclass(frozen=True)
 class Criterion:
     """The hierarchical rule over a collection of credal sets.
@@ -73,12 +61,12 @@ class Criterion:
     generator of every member, in collection order.  A row is built once
     per menu through the instance's benefit memo and kept in the row table
     ``_rows``; a weak-preference verdict compares two rows once per ordered
-    pair ``(F, G)`` and is kept in the pair table ``_pairs``.  The criterion
-    owns both tables, so they are freed with it, and neither is pickled or
-    copied: a criterion rebuilds from its instance and collection.  Since a
-    row evaluates every generator, a menu that cannot be evaluated at one
-    of them raises even where another member would already decide the
-    verdict.
+    pair and is kept in the pair table ``_pairs[F][G]``, one inner table per
+    left menu.  The criterion owns both tables, so they are freed with it,
+    and neither is pickled or copied: a criterion rebuilds from its instance
+    and collection.  Since a row evaluates every generator, a menu that
+    cannot be evaluated at one of them raises even where another member
+    would already decide the verdict.
     """
 
     instance: Instance
@@ -100,10 +88,12 @@ class Criterion:
         return row
 
     def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        key = (F, G)
-        verdict = self._pairs.get(key)
+        verdicts = self._pairs.get(F)
+        if verdicts is None:
+            verdicts = self._pairs[F] = {}
+        verdict = verdicts.get(G)
         if verdict is None:
-            verdict = self._pairs[key] = any(
+            verdict = verdicts[G] = any(
                 all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G))
             )
         return verdict
@@ -133,55 +123,6 @@ def JmlComparator(instance: Instance, credal: CredalSet) -> Criterion:
 def HmlComparator(instance: Instance, collection: Collection) -> Criterion:
     """Hierarchical: F wins if some sub-group unanimously ranks it higher."""
     return Criterion(instance, collection)
-
-
-def sl_compare(F: Menu, G: Menu, inst: Instance, pi: InfoStructure) -> Verdict:
-    """Rank two menus by the benefit of information of a single structure."""
-    return SlComparator(inst, pi).compare(F, G)
-
-
-def bml_compare(F: Menu, G: Menu, inst: Instance, credal: CredalSet) -> Verdict:
-    """Unanimity rule; disagreement inside the credal set is ``Verdict.INCOMPARABLE``."""
-    return BmlComparator(inst, credal).compare(F, G)
-
-
-def jml_compare(F: Menu, G: Menu, inst: Instance, credal: CredalSet) -> Verdict:
-    """Veto rule: complete by construction, but transitivity can fail."""
-    return JmlComparator(inst, credal).compare(F, G)
-
-
-def hml_compare(F: Menu, G: Menu, inst: Instance, coll: Collection) -> Verdict:
-    """Hierarchical rule: F wins if some sub-group unanimously ranks it higher."""
-    return HmlComparator(inst, coll).compare(F, G)
-
-
-def singleton_reduction(
-    f: Act,
-    g: Act,
-    credal: CredalSet,
-    mode: Literal["bml", "jml"],
-    inst: Instance,
-) -> Verdict:
-    """Compare two single acts through the priors implied by each generator.
-
-    On singleton menus the learning criteria collapse to their static
-    multiple-prior counterparts: each structure matters only through its
-    mean posterior.  Must agree with `bml_compare` / `jml_compare` on the
-    corresponding singleton menus.
-    """
-    if mode not in ("bml", "jml"):
-        raise ValueError(f"mode must be 'bml' or 'jml', got {mode!r}")
-    gaps = []
-    for gen in credal:
-        prior = mean_posterior(gen)
-        gaps.append(act_value(f, prior, inst) - act_value(g, prior, inst))
-    if mode == "bml":
-        forward = all(gap >= 0 for gap in gaps)
-        backward = all(gap <= 0 for gap in gaps)
-    else:
-        forward = any(gap >= 0 for gap in gaps)
-        backward = any(gap <= 0 for gap in gaps)
-    return Verdict.from_directions(forward, backward)
 
 
 def alpha_maxmin_collection(credal: CredalSet, alpha: RationalLike) -> Collection:

@@ -24,11 +24,7 @@ class ConstantUtilityError(ValidationError):
 
 
 class BadWeightError(ValidationError):
-    """A weight falls outside [0, 1], or a weight list is negative, empty or does not sum to 1."""
-
-
-#: The former name of the randomization-weight error, now the same class.
-BadWeightsError = BadWeightError
+    """A weight is out of range, or a weight list is negative, empty or does not sum to 1."""
 
 
 class DimensionMismatchError(MenuLearnError):

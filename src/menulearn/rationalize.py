@@ -28,7 +28,7 @@ from .core import (
 )
 from .comparative import _VACUOUS, CheckReport, _scan
 from .criteria import Criterion, collection_maxmin_gap
-from .errors import BadWeightError
+from .errors import BadWeightError, ValidationError
 from .evaluation import benefit_of_information, mix_lotteries
 
 
@@ -166,11 +166,11 @@ def rank_menus(
 ) -> list[RankEntry]:
     """Rank menus by rationalized value, descending; equal values share a rank."""
     if not corpus:
-        raise ValueError("ranking needs at least one menu")
+        raise ValidationError("ranking needs at least one menu")
     if names is None:
         names = [f"menu{i + 1}" for i in range(len(corpus))]
     if len(names) != len(corpus):
-        raise ValueError("need exactly one name per menu")
+        raise ValidationError("need exactly one name per menu")
     scored = []
     for name, menu in zip(names, corpus):
         band = scenario_band(menu, coll, inst)
@@ -195,7 +195,7 @@ def utility_grid_lotteries(inst: Instance, steps: int = 8) -> list[Lottery]:
     increments.
     """
     if steps < 1:
-        raise ValueError("need at least one grid step")
+        raise ValidationError("need at least one grid step")
     worst = Lottery.degenerate(inst.worst_prize())
     best = Lottery.degenerate(inst.best_prize())
     return [mix_lotteries(best, worst, Fraction(k, steps)) for k in range(steps + 1)]

@@ -8,13 +8,27 @@ both directions, and the benefits come from the plain formulas of
 the hierarchical rule over special collections and decides weak preference
 by short-circuit; the differential tests require it to agree with these
 functions exactly.
+
+`singleton_reduction` is the static multiple-prior comparison of two single
+acts, an oracle for the criteria on singleton menus.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Literal
 
-from menulearn.core import Collection, CredalSet, Instance, InfoStructure, Menu, Verdict
+from menulearn.core import (
+    Act,
+    Collection,
+    CredalSet,
+    Instance,
+    InfoStructure,
+    Menu,
+    Verdict,
+    mean_posterior,
+)
+from menulearn.evaluation import act_value
 
 from reference_evaluation import benefit
 
@@ -55,6 +69,35 @@ def jml_compare(F: Menu, G: Menu, inst: Instance, credal: CredalSet) -> Verdict:
 def hml_compare(F: Menu, G: Menu, inst: Instance, coll: Collection) -> Verdict:
     forward = collection_maxmin_gap(F, G, coll, inst) >= 0
     backward = collection_maxmin_gap(G, F, coll, inst) >= 0
+    return Verdict.from_directions(forward, backward)
+
+
+def singleton_reduction(
+    f: Act,
+    g: Act,
+    credal: CredalSet,
+    mode: Literal["bml", "jml"],
+    inst: Instance,
+) -> Verdict:
+    """Compare two single acts through the priors implied by each generator.
+
+    On singleton menus the learning criteria collapse to their static
+    multiple-prior counterparts: each structure matters only through its
+    mean posterior.  Must agree with the BML / JML criteria on the
+    corresponding singleton menus.
+    """
+    if mode not in ("bml", "jml"):
+        raise ValueError(f"mode must be 'bml' or 'jml', got {mode!r}")
+    gaps = []
+    for gen in credal:
+        prior = mean_posterior(gen)
+        gaps.append(act_value(f, prior, inst) - act_value(g, prior, inst))
+    if mode == "bml":
+        forward = all(gap >= 0 for gap in gaps)
+        backward = all(gap <= 0 for gap in gaps)
+    else:
+        forward = any(gap >= 0 for gap in gaps)
+        backward = any(gap <= 0 for gap in gaps)
     return Verdict.from_directions(forward, backward)
 
 

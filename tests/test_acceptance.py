@@ -21,12 +21,13 @@ from menulearn import (
     BmlComparator,
     Collection,
     CredalSet,
+    HmlComparator,
     InfoStructure,
     JmlComparator,
+    SlComparator,
     Verdict,
     audit,
     benefit_of_information,
-    bml_compare,
     check_less_inconsistent,
     check_less_negative_inconsistent,
     check_more_decisive,
@@ -36,15 +37,12 @@ from menulearn import (
     credal_subset,
     cross_audit,
     generate_corpus,
-    hml_compare,
-    jml_compare,
     mix_menus,
     mix_structures,
     rank_menus,
     rationalized_value,
     robust_strict,
     scenario_band,
-    sl_compare,
     support_value,
     utility_grid_lotteries,
 )
@@ -90,7 +88,8 @@ def test_criterion_1_example1_reproduction(example1, criterion):
         assert benefit_of_information(f, pi, inst) == 2
         assert benefit_of_information(gh, delta_p, inst) == Fraction(3, 2)
         assert benefit_of_information(gh, pi, inst) == 3
-        assert bml_compare(f, gh, inst, example1.credal_set("both")) is Verdict.INCOMPARABLE
+        bml = BmlComparator(inst, example1.credal_set("both"))
+        assert bml.compare(f, gh) is Verdict.INCOMPARABLE
         assert time.perf_counter() - start < 1.0
 
 
@@ -104,11 +103,12 @@ def test_criterion_2_example2_reproduction(example2, criterion):
             assert benefit_of_information(
                 fstar, example2.info_structure(name), inst
             ) == Fraction(5, 2)
-        assert jml_compare(fstar, gh, inst, both) is Verdict.INDIFFERENT
-        assert jml_compare(f, gh, inst, both) is Verdict.INDIFFERENT
-        assert jml_compare(fstar, f, inst, both) is Verdict.STRICT_BETTER
+        jml = JmlComparator(inst, both)
+        assert jml.compare(fstar, gh) is Verdict.INDIFFERENT
+        assert jml.compare(f, gh) is Verdict.INDIFFERENT
+        assert jml.compare(fstar, f) is Verdict.STRICT_BETTER
         config = AuditConfig(axioms=frozenset({Axiom.TRANSITIVITY}), corpus_size=3)
-        result = audit(JmlComparator(inst, both), [fstar, gh, f], config).result_for(
+        result = audit(jml, [fstar, gh, f], config).result_for(
             Axiom.TRANSITIVITY
         )
         assert result.status == "fail"
@@ -145,15 +145,18 @@ def test_criterion_4_reduction_identities(criterion):
             credal = random_credal_set(rng, inst)
             structure = random_structure(rng, inst)
             single = CredalSet.singleton(structure)
+            hml_one_group = HmlComparator(inst, Collection.of_credal_set(credal))
+            hml_singletons = HmlComparator(inst, Collection.of_singletons(credal))
+            bml, jml = BmlComparator(inst, credal), JmlComparator(inst, credal)
+            bml_single, jml_single = BmlComparator(inst, single), JmlComparator(inst, single)
+            sl = SlComparator(inst, structure)
             for _ in range(10):
                 F, G = random_menu(rng, inst), random_menu(rng, inst)
-                as_bml = hml_compare(F, G, inst, Collection.of_credal_set(credal))
-                assert as_bml == bml_compare(F, G, inst, credal)
-                as_jml = hml_compare(F, G, inst, Collection.of_singletons(credal))
-                assert as_jml == jml_compare(F, G, inst, credal)
-                collapsed = bml_compare(F, G, inst, single)
-                assert collapsed == jml_compare(F, G, inst, single)
-                assert collapsed == sl_compare(F, G, inst, structure)
+                assert hml_one_group.compare(F, G) == bml.compare(F, G)
+                assert hml_singletons.compare(F, G) == jml.compare(F, G)
+                collapsed = bml_single.compare(F, G)
+                assert collapsed == jml_single.compare(F, G)
+                assert collapsed == sl.compare(F, G)
                 pairs += 1
         assert pairs >= 1000
 
@@ -218,13 +221,15 @@ def test_criterion_6_uniqueness_surrogates(criterion):
             )
             padded_members[member_index] = CredalSet(target.generators + (extra,))
             padded_collection = Collection(padded_members)
+            pairs = [
+                (BmlComparator(inst, credal), BmlComparator(inst, padded)),
+                (JmlComparator(inst, credal), JmlComparator(inst, padded)),
+                (HmlComparator(inst, collection), HmlComparator(inst, padded_collection)),
+            ]
             for _ in range(5):
                 F, G = random_menu(rng, inst), random_menu(rng, inst)
-                assert bml_compare(F, G, inst, credal) == bml_compare(F, G, inst, padded)
-                assert jml_compare(F, G, inst, credal) == jml_compare(F, G, inst, padded)
-                assert hml_compare(F, G, inst, collection) == hml_compare(
-                    F, G, inst, padded_collection
-                )
+                for plain, padded_criterion in pairs:
+                    assert plain.compare(F, G) == padded_criterion.compare(F, G)
                 generator_trials += 1
         while rescale_trials < 500:
             inst = random_instance(rng)
@@ -232,16 +237,19 @@ def test_criterion_6_uniqueness_surrogates(criterion):
             credal = random_credal_set(rng, inst)
             collection = random_collection(rng, inst)
             structure = random_structure(rng, inst)
+            pairs = [
+                (build(inst, param), build(rescaled, param))
+                for build, param in (
+                    (BmlComparator, credal),
+                    (JmlComparator, credal),
+                    (HmlComparator, collection),
+                    (SlComparator, structure),
+                )
+            ]
             for _ in range(5):
                 F, G = random_menu(rng, inst), random_menu(rng, inst)
-                assert bml_compare(F, G, inst, credal) == bml_compare(F, G, rescaled, credal)
-                assert jml_compare(F, G, inst, credal) == jml_compare(F, G, rescaled, credal)
-                assert hml_compare(F, G, inst, collection) == hml_compare(
-                    F, G, rescaled, collection
-                )
-                assert sl_compare(F, G, inst, structure) == sl_compare(
-                    F, G, rescaled, structure
-                )
+                for plain, on_rescaled in pairs:
+                    assert plain.compare(F, G) == on_rescaled.compare(F, G)
                 rescale_trials += 1
         assert generator_trials >= 500 and rescale_trials >= 500
 

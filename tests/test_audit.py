@@ -8,6 +8,7 @@ import pytest
 from menulearn import (
     AuditConfig,
     Axiom,
+    BadWeightError,
     BmlComparator,
     Collection,
     CredalSet,
@@ -56,6 +57,11 @@ class TestGenerateCorpus:
             AuditConfig(alpha_grid=(Fraction(0),))
         with pytest.raises(ValidationError):
             AuditConfig(axioms=frozenset({Axiom.CONTINUITY}))
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, Fraction(-1, 2)])
+    def test_grid_weight_outside_the_open_interval_is_a_bad_weight(self, alpha):
+        with pytest.raises(BadWeightError, match="strictly between 0 and 1"):
+            AuditConfig(alpha_grid=(alpha,))
 
 
 class TestAlphaGrid:

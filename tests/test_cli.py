@@ -165,6 +165,18 @@ class TestAudit:
             outputs.append((code, json.loads(capsys.readouterr().out)))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("grid", ["0", "2"])
+    def test_alpha_grid_weight_outside_the_open_interval_is_a_bad_weight(self, capsys, grid):
+        code = main(
+            ["audit", EXAMPLE1, "--criterion", "bml", "--param", "both", "--alpha-grid", grid]
+        )
+        assert code == EXIT_BAD_KIND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "invalid request: alpha grid entries must lie strictly between 0 and 1\n"
+        )
+
     def test_unknown_param_name(self, capsys):
         code = main(["audit", EXAMPLE1, "--criterion", "bml", "--param", "nope"])
         assert code == EXIT_UNKNOWN_NAME
@@ -242,6 +254,17 @@ class TestRationalize:
     def test_unknown_policy(self, capsys):
         code = main(["rationalize", EXAMPLE1, "--collection", "split", "--policy", "wild"])
         assert code == EXIT_BAD_KIND
+
+    def test_document_without_menus_is_one_error_line(self, tmp_path, capsys):
+        document = json.loads((DATA_DIR / "example1.json").read_text())
+        del document["menus"]
+        path = tmp_path / "no_menus.json"
+        path.write_text(json.dumps(document))
+        code = main(["rationalize", str(path), "--collection", "split", "--policy", "cautious"])
+        assert code == EXIT_CHECK_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ranking needs at least one menu\n"
 
     def test_records_format(self, capsys):
         code = main(

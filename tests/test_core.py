@@ -14,7 +14,6 @@ from menulearn import (
     Act,
     BadProbabilityError,
     BadWeightError,
-    BadWeightsError,
     Collection,
     ConstantUtilityError,
     CredalSet,
@@ -326,9 +325,6 @@ class TestInputRules:
         x, y = Lottery.degenerate("a"), Lottery.degenerate("b")
         with pytest.raises(BadWeightError, match="mixture weight"):
             mix_lotteries(x, y, 2)
-
-    def test_one_weight_error(self):
-        assert BadWeightsError is BadWeightError
 
     def test_lottery_in_a_state_the_act_lacks(self):
         act = Act({"w1": Lottery.degenerate("x")})

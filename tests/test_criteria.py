@@ -27,18 +27,11 @@ from menulearn import (
     audit,
     benefit_gap,
     benefit_of_information,
-    bml_compare,
     collection_maxmin_gap,
     combine_structures,
-    credal_max_gap,
-    credal_min_gap,
     dominates,
     generate_corpus,
-    hml_compare,
-    jml_compare,
     mix_menus,
-    singleton_reduction,
-    sl_compare,
 )
 from menulearn.audit import random_act, random_credal_set, random_instance
 
@@ -57,20 +50,30 @@ from conftest import (
 )
 
 
+def min_gap(F, G, credal, inst):
+    """The program's worst-case gap over *credal*: one group holding every generator."""
+    return collection_maxmin_gap(F, G, Collection.of_credal_set(credal), inst)
+
+
+def max_gap(F, G, credal, inst):
+    """The program's best-case gap over *credal*: one singleton group per generator."""
+    return collection_maxmin_gap(F, G, Collection.of_singletons(credal), inst)
+
+
 class TestCredalGaps:
     def test_example_min_and_max(self, example1):
         inst = example1.instance
         f, gh = example1.menu("f"), example1.menu("gh")
         both = example1.credal_set("both")
-        assert credal_min_gap(f, gh, both, inst) == -1
-        assert credal_max_gap(f, gh, both, inst) == Fraction(1, 2)
+        assert min_gap(f, gh, both, inst) == -1
+        assert max_gap(f, gh, both, inst) == Fraction(1, 2)
 
     def test_singleton_credal_set_gives_plain_gap(self, example1):
         inst = example1.instance
         f, gh = example1.menu("f"), example1.menu("gh")
         single = CredalSet.singleton(example1.info_structure("delta_p"))
-        assert credal_min_gap(f, gh, single, inst) == Fraction(1, 2)
-        assert credal_max_gap(f, gh, single, inst) == Fraction(1, 2)
+        assert min_gap(f, gh, single, inst) == Fraction(1, 2)
+        assert max_gap(f, gh, single, inst) == Fraction(1, 2)
 
     def test_redundant_midpoint_generator_changes_nothing(self, example1):
         inst = example1.instance
@@ -79,22 +82,24 @@ class TestCredalGaps:
         midpoint = combine_structures(both.generators, (Fraction(1, 2), Fraction(1, 2)))
         padded = CredalSet(both.generators + (midpoint,))
         for F, G in ((f, gh), (gh, f)):
-            assert credal_min_gap(F, G, padded, inst) == credal_min_gap(F, G, both, inst)
-            assert credal_max_gap(F, G, padded, inst) == credal_max_gap(F, G, both, inst)
+            assert min_gap(F, G, padded, inst) == min_gap(F, G, both, inst)
+            assert max_gap(F, G, padded, inst) == max_gap(F, G, both, inst)
 
 
 class TestWorkedExampleVerdicts:
     def test_bml_incomparable_pair(self, example1):
         inst = example1.instance
-        verdict = bml_compare(
-            example1.menu("f"), example1.menu("gh"), inst, example1.credal_set("both")
+        verdict = BmlComparator(inst, example1.credal_set("both")).compare(
+            example1.menu("f"), example1.menu("gh")
         )
         assert verdict is Verdict.INCOMPARABLE
 
     def test_bml_reflexive(self, example1):
         inst = example1.instance
         gh = example1.menu("gh")
-        assert bml_compare(gh, gh, inst, example1.credal_set("both")) is Verdict.INDIFFERENT
+        assert BmlComparator(inst, example1.credal_set("both")).compare(gh, gh) is (
+            Verdict.INDIFFERENT
+        )
 
     def test_bml_strict_under_strict_dominance(self):
         rng = random.Random(7)
@@ -109,29 +114,33 @@ class TestWorkedExampleVerdicts:
             )
             if not dominates(F, G, inst, strict=True):
                 continue  # degenerate draw: F already contains the mixture
-            assert bml_compare(F, G, inst, credal) is Verdict.STRICT_BETTER
+            assert BmlComparator(inst, credal).compare(F, G) is Verdict.STRICT_BETTER
 
     def test_jml_cycle_verdicts(self, example2):
         inst = example2.instance
         both = example2.credal_set("both")
         f, gh, fstar = example2.menu("f"), example2.menu("gh"), example2.menu("fstar")
-        assert jml_compare(fstar, gh, inst, both) is Verdict.INDIFFERENT
-        assert jml_compare(f, gh, inst, both) is Verdict.INDIFFERENT
-        assert jml_compare(fstar, f, inst, both) is Verdict.STRICT_BETTER
+        jml = JmlComparator(inst, both)
+        assert jml.compare(fstar, gh) is Verdict.INDIFFERENT
+        assert jml.compare(f, gh) is Verdict.INDIFFERENT
+        assert jml.compare(fstar, f) is Verdict.STRICT_BETTER
 
     def test_jml_equals_bml_on_singleton_set(self, example1):
         inst = example1.instance
         single = CredalSet.singleton(example1.info_structure("pi"))
+        jml, bml = JmlComparator(inst, single), BmlComparator(inst, single)
         for left, right in (("f", "gh"), ("gh", "f"), ("f", "f")):
             F, G = example1.menu(left), example1.menu(right)
-            assert jml_compare(F, G, inst, single) == bml_compare(F, G, inst, single)
+            assert jml.compare(F, G) == bml.compare(F, G)
 
     def test_sl_flips_with_the_structure(self, example1):
         inst = example1.instance
         f, gh = example1.menu("f"), example1.menu("gh")
-        assert sl_compare(f, gh, inst, example1.info_structure("delta_p")) is Verdict.STRICT_BETTER
-        assert sl_compare(f, gh, inst, example1.info_structure("pi")) is Verdict.STRICT_WORSE
-        assert sl_compare(f, f, inst, example1.info_structure("pi")) is Verdict.INDIFFERENT
+        at_delta_p = SlComparator(inst, example1.info_structure("delta_p"))
+        at_pi = SlComparator(inst, example1.info_structure("pi"))
+        assert at_delta_p.compare(f, gh) is Verdict.STRICT_BETTER
+        assert at_pi.compare(f, gh) is Verdict.STRICT_WORSE
+        assert at_pi.compare(f, f) is Verdict.INDIFFERENT
 
 
 class TestHmlReductions:
@@ -140,33 +149,35 @@ class TestHmlReductions:
         both = example1.credal_set("both")
         coll = Collection.of_credal_set(both)
         f, gh = example1.menu("f"), example1.menu("gh")
+        hml, bml = HmlComparator(inst, coll), BmlComparator(inst, both)
         for F, G in ((f, gh), (gh, f), (f, f)):
-            assert hml_compare(F, G, inst, coll) == bml_compare(F, G, inst, both)
+            assert hml.compare(F, G) == bml.compare(F, G)
 
     def test_all_singleton_collection_is_veto(self, example2):
         inst = example2.instance
         both = example2.credal_set("both")
         coll = Collection.of_singletons(both)
+        hml, jml = HmlComparator(inst, coll), JmlComparator(inst, both)
         menus_ = [example2.menu(n) for n in ("f", "gh", "fstar")]
         for F in menus_:
             for G in menus_:
-                assert hml_compare(F, G, inst, coll) == jml_compare(F, G, inst, both)
+                assert hml.compare(F, G) == jml.compare(F, G)
 
     def test_alpha_maxmin_matches_weighted_gap_sign(self, example1):
         inst = example1.instance
         both = example1.credal_set("both")
         f, gh = example1.menu("f"), example1.menu("gh")
         alpha = Fraction(1, 2)
-        coll = alpha_maxmin_collection(both, alpha)
+        hml = HmlComparator(inst, alpha_maxmin_collection(both, alpha))
         for F, G in ((f, gh), (gh, f), (f, f), (gh, gh)):
-            blended_forward = alpha * credal_min_gap(F, G, both, inst) + (
+            blended_forward = alpha * min_gap(F, G, both, inst) + (
                 1 - alpha
-            ) * credal_max_gap(F, G, both, inst)
-            blended_backward = alpha * credal_min_gap(G, F, both, inst) + (
+            ) * max_gap(F, G, both, inst)
+            blended_backward = alpha * min_gap(G, F, both, inst) + (
                 1 - alpha
-            ) * credal_max_gap(G, F, both, inst)
+            ) * max_gap(G, F, both, inst)
             expected = Verdict.from_directions(blended_forward >= 0, blended_backward >= 0)
-            assert hml_compare(F, G, inst, coll) is expected
+            assert hml.compare(F, G) is expected
 
     @given(
         data=st.data(),
@@ -198,12 +209,10 @@ class TestHmlReductions:
         credal = data.draw(credal_sets(inst))
         F = data.draw(menus(inst))
         G = data.draw(menus(inst))
-        assert hml_compare(F, G, inst, Collection.of_credal_set(credal)) == bml_compare(
-            F, G, inst, credal
-        )
-        assert hml_compare(F, G, inst, Collection.of_singletons(credal)) == jml_compare(
-            F, G, inst, credal
-        )
+        as_bml = HmlComparator(inst, Collection.of_credal_set(credal)).compare(F, G)
+        assert as_bml == BmlComparator(inst, credal).compare(F, G)
+        as_jml = HmlComparator(inst, Collection.of_singletons(credal)).compare(F, G)
+        assert as_jml == JmlComparator(inst, credal).compare(F, G)
 
 
 class TestCriterionShapes:
@@ -212,22 +221,25 @@ class TestCriterionShapes:
     def test_jml_is_complete(self, data):
         bundle = data.draw(scenarios())
         F, G = bundle.menus
-        assert jml_compare(F, G, bundle.inst, bundle.credal) is not Verdict.INCOMPARABLE
+        jml = JmlComparator(bundle.inst, bundle.credal)
+        assert jml.compare(F, G) is not Verdict.INCOMPARABLE
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_hml_is_reflexive(self, data):
         bundle = data.draw(scenarios(n_menus=1))
         (F,) = bundle.menus
-        assert hml_compare(F, F, bundle.inst, bundle.collection) is Verdict.INDIFFERENT
+        hml = HmlComparator(bundle.inst, bundle.collection)
+        assert hml.compare(F, F) is Verdict.INDIFFERENT
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_verdicts_are_antisymmetric_pairs(self, data):
         bundle = data.draw(scenarios())
         F, G = bundle.menus
-        forward = hml_compare(F, G, bundle.inst, bundle.collection)
-        backward = hml_compare(G, F, bundle.inst, bundle.collection)
+        hml = HmlComparator(bundle.inst, bundle.collection)
+        forward = hml.compare(F, G)
+        backward = hml.compare(G, F)
         assert backward is forward.flipped()
 
 
@@ -240,19 +252,19 @@ class TestSingletonReduction:
             credal = random_credal_set(rng, inst)
             f, g = random_act(rng, inst), random_act(rng, inst)
             F, G = Menu((f,)), Menu((g,))
-            assert singleton_reduction(f, g, credal, "bml", inst) == bml_compare(
-                F, G, inst, credal
-            )
-            assert singleton_reduction(f, g, credal, "jml", inst) == jml_compare(
-                F, G, inst, credal
-            )
+            assert ref.singleton_reduction(f, g, credal, "bml", inst) == BmlComparator(
+                inst, credal
+            ).compare(F, G)
+            assert ref.singleton_reduction(f, g, credal, "jml", inst) == JmlComparator(
+                inst, credal
+            ).compare(F, G)
             agreements += 1
 
     def test_identical_acts_are_indifferent(self, example1):
         inst = example1.instance
         act = example1.menu("f").acts[0]
         both = example1.credal_set("both")
-        assert singleton_reduction(act, act, both, "bml", inst) is Verdict.INDIFFERENT
+        assert ref.singleton_reduction(act, act, both, "bml", inst) is Verdict.INDIFFERENT
 
     def test_shared_mean_posterior_matches_static_comparison(self, example1):
         # Both generators average to the uniform prior, so on single acts the
@@ -262,22 +274,21 @@ class TestSingletonReduction:
         delta_p = example1.info_structure("delta_p")
         f = example1.menu("f").acts[0]
         g = example1.menu("gh").acts[0]
+        sl = SlComparator(inst, delta_p)
         for left, right in ((f, g), (g, f), (f, f)):
-            expected = sl_compare(Menu((left,)), Menu((right,)), inst, delta_p)
-            assert singleton_reduction(left, right, both, "bml", inst) is expected
-            assert singleton_reduction(left, right, both, "jml", inst) is expected
+            expected = sl.compare(Menu((left,)), Menu((right,)))
+            assert ref.singleton_reduction(left, right, both, "bml", inst) is expected
+            assert ref.singleton_reduction(left, right, both, "jml", inst) is expected
         # The equivalence is a singleton-only fact: on a two-act menu the
         # same credal set disagrees with the implied-prior comparison.
         f_menu, gh_menu = example1.menu("f"), example1.menu("gh")
-        assert bml_compare(f_menu, gh_menu, inst, both) != sl_compare(
-            f_menu, gh_menu, inst, delta_p
-        )
+        assert BmlComparator(inst, both).compare(f_menu, gh_menu) != sl.compare(f_menu, gh_menu)
 
     def test_rejects_unknown_mode(self, example1):
         inst = example1.instance
         act = example1.menu("f").acts[0]
         with pytest.raises(ValueError):
-            singleton_reduction(act, act, example1.credal_set("both"), "sl", inst)
+            ref.singleton_reduction(act, act, example1.credal_set("both"), "sl", inst)
 
 
 class TestAgainstReference:
@@ -293,29 +304,28 @@ class TestAgainstReference:
         drawn = [data.draw(menus(inst)) for _ in range(2)]
         candidates = drawn + [twin_menu(drawn[0])]
         assert candidates[-1] is not drawn[0] and candidates[-1] == drawn[0]
-        # (name, parameter, an equal fresh parameter, constructor, compare
-        # function, gap helper, the collection the constructor builds)
+        # (name, parameter, an equal fresh parameter, constructor, the
+        # collection the constructor builds)
         cases = [
-            ("sl", pi, twin_structure(pi), SlComparator, sl_compare, benefit_gap,
+            ("sl", pi, twin_structure(pi), SlComparator,
              Collection.of_credal_set(CredalSet.singleton(pi))),
-            ("bml", credal, twin_credal_set(credal), BmlComparator, bml_compare,
-             credal_min_gap, Collection.of_credal_set(credal)),
-            ("jml", credal, twin_credal_set(credal), JmlComparator, jml_compare,
-             credal_max_gap, Collection.of_singletons(credal)),
-            ("hml", coll, twin_collection(coll), HmlComparator, hml_compare,
-             collection_maxmin_gap, coll),
+            ("bml", credal, twin_credal_set(credal), BmlComparator,
+             Collection.of_credal_set(credal)),
+            ("jml", credal, twin_credal_set(credal), JmlComparator,
+             Collection.of_singletons(credal)),
+            ("hml", coll, twin_collection(coll), HmlComparator, coll),
         ]
         targets = (inst, twin_instance(inst))
         for F in candidates:
             for G in candidates:
-                for name, param, twin, build, compare, gap, collection in cases:
+                for target in targets:
+                    assert benefit_gap(F, G, pi, target) == ref.benefit_gap(F, G, pi, inst)
+                for name, param, twin, build, collection in cases:
                     ref_compare, ref_gap = ref.CRITERIA[name]
                     expected = ref_compare(F, G, inst, param)
                     expected_gap = ref_gap(F, G, param, inst)
                     for target in targets:
-                        assert gap(F, G, param, target) == expected_gap
-                        assert compare(F, G, target, param) is expected
-                        assert compare(F, G, target, twin) is expected
+                        assert collection_maxmin_gap(F, G, collection, target) == expected_gap
                         for criterion in (
                             build(target, param),
                             build(target, twin),
@@ -361,7 +371,8 @@ class TestAgainstReference:
                         assert criterion.compare(F, G) is verdict
                         assert criterion.weakly_prefers(F, G) is weak
             assert len(criterion._rows) == len(set(drawn))
-            assert len(criterion._pairs) == len(set(drawn)) ** 2
+            assert len(criterion._pairs) == len(set(drawn))
+            assert sum(map(len, criterion._pairs.values())) == len(set(drawn)) ** 2
 
     def test_pair_table_is_ordered_and_owned_by_its_criterion(self, example1):
         # SL at delta_p ranks f strictly above gh, so a table that stored
@@ -399,7 +410,7 @@ class TestCopies:
         corpus = generate_corpus(inst, config)
         audited = BmlComparator(inst, credal)
         audit(audited, corpus, config)
-        assert audited._rows and audited._pairs
+        assert audited._rows and audited._pairs and all(audited._pairs.values())
         fresh = BmlComparator(twin_instance(inst), twin_credal_set(credal))
         assert len(pickle.dumps(audited)) == len(pickle.dumps(fresh))
         for copied in (pickle.loads(pickle.dumps(audited)), copy.deepcopy(audited)):

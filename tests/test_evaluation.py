@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from menulearn import (
     BadWeightError,
-    BadWeightsError,
     InfoStructure,
     Menu,
     Posterior,
@@ -117,7 +116,7 @@ class TestMixMenus:
 
     def test_out_of_range_weight_rejected(self, two_state_instance):
         F = menu_of(two_state_instance, (1, 1))
-        with pytest.raises(BadWeightsError):
+        with pytest.raises(BadWeightError):
             mix_menus(F, F, 2)
 
     def test_act_and_lottery_mixers_check_their_weight(self, two_state_instance):
@@ -155,11 +154,11 @@ class TestRandomize:
 
     def test_bad_weights_rejected(self, two_state_instance):
         F = menu_of(two_state_instance, (1, 1))
-        with pytest.raises(BadWeightsError):
+        with pytest.raises(BadWeightError):
             randomize(F, [Fraction(1, 2)])
-        with pytest.raises(BadWeightsError):
+        with pytest.raises(BadWeightError):
             randomize(F, [])
-        with pytest.raises(BadWeightsError):
+        with pytest.raises(BadWeightError):
             randomize(F, [Fraction(3, 2), Fraction(-1, 2)])
 
     def test_matches_direct_product_enumeration(self):

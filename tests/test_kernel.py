@@ -367,7 +367,7 @@ class TestMemoLifetime:
         config = AuditConfig(corpus_size=5, seed=8)
         corpus = generate_corpus(inst, config)
         audit(criterion, corpus, config)
-        assert criterion._rows and criterion._pairs
+        assert criterion._rows and criterion._pairs and all(criterion._pairs.values())
         assert inst._menus and inst._benefits and inst._dominance and inst._mixtures
         alive = [weakref.ref(criterion), weakref.ref(inst)]
         del criterion, corpus, inst

@@ -6,7 +6,8 @@ the checks in `core` instead of keeping their own copies.  Each phrase
 below is part of one rule's error message, so it may appear in `core.py`
 and in no other module.  Memos are tables on the `Instance` or the
 `Criterion` they serve, freed with it, so no module may keep a
-module-level function cache.
+module-level function cache.  A held `Criterion` is the only way to rank
+menus, and the README's library example runs as written.
 """
 
 import re
@@ -14,7 +15,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "menulearn"
+import menulearn
+from menulearn import Verdict, criteria, errors
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "menulearn"
 
 RULE_PHRASES = (
     "unknown states",
@@ -41,3 +46,31 @@ def test_no_module_keeps_a_function_cache():
         path.name for path in SRC.glob("*.py") if FUNCTION_CACHE.search(path.read_text())
     )
     assert caching == []
+
+
+#: Per-call compare wrappers, gap one-liners, the static-priors oracle and
+#: the old weight-error alias; a held `Criterion` replaces all of them.
+REMOVED_NAMES = (
+    "sl_compare",
+    "bml_compare",
+    "jml_compare",
+    "hml_compare",
+    "credal_min_gap",
+    "credal_max_gap",
+    "singleton_reduction",
+    "BadWeightsError",
+)
+
+
+@pytest.mark.parametrize("module", [menulearn, criteria, errors], ids=lambda m: m.__name__)
+def test_removed_names_stay_removed(module):
+    assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["verdict"] is Verdict.INDIFFERENT

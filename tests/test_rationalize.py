@@ -15,9 +15,9 @@ from menulearn import (
     CredalSet,
     HmlComparator,
     Menu,
+    ValidationError,
     check_consistency,
     constant_menu,
-    hml_compare,
     mix_menus,
     rank_menus,
     rationalized_value,
@@ -93,6 +93,7 @@ class TestRobustStrict:
             inst = random_instance(rng)
             coll = random_collection(rng, inst)
             F, G = random_menu(rng, inst), random_menu(rng, inst)
+            hml = HmlComparator(inst, coll)
             worst = constant_menu(inst, Lottery.degenerate(inst.worst_prize()))
             best = constant_menu(inst, Lottery.degenerate(inst.best_prize()))
             lo, hi = inst.utility_range()
@@ -109,16 +110,14 @@ class TestRobustStrict:
                 for x, y in extremes:
                     mixed_F = mix_menus(F, x, 1 - eps)
                     mixed_G = mix_menus(G, y, 1 - eps)
-                    assert (
-                        hml_compare(mixed_F, mixed_G, inst, coll) is Verdict.STRICT_BETTER
-                    )
+                    assert hml.compare(mixed_F, mixed_G) is Verdict.STRICT_BETTER
                 confirmed_robust += 1
             else:
                 if confirmed_fragile >= 25:
                     continue
                 eps = Fraction(1, 8)
                 defeated = any(
-                    hml_compare(mix_menus(F, x, 1 - eps), mix_menus(G, y, 1 - eps), inst, coll)
+                    hml.compare(mix_menus(F, x, 1 - eps), mix_menus(G, y, 1 - eps))
                     is not Verdict.STRICT_BETTER
                     for x, y in extremes
                 )
@@ -203,6 +202,16 @@ class TestRankMenus:
             [example1.menu("f")], split_collection, AlphaPolicy.optimistic(), example1.instance
         )
         assert len(entries) == 1 and entries[0].rank == 1
+
+    def test_bad_requests_raise_validation_errors(self, example1, split_collection):
+        inst, f = example1.instance, example1.menu("f")
+        policy = AlphaPolicy.cautious()
+        with pytest.raises(ValidationError, match="at least one menu"):
+            rank_menus([], split_collection, policy, inst)
+        with pytest.raises(ValidationError, match="one name per menu"):
+            rank_menus([f], split_collection, policy, inst, names=["f", "g"])
+        with pytest.raises(ValidationError, match="at least one grid step"):
+            utility_grid_lotteries(inst, steps=0)
 
     def test_ties_share_rank(self, two_state_instance):
         inst = two_state_instance
@@ -305,7 +314,7 @@ class TestBandProperties:
         inst, coll = bundle.inst, bundle.collection
         if robust_strict(F, G, coll, inst):
             assert not robust_strict(G, F, coll, inst)
-            assert hml_compare(F, G, inst, coll) is Verdict.STRICT_BETTER
+            assert HmlComparator(inst, coll).compare(F, G) is Verdict.STRICT_BETTER
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
