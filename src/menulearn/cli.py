@@ -11,7 +11,8 @@ Commands::
 
 Exit codes: 0 success; 1 check failure (for ``audit``: a required axiom
 failed or was truncated at the tuple cap); 2 parse error; 3 unknown name;
-4 wrong parameter kind or bad weight.  ``MENULEARN_SEED`` in the
+4 invalid request (wrong parameter kind, bad weight, or any other
+`ValidationError`).  ``MENULEARN_SEED`` in the
 environment overrides ``--seed``.
 
 Printed rationals are exact; decimal renderings are labeled approximations.
@@ -56,6 +57,7 @@ from .errors import (
     MenuLearnError,
     ParseError,
     UnknownNameError,
+    ValidationError,
 )
 from .evaluation import benefit_of_information
 from .fileformat import _KINDS, Workspace, load_path, loads, parse_fraction
@@ -462,7 +464,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnknownNameError as exc:
         print(f"unknown name: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN_NAME
-    except (KindMismatchError, BadWeightError) as exc:
+    except (KindMismatchError, ValidationError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return EXIT_BAD_KIND
     except MenuLearnError as exc:

@@ -17,6 +17,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from operator import attrgetter
 from typing import ClassVar, Union
 
@@ -398,13 +399,18 @@ class Instance(_HashOnce):
     states: tuple[str, ...]
     prizes: tuple[str, ...]
     utility: Mapping[str, RationalLike]
+    # The prize utilities as integer numerators over one denominator U,
+    # ``(U, {prize: u(prize) * U})``, set once in `__post_init__`.
+    _prize_table: tuple = field(init=False, repr=False, compare=False)
     # Evaluation memos (see `menulearn.evaluation`): owned by the instance so
-    # they are freed with it.  Act -> per-state utility, (menu, structure) ->
-    # benefit of information, (F, G, strict) -> dominance verdict, the
-    # audit's mixtures ((f, g, alpha) -> mixed act and (F, G, alpha) -> mixed
-    # menu in one table: Act and Menu keys never compare equal), and the
-    # menu intern table (see `_intern`).
-    _utilities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # they are freed with it.  Act -> its per-state utilities as integer
+    # numerators over one denominator per act, ``(d_f, {state: n_f[s]})``;
+    # (menu, structure) -> benefit of information, one exact Fraction;
+    # (F, G, strict) -> dominance verdict; the audit's mixtures
+    # ((f, g, alpha) -> mixed act and (F, G, alpha) -> mixed menu in one
+    # table: Act and Menu keys never compare equal); and the menu intern
+    # table (see `_intern`).
+    _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _dominance: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -424,6 +430,9 @@ class Instance(_HashOnce):
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "utility", utility)
         validate_instance(self)
+        scale = lcm(*[value.denominator for _, value in utility])
+        units = {prize: value.numerator * (scale // value.denominator) for prize, value in utility}
+        object.__setattr__(self, "_prize_table", (scale, units))
 
     def _intern(self, menu: Menu) -> Menu:
         """The one menu object this instance holds for *menu*'s value.
@@ -438,14 +447,32 @@ class Instance(_HashOnce):
         for label, value in self.utility:
             if label == prize:
                 return value
-        raise ValidationError(f"prize {prize!r} is not in the instance {list(self.prizes)}")
+        raise self._unknown_prize(prize)
+
+    def _unknown_prize(self, prize: str) -> ValidationError:
+        return ValidationError(f"prize {prize!r} is not in the instance {list(self.prizes)}")
 
     def lottery_utility(self, lottery: Lottery) -> Fraction:
         """Expected utility of a lottery (the affine extension of the prize utility)."""
-        total = Fraction(0)
-        for prize, prob in lottery.probs:
-            total += prob * self.utility_of(prize)
-        return total
+        return Fraction(*self._lottery_numerator(lottery))
+
+    def _lottery_numerator(self, lottery: Lottery) -> tuple[int, int]:
+        """The lottery's expected utility as an integer pair ``(num, den)``, unreduced.
+
+        The one expected-utility rule: ``den = L * U``, where ``L`` is the lcm
+        of the lottery's probability denominators and ``U`` the instance's
+        utility denominator, so every term is a product of integers.
+        """
+        scale, units = self._prize_table
+        probs = lottery.probs
+        common = lcm(*[prob.denominator for _, prob in probs])
+        total = 0
+        try:
+            for prize, prob in probs:
+                total += prob.numerator * (common // prob.denominator) * units[prize]
+        except KeyError as exc:
+            raise self._unknown_prize(exc.args[0]) from None
+        return total, common * scale
 
     def best_prize(self) -> str:
         return max(self.prizes, key=self.utility_of)

@@ -3,9 +3,15 @@
 The central quantity is the benefit of information ``b_F(pi)``: the expected
 utility of a member who will observe her posterior (drawn according to
 ``pi``), then pick the best act from the menu ``F``.  Every function here is
-pure in its inputs.  Three memos live on the `Instance` and are freed with
-it: each act's per-state utility (`Instance._utilities`), each
-``(menu, structure)`` benefit (`Instance._benefits`) and each
+pure in its inputs and returns exact Fractions.  The arithmetic runs on
+Python ints: the instance keeps its prize utilities over one denominator,
+each act's per-state utilities are integer numerators over one denominator
+per act (``n_f[s] / d_f``), and each posterior is put over the lcm of its
+denominators, so a menu's value under a posterior is an integer dot product
+per act and a max taken by cross-multiplication.  Three memos live on the
+`Instance` and are freed with it: each act's integer utilities
+(`Instance._numerators`), each ``(menu, structure)`` benefit
+(`Instance._benefits`, one exact `Fraction` per entry) and each
 ``(F, G, strict)`` dominance verdict (`Instance._dominance`) are computed
 once per instance.  The audit engine builds each mixed act and each mixed
 menu once per instance (`Instance._mixtures`, keyed ``(f, g, alpha)`` and
@@ -20,6 +26,7 @@ both tables and frees them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .core import (
@@ -38,32 +45,66 @@ from .core import (
 from .errors import BadWeightError, ValidationError
 
 
-def _utilities(f: Act, inst: Instance) -> dict[str, Fraction]:
-    """State -> expected utility of the lottery act *f* pays there (memoized on *inst*)."""
-    table = inst._utilities
-    utilities = table.get(f)
-    if utilities is None:
-        utilities = table[f] = {
-            state: inst.lottery_utility(lottery) for state, lottery in f.outcomes
-        }
-    return utilities
+def _numerators(f: Act, inst: Instance) -> tuple[int, dict[str, int]]:
+    """``(d_f, {state: n_f[s]})``: act *f* pays utility ``n_f[s] / d_f`` in state s.
+
+    Memoized on *inst*.  ``d_f`` is the lcm of the per-state lottery
+    denominators, so each numerator is rescaled by ``d_f // den``.
+    """
+    table = inst._numerators
+    entry = table.get(f)
+    if entry is None:
+        parts = [(state, inst._lottery_numerator(lottery)) for state, lottery in f.outcomes]
+        common = lcm(*[den for _, (_, den) in parts])
+        entry = table[f] = (
+            common,
+            {state: num * (common // den) for state, (num, den) in parts},
+        )
+    return entry
+
+
+def _posterior_numerators(p: Posterior) -> tuple[int, list[tuple[str, int]]]:
+    """``(D_p, [(state, m_p[s])])``: posterior *p* puts mass ``m_p[s] / D_p`` on state s."""
+    probs = p.probs
+    common = lcm(*[prob.denominator for _, prob in probs])
+    return common, [
+        (state, prob.numerator * (common // prob.denominator)) for state, prob in probs
+    ]
+
+
+def _act_numerator(f: Act, masses: list[tuple[str, int]], inst: Instance) -> tuple[int, int]:
+    """``(v, d_f)``: act *f* is worth ``v / (D_p * d_f)`` under the posterior *masses*."""
+    common, numerators = _numerators(f, inst)
+    try:
+        return sum([mass * numerators[state] for state, mass in masses]), common
+    except KeyError as exc:
+        raise _missing_state(f, exc.args[0]) from None
+
+
+def _support_numerator(
+    menu: Menu, masses: list[tuple[str, int]], inst: Instance
+) -> tuple[int, int]:
+    """``(v, d)`` of the menu's best act under *masses*; the max is cross-multiplied."""
+    best, best_den = None, 1
+    for f in menu:
+        value, den = _act_numerator(f, masses, inst)
+        if best is None or value * best_den > best * den:
+            best, best_den = value, den
+    return best, best_den
 
 
 def act_value(f: Act, p: Posterior, inst: Instance) -> Value:
     """Expected utility of act *f* under posterior *p*."""
-    utilities = _utilities(f, inst)
-    total = Fraction(0)
-    try:
-        for state, prob in p.probs:
-            total += prob * utilities[state]
-    except KeyError as exc:
-        raise _missing_state(f, exc.args[0]) from None
-    return total
+    scale, masses = _posterior_numerators(p)
+    value, den = _act_numerator(f, masses, inst)
+    return Fraction(value, scale * den)
 
 
 def support_value(menu: Menu, p: Posterior, inst: Instance) -> Value:
     """Value of the menu once posterior *p* is known: the best act's expected utility."""
-    return max(act_value(f, p, inst) for f in menu)
+    scale, masses = _posterior_numerators(p)
+    value, den = _support_numerator(menu, masses, inst)
+    return Fraction(value, scale * den)
 
 
 def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -71,15 +112,20 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
     Averages the post-learning menu value over the posteriors that *pi*
     anticipates.  A singleton menu yields the expected utility of its act
-    under the implied prior; a larger menu can only do better.
+    under the implied prior; a larger menu can only do better.  The sum is
+    kept as one unreduced integer pair and reduced once into the memo.
     """
     key = (menu, pi)
     total = inst._benefits.get(key)
     if total is None:
-        total = Fraction(0)
+        num, den = 0, 1
         for posterior, weight in pi.support:
-            total += weight * support_value(menu, posterior, inst)
-        inst._benefits[key] = total
+            scale, masses = _posterior_numerators(posterior)
+            value, act_den = _support_numerator(menu, masses, inst)
+            term_den = weight.denominator * scale * act_den
+            num = num * term_den + weight.numerator * value * den
+            den *= term_den
+        total = inst._benefits[key] = Fraction(num, den)
     return total
 
 
@@ -166,15 +212,16 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
 
 
 def _dominates(F: Menu, G: Menu, inst: Instance, strict: bool) -> bool:
+    """Each ``n_f[s] / d_f >= n_g[s] / d_g`` is decided as ``n_f[s] d_g >= n_g[s] d_f``."""
     f_profiles = [_profile(f, inst) for f in F]
     for g in G:
-        g_profile = _profile(g, inst)
+        g_den, g_profile = _profile(g, inst)
         covered = False
-        for f_profile in f_profiles:
+        for f_den, f_profile in f_profiles:
             if strict:
-                ok = all(fv > gv for fv, gv in zip(f_profile, g_profile))
+                ok = all(fv * g_den > gv * f_den for fv, gv in zip(f_profile, g_profile))
             else:
-                ok = all(fv >= gv for fv, gv in zip(f_profile, g_profile))
+                ok = all(fv * g_den >= gv * f_den for fv, gv in zip(f_profile, g_profile))
             if ok:
                 covered = True
                 break
@@ -183,10 +230,10 @@ def _dominates(F: Menu, G: Menu, inst: Instance, strict: bool) -> bool:
     return True
 
 
-def _profile(f: Act, inst: Instance) -> tuple[Fraction, ...]:
-    """The act's utilities in the instance's state order; the act must be total."""
-    utilities = _utilities(f, inst)
+def _profile(f: Act, inst: Instance) -> tuple[int, tuple[int, ...]]:
+    """``(d_f, numerators)`` in the instance's state order; the act must be total."""
+    common, numerators = _numerators(f, inst)
     try:
-        return tuple([utilities[state] for state in inst.states])
+        return common, tuple([numerators[state] for state in inst.states])
     except KeyError as exc:
         raise _missing_state(f, exc.args[0]) from None

@@ -58,14 +58,9 @@ class ScenarioBand:
 
 
 def scenario_band(F: Menu, coll: Collection, inst: Instance) -> ScenarioBand:
-    """Compute both aggregates of ``b_F`` over the collection."""
-    maxmin = max(
-        min(benefit_of_information(F, gen, inst) for gen in member) for member in coll
-    )
-    minmax = min(
-        max(benefit_of_information(F, gen, inst) for gen in member) for member in coll
-    )
-    return ScenarioBand(maxmin=maxmin, minmax=minmax)
+    """Compute both aggregates of ``b_F`` over the collection, reading each benefit once."""
+    rows = [[benefit_of_information(F, gen, inst) for gen in member] for member in coll]
+    return ScenarioBand(maxmin=max(map(min, rows)), minmax=min(map(max, rows)))
 
 
 def robust_strict(F: Menu, G: Menu, coll: Collection, inst: Instance) -> bool:

@@ -1,9 +1,10 @@
 """Reference evaluation kernel: the plain, unmemoized definitions.
 
 These are the straightforward formulas, re-deriving every lottery utility
-on every call.  `menulearn.evaluation` memoizes per instance and evaluates
-on per-act utility vectors; the differential tests require it to agree
-with these functions exactly.  The mixtures (`mix_lotteries`,
+on every call and summing Fractions.  `menulearn.evaluation` memoizes per
+instance and evaluates on integer numerators (one denominator per act, one
+per posterior); the differential tests require it to agree with these
+functions exactly.  The mixtures (`mix_lotteries`,
 `mean_posterior`, `combine_structures`) accumulate each weighted sum in a
 dict, where `menulearn` lists weighted pairs for the one measure rule.
 """
@@ -15,10 +16,17 @@ from fractions import Fraction
 from menulearn.core import Act, Instance, InfoStructure, Lottery, Menu, Posterior, as_fraction
 
 
+def lottery_utility(x: Lottery, inst: Instance) -> Fraction:
+    total = Fraction(0)
+    for prize, prob in x.probs:
+        total += prob * inst.utility_of(prize)
+    return total
+
+
 def act_value(f: Act, p: Posterior, inst: Instance) -> Fraction:
     total = Fraction(0)
     for state, prob in p.probs:
-        total += prob * inst.lottery_utility(f.lottery(state))
+        total += prob * lottery_utility(f.lottery(state), inst)
     return total
 
 
@@ -72,10 +80,10 @@ def mix_menus(F: Menu, G: Menu, alpha) -> Menu:
 
 def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool:
     f_profiles = [
-        tuple(inst.lottery_utility(f.lottery(state)) for state in inst.states) for f in F
+        tuple(lottery_utility(f.lottery(state), inst) for state in inst.states) for f in F
     ]
     for g in G:
-        g_profile = tuple(inst.lottery_utility(g.lottery(state)) for state in inst.states)
+        g_profile = tuple(lottery_utility(g.lottery(state), inst) for state in inst.states)
         covered = False
         for f_profile in f_profiles:
             if strict:

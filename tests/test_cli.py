@@ -177,6 +177,22 @@ class TestAudit:
             "invalid request: alpha grid entries must lie strictly between 0 and 1\n"
         )
 
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--corpus-size", "0"], "corpus size must be positive"),
+            (["--axioms", "continuity"],
+             "continuity is not finitely checkable and cannot be selected"),
+        ],
+        ids=["corpus_size_0", "continuity"],
+    )
+    def test_invalid_audit_request_is_one_error_line(self, capsys, extra, message):
+        code = main(["audit", EXAMPLE1, "--criterion", "bml", "--param", "both"] + extra)
+        assert code == EXIT_BAD_KIND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid request: {message}\n"
+
     def test_unknown_param_name(self, capsys):
         code = main(["audit", EXAMPLE1, "--criterion", "bml", "--param", "nope"])
         assert code == EXIT_UNKNOWN_NAME
@@ -261,10 +277,10 @@ class TestRationalize:
         path = tmp_path / "no_menus.json"
         path.write_text(json.dumps(document))
         code = main(["rationalize", str(path), "--collection", "split", "--policy", "cautious"])
-        assert code == EXIT_CHECK_FAILED
+        assert code == EXIT_BAD_KIND
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: ranking needs at least one menu\n"
+        assert captured.err == "invalid request: ranking needs at least one menu\n"
 
     def test_records_format(self, capsys):
         code = main(

@@ -411,11 +411,13 @@ class TestCopies:
         audited = BmlComparator(inst, credal)
         audit(audited, corpus, config)
         assert audited._rows and audited._pairs and all(audited._pairs.values())
+        assert inst._numerators and inst._benefits
         fresh = BmlComparator(twin_instance(inst), twin_credal_set(credal))
         assert len(pickle.dumps(audited)) == len(pickle.dumps(fresh))
         for copied in (pickle.loads(pickle.dumps(audited)), copy.deepcopy(audited)):
             assert copied == audited and hash(copied) == hash(audited)
             assert copied._rows == {} and copied._pairs == {}
+            assert copied.instance._numerators == {} and copied.instance._benefits == {}
             for F in corpus:
                 for G in corpus:
                     assert copied.compare(F, G) is audited.compare(F, G)

@@ -1,10 +1,12 @@
 """The memoized evaluation kernel against the plain reference definitions.
 
-`menulearn.evaluation` keeps its memos (utilities, benefits, dominance
-verdicts), the audit's mixtures and its menu intern table on the
+`menulearn.evaluation` keeps its memos (integer act utilities, benefits,
+dominance verdicts), the audit's mixtures and its menu intern table on the
 `Instance`, and each `Criterion` keeps its benefit rows and pair verdicts;
 these tests check that the kernel agrees exactly with
-`reference_evaluation`, that each memo keeps apart the questions it must
+`reference_evaluation`, also where the integer path is stressed by
+coprime, large and negative denominators and by ties that only show after
+cross-multiplying, that each memo keeps apart the questions it must
 (strict from weak dominance), that the audit's mixtures and randomizations
 equal the public mixers' and its menus are interned without changing any
 report, that malformed acts raise typed errors, and that every table is
@@ -12,6 +14,7 @@ freed with its owner.
 """
 
 import gc
+import pickle
 import random
 import weakref
 from dataclasses import replace
@@ -19,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_evaluation as ref
@@ -35,6 +38,7 @@ from menulearn import (
     DimensionMismatchError,
     HmlComparator,
     InfoStructure,
+    Instance,
     JmlComparator,
     Lottery,
     Menu,
@@ -72,6 +76,7 @@ from conftest import (
     twin_instance,
     twin_menu,
     twin_structure,
+    utility_lottery,
 )
 
 
@@ -114,6 +119,142 @@ class TestDifferential:
                             assert dominates(A, B, target, strict=strict) == ref.dominates(
                                 A, B, target, strict=strict
                             )
+
+
+#: Pairwise-coprime denominators, from small primes to a Mersenne prime.
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 9973, 2**31 - 1)
+
+
+@st.composite
+def coprime_instances(draw):
+    """An instance whose prize utilities are signed fractions over distinct primes."""
+    n_states = draw(st.integers(1, 3))
+    n_prizes = draw(st.integers(2, 4))
+    dens = draw(
+        st.lists(st.sampled_from(PRIMES), min_size=n_prizes, max_size=n_prizes, unique=True)
+    )
+    nums = draw(st.lists(st.integers(-(10**6), 10**6), min_size=n_prizes, max_size=n_prizes))
+    utility = {f"z{i}": Fraction(n, d) for i, (n, d) in enumerate(zip(nums, dens))}
+    assume(len(set(utility.values())) > 1)
+    return Instance(
+        states=tuple(f"s{i}" for i in range(n_states)),
+        prizes=tuple(utility),
+        utility=utility,
+    )
+
+
+def _coprime_distribution(draw, labels) -> dict:
+    """Weights ``n / q`` over distinct primes ``q``, normalized: denominators mix."""
+    dens = draw(st.lists(st.sampled_from(PRIMES), min_size=len(labels), max_size=len(labels)))
+    raw = {label: Fraction(draw(st.integers(0, q)), q) for label, q in zip(labels, dens)}
+    assume(any(raw.values()))
+    total = sum(raw.values())
+    return {label: w / total for label, w in raw.items() if w}
+
+
+@st.composite
+def coprime_acts(draw, inst: Instance):
+    return Act({state: Lottery(_coprime_distribution(draw, inst.prizes)) for state in inst.states})
+
+
+@st.composite
+def subset_posteriors(draw, inst: Instance):
+    """A posterior on a nonempty subset of the states."""
+    states = draw(st.lists(st.sampled_from(inst.states), min_size=1, unique=True))
+    return Posterior(_coprime_distribution(draw, states))
+
+
+def tie_twin(f: Act, inst: Instance) -> Act:
+    """An act paying, in every state, a best/worst lottery of the same utility as *f*."""
+    return Act(
+        {state: utility_lottery(inst, ref.lottery_utility(x, inst)) for state, x in f.outcomes}
+    )
+
+
+class TestIntegerKernel:
+    """Integer numerators against the Fraction formulas, where they are easiest to get wrong."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_coprime_denominators_match_reference(self, data):
+        inst = data.draw(coprime_instances())
+        acts_drawn = [data.draw(coprime_acts(inst)) for _ in range(3)]
+        # Each twin ties its act in every state, through other denominators.
+        twins = [tie_twin(f, inst) for f in acts_drawn]
+        menus_ = [
+            Menu(tuple(acts_drawn)),
+            Menu((acts_drawn[0], twins[1])),
+            Menu((twins[0],)),
+            Menu((acts_drawn[0],)),
+            Menu((acts_drawn[2], twins[2])),
+        ]
+        posteriors_ = [data.draw(subset_posteriors(inst)) for _ in range(3)]
+        dens = data.draw(st.lists(st.sampled_from(PRIMES), min_size=3, max_size=3))
+        raw = [Fraction(1, q) for q in dens]
+        pi = InfoStructure(tuple((p, w / sum(raw)) for p, w in zip(posteriors_, raw)))
+        for _ in range(2):
+            for menu in menus_:
+                got = benefit_of_information(menu, pi, inst)
+                assert type(got) is Fraction and got == ref.benefit(menu, pi, inst)
+                for p in posteriors_:
+                    got = support_value(menu, p, inst)
+                    assert type(got) is Fraction and got == ref.support_value(menu, p, inst)
+                    for f in menu:
+                        got = act_value(f, p, inst)
+                        assert type(got) is Fraction and got == ref.act_value(f, p, inst)
+            for A in menus_:
+                for B in menus_:
+                    for strict in (False, True):
+                        assert dominates(A, B, inst, strict=strict) == ref.dominates(
+                            A, B, inst, strict=strict
+                        )
+        assert all(type(value) is Fraction for value in inst._benefits.values())
+        for f, (den, numerators) in inst._numerators.items():
+            assert type(den) is int and all(type(n) is int for n in numerators.values())
+            assert {s: Fraction(n, den) for s, n in numerators.items()} == {
+                s: ref.lottery_utility(x, inst) for s, x in f.outcomes
+            }
+            for _, x in f.outcomes:
+                assert inst.lottery_utility(x) == ref.lottery_utility(x, inst)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ties_after_cross_multiplying(self, data):
+        inst = data.draw(coprime_instances())
+        f = data.draw(coprime_acts(inst))
+        g = tie_twin(f, inst)
+        F, G = Menu((f,)), Menu((g,))
+        for A, B in ((F, G), (G, F)):
+            assert dominates(A, B, inst) and not dominates(A, B, inst, strict=True)
+        for p in (data.draw(subset_posteriors(inst)) for _ in range(2)):
+            assert act_value(f, p, inst) == act_value(g, p, inst)
+            assert support_value(Menu((f, g)), p, inst) == act_value(f, p, inst)
+
+    def test_equal_utilities_over_different_denominators(self):
+        # u(mid) = 1 = u({win: 1/3, lose: 2/3}): the first act's numerators
+        # are (1, 1) over 1, the second's (3, 3) over 3.  Read without
+        # cross-multiplying, the second would strictly dominate the first.
+        inst = Instance(
+            states=("w1", "w2"), prizes=("win", "mid", "lose"),
+            utility={"win": 3, "mid": 1, "lose": 0},
+        )
+        sure = Act({"w1": Lottery.degenerate("mid"), "w2": Lottery.degenerate("mid")})
+        risky = Lottery({"win": Fraction(1, 3), "lose": Fraction(2, 3)})
+        mixed = Act({"w1": risky, "w2": risky})
+        better = Act({"w1": risky, "w2": Lottery({"win": Fraction(1, 2), "mid": Fraction(1, 2)})})
+        F, G, H = Menu((sure,)), Menu((mixed,)), Menu((better,))
+        for A, B in ((F, G), (G, F)):
+            assert dominates(A, B, inst) is True
+            assert dominates(A, B, inst, strict=True) is False
+        assert inst._numerators[sure][1] != inst._numerators[mixed][1]
+        assert dominates(H, F, inst) and not dominates(H, F, inst, strict=True)
+        assert not dominates(F, H, inst)
+        p = Posterior({"w1": Fraction(1, 5), "w2": Fraction(4, 5)})
+        assert support_value(Menu((sure, better)), p, inst) == Fraction(1, 5) + Fraction(4, 5) * 2
+        assert support_value(Menu((mixed, sure)), p, inst) == 1
+        # 3/5 is (3, 3) over 5: the larger numerators belong to the worse act.
+        poorer = Lottery({"win": Fraction(1, 5), "lose": Fraction(4, 5)})
+        assert support_value(Menu((sure, Act({"w1": poorer, "w2": poorer}))), p, inst) == 1
 
 
 class TestMixturesAgainstReference:
@@ -369,7 +510,26 @@ class TestMemoLifetime:
         audit(criterion, corpus, config)
         assert criterion._rows and criterion._pairs and all(criterion._pairs.values())
         assert inst._menus and inst._benefits and inst._dominance and inst._mixtures
-        alive = [weakref.ref(criterion), weakref.ref(inst)]
-        del criterion, corpus, inst
+        assert inst._numerators
+        # A mixed act is held by the instance's tables alone once the
+        # corpus is gone, so it outlives them only if they leak.
+        mixed = next(act for act in inst._numerators if not any(act in menu for menu in corpus))
+        alive = [weakref.ref(criterion), weakref.ref(inst), weakref.ref(mixed)]
+        del criterion, corpus, inst, mixed
         gc.collect()
-        assert [weak() for weak in alive] == [None, None]
+        assert [weak() for weak in alive] == [None, None, None]
+
+    def test_integer_table_is_left_out_of_pickles(self):
+        rng = random.Random(9)
+        inst = random_instance(rng)
+        fresh = twin_instance(inst)
+        corpus = generate_corpus(inst, AuditConfig(corpus_size=5, seed=9))
+        pi = random_credal_set(rng, inst).generators[0]
+        for F in corpus:
+            benefit_of_information(F, pi, inst)
+            dominates(F, corpus[0], inst)
+        assert inst._numerators and inst._benefits
+        assert len(pickle.dumps(inst)) == len(pickle.dumps(fresh))
+        copied = pickle.loads(pickle.dumps(inst))
+        assert copied == inst and copied._numerators == {} and copied._benefits == {}
+        assert copied._prize_table == inst._prize_table
