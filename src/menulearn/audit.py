@@ -34,6 +34,7 @@ from .core import (
     Menu,
     Posterior,
     Verdict,
+    as_fraction,
     constant_menu,
 )
 from .comparative import _HOLDS, _VACUOUS, _VIOLATED, _scan
@@ -101,13 +102,14 @@ STATUS_NOT_AUDITED = "not-audited"
 class AuditConfig:
     """Knobs for corpus generation and axiom checking.
 
-    ``alpha_grid`` entries must lie strictly inside (0, 1); gridded axioms
+    ``axioms`` holds `Axiom` members only.  ``alpha_grid`` entries are exact
+    rationals (see `as_fraction`) strictly inside (0, 1); gridded axioms
     (independence, favorable mixing monotonicity) are only checked at those
     mixture weights, each once (a repeated weight keeps its first place).
-    ``max_tuples`` is a safety valve for pathological configurations; at
-    the default corpus sizes every axiom is enumerated exhaustively.  An
-    axiom that stops at the cap without a failure is reported "truncated",
-    never "pass".
+    ``max_tuples`` (at least 1) is a safety valve for pathological
+    configurations; at the default corpus sizes every axiom is enumerated
+    exhaustively.  An axiom that stops at the cap without a failure is
+    reported "truncated", never "pass".
     """
 
     axioms: frozenset[Axiom] = ALL_AXIOMS
@@ -118,16 +120,21 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axioms", frozenset(self.axioms))
-        grid = tuple(dict.fromkeys(Fraction(a) for a in self.alpha_grid))
+        grid = tuple(dict.fromkeys(as_fraction(a) for a in self.alpha_grid))
         object.__setattr__(self, "alpha_grid", grid)
         if not self.axioms:
             raise ValidationError("audit needs at least one axiom")
+        stray = sorted(repr(a) for a in self.axioms if not isinstance(a, Axiom))
+        if stray:
+            raise ValidationError(f"audit axioms must be Axiom members, got {', '.join(stray)}")
         if Axiom.CONTINUITY in self.axioms:
             raise ValidationError("continuity is not finitely checkable and cannot be selected")
         if any(not 0 < a < 1 for a in self.alpha_grid):
             raise BadWeightError("alpha grid entries must lie strictly between 0 and 1")
         if self.corpus_size < 1:
             raise ValidationError("corpus size must be positive")
+        if self.max_tuples < 1:
+            raise ValidationError(f"max_tuples must be at least 1, got {self.max_tuples}")
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(f"malformed rational {value!r}") from None
     raise TypeError(f"expected an exact rational (Fraction, int, or 'p/q' string), got {value!r}")
 
 
@@ -216,18 +219,13 @@ class Act(_HashOnce):
         for label, lot in self.outcomes:
             if label == state:
                 return lot
-        raise _missing_state(self, state)
+        raise DimensionMismatchError(
+            f"act has no outcome for state {state!r} (it covers {sorted(self.states)})"
+        )
 
     def is_constant(self) -> bool:
         lotteries = {lot for _, lot in self.outcomes}
         return len(lotteries) == 1
-
-
-def _missing_state(act: Act, state: str) -> DimensionMismatchError:
-    """The error for reading *act* in a state it assigns no lottery."""
-    return DimensionMismatchError(
-        f"act has no outcome for state {state!r} (it covers {sorted(act.states)})"
-    )
 
 
 def _act_sort_key(act: Act):
@@ -403,8 +401,10 @@ class Instance(_HashOnce):
     # ``(U, {prize: u(prize) * U})``, set once in `__post_init__`.
     _prize_table: tuple = field(init=False, repr=False, compare=False)
     # Evaluation memos (see `menulearn.evaluation`): owned by the instance so
-    # they are freed with it.  Act -> its per-state utilities as integer
-    # numerators over one denominator per act, ``(d_f, {state: n_f[s]})``;
+    # they are freed with it.  Act or posterior -> one integer vector over
+    # `states` with one denominator, ``(d_f, (n_f[s] for s in states))`` for
+    # an act's utilities and ``(D_p, (m_p[s] for s in states))`` for a
+    # posterior's masses (Act and Posterior keys never compare equal);
     # (menu, structure) -> benefit of information, one exact Fraction;
     # (F, G, strict) -> dominance verdict; the audit's mixtures
     # ((f, g, alpha) -> mixed act and (F, G, alpha) -> mixed menu in one

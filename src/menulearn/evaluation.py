@@ -4,30 +4,22 @@ The central quantity is the benefit of information ``b_F(pi)``: the expected
 utility of a member who will observe her posterior (drawn according to
 ``pi``), then pick the best act from the menu ``F``.  Every function here is
 pure in its inputs and returns exact Fractions.  The arithmetic runs on
-Python ints: the instance keeps its prize utilities over one denominator,
-each act's per-state utilities are integer numerators over one denominator
-per act (``n_f[s] / d_f``), and each posterior is put over the lcm of its
-denominators, so a menu's value under a posterior is an integer dot product
-per act and a max taken by cross-multiplication.  Three memos live on the
-`Instance` and are freed with it: each act's integer utilities
+Python ints: each act and each posterior is one integer vector over the
+instance's states ``inst.states`` with one denominator (``n_f[s] / d_f`` and
+``m_p[s] / D_p``), so a menu's value under a posterior is an integer dot
+product per act and a max taken by cross-multiplication.  Three memos live
+on the `Instance` and are freed with it: those vectors
 (`Instance._numerators`), each ``(menu, structure)`` benefit
 (`Instance._benefits`, one exact `Fraction` per entry) and each
-``(F, G, strict)`` dominance verdict (`Instance._dominance`) are computed
-once per instance.  The audit engine builds each mixed act and each mixed
-menu once per instance (`Instance._mixtures`, keyed ``(f, g, alpha)`` and
-``(F, G, alpha)``) and sends the menus it builds through the instance's
-intern table (`Instance._intern`), both freed with the instance, so a memo
-hit finds its key by identity.  Each `Criterion` keeps one row of benefits
-per menu it has ranked, built through this memo, and one weak-preference
-verdict per ordered menu pair it has been asked about; the criterion owns
-both tables and frees them.
+``(F, G, strict)`` dominance verdict (`Instance._dominance`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Sequence
+from operator import ge, gt, mul
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Act,
@@ -38,73 +30,53 @@ from .core import (
     Posterior,
     RationalLike,
     Value,
-    _missing_state,
     as_fraction,
     unit_weight,
+    validate_posterior,
 )
 from .errors import BadWeightError, ValidationError
 
 
-def _numerators(f: Act, inst: Instance) -> tuple[int, dict[str, int]]:
-    """``(d_f, {state: n_f[s]})``: act *f* pays utility ``n_f[s] / d_f`` in state s.
+def _vector(key: Act | Posterior, inst: Instance) -> tuple[int, tuple[int, ...]]:
+    """``(d, v)``: act or posterior *key* reads ``v[i] / d`` in state ``inst.states[i]``.
 
-    Memoized on *inst*.  ``d_f`` is the lcm of the per-state lottery
-    denominators, so each numerator is rescaled by ``d_f // den``.
+    Memoized on *inst*.  An act's entries are its lottery utilities, so it
+    must cover every state; a posterior's are its masses, so it may name no
+    other state.  ``d`` is the lcm of the entries' denominators.
     """
     table = inst._numerators
-    entry = table.get(f)
+    entry = table.get(key)
     if entry is None:
-        parts = [(state, inst._lottery_numerator(lottery)) for state, lottery in f.outcomes]
-        common = lcm(*[den for _, (_, den) in parts])
-        entry = table[f] = (
-            common,
-            {state: num * (common // den) for state, (num, den) in parts},
-        )
+        if isinstance(key, Act):
+            parts = [inst._lottery_numerator(key.lottery(state)) for state in inst.states]
+        else:
+            validate_posterior(key, inst)
+            parts = [(prob.numerator, prob.denominator) for prob in map(key.prob, inst.states)]
+        common = lcm(*[den for _, den in parts])
+        entry = table[key] = (common, tuple([num * (common // den) for num, den in parts]))
     return entry
 
 
-def _posterior_numerators(p: Posterior) -> tuple[int, list[tuple[str, int]]]:
-    """``(D_p, [(state, m_p[s])])``: posterior *p* puts mass ``m_p[s] / D_p`` on state s."""
-    probs = p.probs
-    common = lcm(*[prob.denominator for _, prob in probs])
-    return common, [
-        (state, prob.numerator * (common // prob.denominator)) for state, prob in probs
-    ]
-
-
-def _act_numerator(f: Act, masses: list[tuple[str, int]], inst: Instance) -> tuple[int, int]:
-    """``(v, d_f)``: act *f* is worth ``v / (D_p * d_f)`` under the posterior *masses*."""
-    common, numerators = _numerators(f, inst)
-    try:
-        return sum([mass * numerators[state] for state, mass in masses]), common
-    except KeyError as exc:
-        raise _missing_state(f, exc.args[0]) from None
-
-
-def _support_numerator(
-    menu: Menu, masses: list[tuple[str, int]], inst: Instance
-) -> tuple[int, int]:
-    """``(v, d)`` of the menu's best act under *masses*; the max is cross-multiplied."""
+def _best(acts: Iterable[Act], p: Posterior, inst: Instance) -> tuple[int, int]:
+    """``(v, d)``: the best of *acts* is worth ``v / d`` under *p*; the max is cross-multiplied."""
+    scale, masses = _vector(p, inst)
     best, best_den = None, 1
-    for f in menu:
-        value, den = _act_numerator(f, masses, inst)
+    for f in acts:
+        den, utils = _vector(f, inst)
+        value = sum(map(mul, masses, utils))
         if best is None or value * best_den > best * den:
             best, best_den = value, den
-    return best, best_den
+    return best, scale * best_den
 
 
 def act_value(f: Act, p: Posterior, inst: Instance) -> Value:
     """Expected utility of act *f* under posterior *p*."""
-    scale, masses = _posterior_numerators(p)
-    value, den = _act_numerator(f, masses, inst)
-    return Fraction(value, scale * den)
+    return Fraction(*_best((f,), p, inst))
 
 
 def support_value(menu: Menu, p: Posterior, inst: Instance) -> Value:
     """Value of the menu once posterior *p* is known: the best act's expected utility."""
-    scale, masses = _posterior_numerators(p)
-    value, den = _support_numerator(menu, masses, inst)
-    return Fraction(value, scale * den)
+    return Fraction(*_best(menu, p, inst))
 
 
 def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -120,9 +92,8 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
     if total is None:
         num, den = 0, 1
         for posterior, weight in pi.support:
-            scale, masses = _posterior_numerators(posterior)
-            value, act_den = _support_numerator(menu, masses, inst)
-            term_den = weight.denominator * scale * act_den
+            value, term_den = _best(menu, posterior, inst)
+            term_den *= weight.denominator
             num = num * term_den + weight.numerator * value * den
             den *= term_den
         total = inst._benefits[key] = Fraction(num, den)
@@ -213,27 +184,13 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
 
 def _dominates(F: Menu, G: Menu, inst: Instance, strict: bool) -> bool:
     """Each ``n_f[s] / d_f >= n_g[s] / d_g`` is decided as ``n_f[s] d_g >= n_g[s] d_f``."""
-    f_profiles = [_profile(f, inst) for f in F]
+    better = gt if strict else ge
+    f_vectors = [_vector(f, inst) for f in F]
     for g in G:
-        g_den, g_profile = _profile(g, inst)
-        covered = False
-        for f_den, f_profile in f_profiles:
-            if strict:
-                ok = all(fv * g_den > gv * f_den for fv, gv in zip(f_profile, g_profile))
-            else:
-                ok = all(fv * g_den >= gv * f_den for fv, gv in zip(f_profile, g_profile))
-            if ok:
-                covered = True
-                break
-        if not covered:
+        g_den, g_utils = _vector(g, inst)
+        if not any(
+            all(map(better, [fv * g_den for fv in f_utils], [gv * f_den for gv in g_utils]))
+            for f_den, f_utils in f_vectors
+        ):
             return False
     return True
-
-
-def _profile(f: Act, inst: Instance) -> tuple[int, tuple[int, ...]]:
-    """``(d_f, numerators)`` in the instance's state order; the act must be total."""
-    common, numerators = _numerators(f, inst)
-    try:
-        return common, tuple([numerators[state] for state in inst.states])
-    except KeyError as exc:
-        raise _missing_state(f, exc.args[0]) from None

@@ -120,8 +120,10 @@ def instances(draw, max_states: int = 3, max_prizes: int = 3):
             lambda vals: len(set(vals)) > 1
         )
     )
+    # A shuffled state order: readers must index by `inst.states`, not by label.
+    states = draw(st.permutations([f"s{i}" for i in range(n_states)]))
     return Instance(
-        states=tuple(f"s{i}" for i in range(n_states)),
+        states=tuple(states),
         prizes=tuple(f"z{i}" for i in range(n_prizes)),
         utility={f"z{i}": Fraction(u) for i, u in enumerate(utilities)},
     )

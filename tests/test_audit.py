@@ -63,6 +63,24 @@ class TestGenerateCorpus:
         with pytest.raises(BadWeightError, match="strictly between 0 and 1"):
             AuditConfig(alpha_grid=(alpha,))
 
+    @pytest.mark.parametrize("axioms", [{"transitivity"}, {Axiom.TRANSITIVITY, "dominance"}])
+    def test_axioms_must_be_axiom_members(self, axioms):
+        stray = next(a for a in axioms if isinstance(a, str))
+        with pytest.raises(ValidationError, match=f"must be Axiom members, got '{stray}'$"):
+            AuditConfig(axioms=axioms)
+
+    def test_grid_weights_are_exact_rationals(self):
+        with pytest.raises(TypeError, match="exact rational"):
+            AuditConfig(alpha_grid=(0.1,))
+        with pytest.raises(ValidationError, match="malformed rational 'abc'"):
+            AuditConfig(alpha_grid=("abc",))
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_tuple_cap_must_be_positive(self, cap):
+        with pytest.raises(ValidationError, match="max_tuples must be at least 1"):
+            AuditConfig(max_tuples=cap)
+        assert AuditConfig(max_tuples=1).max_tuples == 1
+
 
 class TestAlphaGrid:
     def test_repeated_weights_are_kept_once_in_first_seen_order(self):

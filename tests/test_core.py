@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from menulearn import (
     Act,
+    AlphaPolicy,
     BadProbabilityError,
     BadWeightError,
     Collection,
@@ -325,6 +326,20 @@ class TestInputRules:
         x, y = Lottery.degenerate("a"), Lottery.degenerate("b")
         with pytest.raises(BadWeightError, match="mixture weight"):
             mix_lotteries(x, y, 2)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Lottery({"a": "x"}),
+            lambda: mix_lotteries(Lottery.degenerate("a"), Lottery.degenerate("b"), "abc"),
+            lambda: unit_weight("abc", "w"),
+            lambda: AlphaPolicy.constant("1/0"),
+        ],
+        ids=["lottery", "mix_lotteries", "unit_weight", "alpha_policy"],
+    )
+    def test_malformed_rational_string_is_a_validation_error(self, build):
+        with pytest.raises(ValidationError, match="^malformed rational '"):
+            build()
 
     def test_lottery_in_a_state_the_act_lacks(self):
         act = Act({"w1": Lottery.degenerate("x")})

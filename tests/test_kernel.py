@@ -1,16 +1,17 @@
 """The memoized evaluation kernel against the plain reference definitions.
 
-`menulearn.evaluation` keeps its memos (integer act utilities, benefits,
-dominance verdicts), the audit's mixtures and its menu intern table on the
-`Instance`, and each `Criterion` keeps its benefit rows and pair verdicts;
-these tests check that the kernel agrees exactly with
+`menulearn.evaluation` keeps its memos (one integer vector per act and per
+posterior, benefits, dominance verdicts), the audit's mixtures and its menu
+intern table on the `Instance`, and each `Criterion` keeps its benefit rows
+and pair verdicts; these tests check that the kernel agrees exactly with
 `reference_evaluation`, also where the integer path is stressed by
 coprime, large and negative denominators and by ties that only show after
 cross-multiplying, that each memo keeps apart the questions it must
 (strict from weak dominance), that the audit's mixtures and randomizations
 equal the public mixers' and its menus are interned without changing any
-report, that malformed acts raise typed errors, and that every table is
-freed with its owner.
+report, that vectors follow the instance's state order, that malformed acts
+and posteriors raise typed errors, and that every table is freed with its
+owner.
 """
 
 import gc
@@ -137,7 +138,7 @@ def coprime_instances(draw):
     utility = {f"z{i}": Fraction(n, d) for i, (n, d) in enumerate(zip(nums, dens))}
     assume(len(set(utility.values())) > 1)
     return Instance(
-        states=tuple(f"s{i}" for i in range(n_states)),
+        states=tuple(draw(st.permutations([f"s{i}" for i in range(n_states)]))),
         prizes=tuple(utility),
         utility=utility,
     )
@@ -209,13 +210,17 @@ class TestIntegerKernel:
                             A, B, inst, strict=strict
                         )
         assert all(type(value) is Fraction for value in inst._benefits.values())
-        for f, (den, numerators) in inst._numerators.items():
-            assert type(den) is int and all(type(n) is int for n in numerators.values())
-            assert {s: Fraction(n, den) for s, n in numerators.items()} == {
-                s: ref.lottery_utility(x, inst) for s, x in f.outcomes
-            }
-            for _, x in f.outcomes:
-                assert inst.lottery_utility(x) == ref.lottery_utility(x, inst)
+        # One integer vector per act and per posterior, in `inst.states` order.
+        assert {key for key in inst._numerators if isinstance(key, Posterior)} == set(posteriors_)
+        for key, (den, vector) in inst._numerators.items():
+            assert type(den) is int and all(type(n) is int for n in vector)
+            if isinstance(key, Act):
+                expected = [ref.lottery_utility(key.lottery(s), inst) for s in inst.states]
+                for _, x in key.outcomes:
+                    assert inst.lottery_utility(x) == ref.lottery_utility(x, inst)
+            else:
+                expected = [key.prob(s) for s in inst.states]
+            assert [Fraction(n, den) for n in vector] == expected
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -255,6 +260,49 @@ class TestIntegerKernel:
         # 3/5 is (3, 3) over 5: the larger numerators belong to the worse act.
         poorer = Lottery({"win": Fraction(1, 5), "lose": Fraction(4, 5)})
         assert support_value(Menu((sure, Act({"w1": poorer, "w2": poorer}))), p, inst) == 1
+
+    def test_vectors_follow_the_instance_state_order(self):
+        # States listed against label order: a reader that indexed by sorted
+        # label would swap w1 and w2 in every value and verdict below.
+        inst = Instance(
+            states=("w2", "w1"), prizes=("win", "mid", "lose"),
+            utility={"win": 3, "mid": 1, "lose": 0},
+        )
+        win, mid, lose = (Lottery.degenerate(z) for z in ("win", "mid", "lose"))
+        coin = Lottery({"win": Fraction(1, 2), "lose": Fraction(1, 2)})
+        f = Act({"w1": win, "w2": lose})
+        g = Act({"w1": mid, "w2": coin})
+        h = Act({"w1": lose, "w2": mid})
+        menus_ = [Menu((f,)), Menu((g,)), Menu((h,)), Menu((f, g)), Menu((g, h))]
+        posteriors_ = [
+            Posterior({"w1": Fraction(1, 3), "w2": Fraction(2, 3)}),
+            Posterior.degenerate("w1"),
+            Posterior.degenerate("w2"),
+        ]
+        pi = InfoStructure(tuple((p, Fraction(1, 3)) for p in posteriors_))
+        assert act_value(f, posteriors_[0], inst) == 1
+        assert act_value(g, posteriors_[0], inst) == Fraction(4, 3)
+        assert support_value(Menu((f, g)), posteriors_[1], inst) == 3
+        assert benefit_of_information(Menu((f, g)), pi, inst) == Fraction(1, 3) * (
+            Fraction(4, 3) + 3 + Fraction(3, 2)
+        )
+        for menu in menus_:
+            assert benefit_of_information(menu, pi, inst) == ref.benefit(menu, pi, inst)
+            for p in posteriors_:
+                assert support_value(menu, p, inst) == ref.support_value(menu, p, inst)
+                for act in menu:
+                    assert act_value(act, p, inst) == ref.act_value(act, p, inst)
+        assert inst._numerators[f] == (1, (0, 3))
+        assert inst._numerators[g] == (2, (3, 2))
+        assert inst._numerators[posteriors_[0]] == (3, (2, 1))
+        assert dominates(Menu((g,)), Menu((h,)), inst, strict=True)
+        assert not dominates(Menu((f,)), Menu((h,)), inst)
+        for A in menus_:
+            for B in menus_:
+                for strict in (False, True):
+                    assert dominates(A, B, inst, strict=strict) == ref.dominates(
+                        A, B, inst, strict=strict
+                    )
 
 
 class TestMixturesAgainstReference:
@@ -445,6 +493,30 @@ class TestTypedErrors:
         with pytest.raises(DimensionMismatchError):
             act_value(partial, Posterior.degenerate("w2"), two_state_instance)
 
+    def test_posterior_on_a_state_outside_the_instance(self, two_state_instance):
+        # The act names w3, so only the posterior check can catch it.
+        inst = two_state_instance
+        lose, win = Lottery.degenerate("lose"), Lottery.degenerate("win")
+        f = Act({"w1": lose, "w2": lose, "w3": win})
+        p = Posterior({"w3": 1})
+        with pytest.raises(DimensionMismatchError, match=r"unknown states \['w3'\]"):
+            act_value(f, p, inst)
+        with pytest.raises(DimensionMismatchError, match=r"unknown states \['w3'\]"):
+            support_value(Menu((f,)), p, inst)
+        with pytest.raises(DimensionMismatchError, match=r"unknown states \['w3'\]"):
+            benefit_of_information(Menu((f,)), InfoStructure.point_mass(p), inst)
+
+    def test_partial_act_under_a_posterior_on_its_states(self, two_state_instance):
+        inst = two_state_instance
+        partial = Act({"w1": Lottery.degenerate("win")})
+        p = Posterior.degenerate("w1")
+        with pytest.raises(DimensionMismatchError, match="no outcome for state 'w2'"):
+            act_value(partial, p, inst)
+        with pytest.raises(DimensionMismatchError, match="no outcome for state 'w2'"):
+            support_value(Menu((partial,)), p, inst)
+        with pytest.raises(DimensionMismatchError, match="no outcome for state 'w2'"):
+            benefit_of_information(Menu((partial,)), InfoStructure.point_mass(p), inst)
+
     def test_dominance_needs_total_acts(self, two_state_instance):
         inst = two_state_instance
         total = Menu((Act({"w1": Lottery.degenerate("win"), "w2": Lottery.degenerate("win")}),))
@@ -510,14 +582,19 @@ class TestMemoLifetime:
         audit(criterion, corpus, config)
         assert criterion._rows and criterion._pairs and all(criterion._pairs.values())
         assert inst._menus and inst._benefits and inst._dominance and inst._mixtures
-        assert inst._numerators
         # A mixed act is held by the instance's tables alone once the
-        # corpus is gone, so it outlives them only if they leak.
-        mixed = next(act for act in inst._numerators if not any(act in menu for menu in corpus))
-        alive = [weakref.ref(criterion), weakref.ref(inst), weakref.ref(mixed)]
-        del criterion, corpus, inst, mixed
+        # corpus is gone, so it outlives them only if they leak; a posterior
+        # is held by the criterion's structures and the integer table.
+        mixed = next(
+            key
+            for key in inst._numerators
+            if isinstance(key, Act) and not any(key in menu for menu in corpus)
+        )
+        posterior = next(key for key in inst._numerators if isinstance(key, Posterior))
+        alive = [weakref.ref(obj) for obj in (criterion, inst, mixed, posterior)]
+        del criterion, corpus, inst, mixed, posterior
         gc.collect()
-        assert [weak() for weak in alive] == [None, None, None]
+        assert [weak() for weak in alive] == [None] * 4
 
     def test_integer_table_is_left_out_of_pickles(self):
         rng = random.Random(9)
@@ -528,7 +605,8 @@ class TestMemoLifetime:
         for F in corpus:
             benefit_of_information(F, pi, inst)
             dominates(F, corpus[0], inst)
-        assert inst._numerators and inst._benefits
+        assert inst._benefits
+        assert {type(key) for key in inst._numerators} == {Act, Posterior}
         assert len(pickle.dumps(inst)) == len(pickle.dumps(fresh))
         copied = pickle.loads(pickle.dumps(inst))
         assert copied == inst and copied._numerators == {} and copied._benefits == {}
