@@ -5,7 +5,8 @@ tuples of the axiom's arity (mixtures drawn from a rational grid), and
 reports pass / fail / vacuous per axiom, or truncated when the tuple cap
 cut the enumeration short.  Failures carry a replayable, shrunken
 counterexample: rerunning the audit on the counterexample menus alone
-reproduces the failure.
+reproduces the failure.  Each axiom is defined in one place, its entry in
+the spec table `_SPECS`: the tuples it is checked on and its test of one.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     Act,
@@ -37,7 +38,7 @@ from .core import (
     as_fraction,
     constant_menu,
 )
-from .comparative import _HOLDS, _VACUOUS, _VIOLATED, _scan
+from .comparative import _VACUOUS, _VIOLATED, _scan
 from .comparative import STATUS_FAIL, STATUS_PASS, STATUS_TRUNCATED, STATUS_VACUOUS
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
@@ -187,10 +188,7 @@ class AuditReport:
         return not self.failures and not self.truncations
 
     def result_for(self, axiom: Axiom) -> Optional[AxiomResult]:
-        for result in self.results:
-            if result.axiom is axiom:
-                return result
-        return None
+        return next((result for result in self.results if result.axiom is axiom), None)
 
     def to_records(self) -> list[dict]:
         return [r.to_record() for r in self.results]
@@ -297,17 +295,8 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
     structured.append(constant_menu(inst, mid))
     # Acts strictly above the worst utility in every state, so mixing the
     # menu toward the worst prize is strictly statewise dominated.
-    strict_upper = Menu(
-        (
-            constant_menu(inst, best).acts[0],
-            Act(
-                {
-                    state: mix_lotteries(best, worst, Fraction(2, 3))
-                    for state in inst.states
-                }
-            ),
-        )
-    )
+    upper = Act({state: mix_lotteries(best, worst, Fraction(2, 3)) for state in inst.states})
+    strict_upper = Menu((constant_menu(inst, best).acts[0], upper))
     structured.append(strict_upper)
     structured.append(mix_menus(strict_upper, constant_menu(inst, worst), Fraction(1, 2)))
     bigger = random_menu(rng, inst, max_acts=3).union(constant_menu(inst, mid))
@@ -324,74 +313,146 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 # Axiom checking
 # ---------------------------------------------------------------------------
 
-def _test_axiom(
-    axiom: Axiom,
-    cmp: Criterion,
-    menus: tuple[Menu, ...],
-    alpha: Optional[Fraction],
-    betas: Optional[tuple[Fraction, ...]],
-) -> str:
-    """Evaluate one axiom on one concrete tuple: holds / vacuous / violated."""
+class _Spec(NamedTuple):
+    """One axiom: the menu tuples ``tuples(corpus, inst)``, each tried with
+    every ``(alpha, betas)`` of ``weights(config)``, and ``test(cmp, menus,
+    alpha, betas)``: `_VACUOUS` when the antecedent does not fire, else
+    whether the consequent holds."""
+
+    tuples: Callable[[Sequence[Menu], Instance], Iterable[tuple[Menu, ...]]]
+    test: Callable[..., Optional[bool]]
+    weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
+
+    def candidates(self, corpus: Sequence[Menu], config: AuditConfig, inst: Instance):
+        """Every ``(menus, alpha, betas)`` in deterministic order, weights varying fastest."""
+        weights = self.weights(config)
+        for menus in self.tuples(corpus, inst):
+            for alpha, betas in weights:
+                yield menus, alpha, betas
+
+
+def _grid(config: AuditConfig) -> list[tuple]:
+    return [(alpha, None) for alpha in config.alpha_grid]
+
+
+def _randomizations(config: AuditConfig) -> list[tuple]:
+    return [(None, (a, 1 - a)) for a in config.alpha_grid] + [(None, (Fraction(1, 3),) * 3)]
+
+
+def _with_singletons(corpus: Sequence[Menu], inst: Instance):
+    # The singletons are built here, so they are interned like the corpus.
+    acts = dict.fromkeys(act for menu in corpus for act in menu)
+    return itertools.product(corpus, [inst._intern(Menu((act,))) for act in acts])
+
+
+def _nontriviality(cmp, menus, alpha, betas):
+    # `audit` reads a "violation", a strictly ranked pair, as the witness.
+    return _VIOLATED if cmp.strictly_prefers(*menus) else _VACUOUS
+
+
+def _completeness_for_lotteries(cmp, menus, alpha, betas):
+    lotteries = all(len(menu) == 1 and menu.acts[0].is_constant() for menu in menus)
+    return _completeness(cmp, menus, alpha, betas) if lotteries else _VACUOUS
+
+
+def _completeness(cmp, menus, alpha, betas):
+    return cmp.compare(*menus) is not Verdict.INCOMPARABLE
+
+
+def _transitivity(cmp, menus, alpha, betas):
+    F, G, H = menus
+    if cmp.weakly_prefers(F, G) and cmp.weakly_prefers(G, H):
+        return cmp.weakly_prefers(F, H)
+    return _VACUOUS
+
+
+def _unambiguous_transitivity(cmp, menus, alpha, betas):
+    F, G, H = menus
+    if (dominates(F, G, cmp.instance) and cmp.weakly_prefers(G, H)) or (
+        cmp.weakly_prefers(F, G) and dominates(G, H, cmp.instance)
+    ):
+        return cmp.weakly_prefers(F, H)
+    return _VACUOUS
+
+
+def _reflexivity(cmp, menus, alpha, betas):
+    (F,) = menus
+    return cmp.weakly_prefers(F, F)
+
+
+def _preference_for_flexibility(cmp, menus, alpha, betas):
+    F, G = menus
+    return cmp.weakly_prefers(F, G) if G.issubset(F) else _VACUOUS
+
+
+def _dominance(cmp, menus, alpha, betas):
+    F, g_menu = menus
     inst = cmp.instance
-    if axiom is Axiom.COMPLETENESS_FOR_LOTTERIES:
-        F, G = menus
-        if not (_is_lottery_menu(F) and _is_lottery_menu(G)):
-            return _VACUOUS
-        return _VIOLATED if cmp.compare(F, G) is Verdict.INCOMPARABLE else _HOLDS
-    if axiom is Axiom.COMPLETENESS:
-        F, G = menus
-        return _VIOLATED if cmp.compare(F, G) is Verdict.INCOMPARABLE else _HOLDS
-    if axiom is Axiom.TRANSITIVITY:
-        F, G, H = menus
-        if cmp.weakly_prefers(F, G) and cmp.weakly_prefers(G, H):
-            return _HOLDS if cmp.weakly_prefers(F, H) else _VIOLATED
+    if len(g_menu) != 1 or not dominates(F, g_menu, inst):
         return _VACUOUS
-    if axiom is Axiom.UNAMBIGUOUS_TRANSITIVITY:
-        F, G, H = menus
-        fired = False
-        if dominates(F, G, inst) and cmp.weakly_prefers(G, H):
-            fired = True
-            if not cmp.weakly_prefers(F, H):
-                return _VIOLATED
-        if cmp.weakly_prefers(F, G) and dominates(G, H, inst):
-            fired = True
-            if not cmp.weakly_prefers(F, H):
-                return _VIOLATED
-        return _HOLDS if fired else _VACUOUS
-    if axiom is Axiom.REFLEXIVITY:
-        (F,) = menus
-        return _HOLDS if cmp.weakly_prefers(F, F) else _VIOLATED
-    if axiom is Axiom.PREFERENCE_FOR_FLEXIBILITY:
-        F, G = menus
-        if not G.issubset(F):
-            return _VACUOUS
-        return _HOLDS if cmp.weakly_prefers(F, G) else _VIOLATED
-    if axiom is Axiom.DOMINANCE:
-        F, g_menu = menus
-        if len(g_menu) != 1 or not dominates(F, g_menu, inst):
-            return _VACUOUS
-        widened = inst._intern(F.union(g_menu))
-        return _HOLDS if cmp.compare(F, widened) is Verdict.INDIFFERENT else _VIOLATED
-    if axiom is Axiom.INDEPENDENCE:
-        F, G, H = menus
-        assert alpha is not None
-        plain = cmp.compare(F, G)
-        mixed = cmp.compare(_mixed(inst, F, H, alpha), _mixed(inst, G, H, alpha))
-        return _HOLDS if plain is mixed else _VIOLATED
-    if axiom is Axiom.EX_POST_RANDOMIZATION:
-        (F,) = menus
-        assert betas is not None
-        spread = _randomize(F, betas, partial(_mixed, inst))
-        return _HOLDS if cmp.compare(spread, F) is Verdict.INDIFFERENT else _VIOLATED
-    if axiom is Axiom.FAVORABLE_MIXING_MONOTONICITY:
-        F, G, H, H2 = menus
-        assert alpha is not None
-        if not (cmp.strictly_prefers(F, G) and cmp.strictly_prefers(H, H2)):
-            return _VACUOUS
-        left = _mixed(inst, F, H, alpha)
-        right = _mixed(inst, G, H2, alpha)
-        return _HOLDS if cmp.strictly_prefers(left, right) else _VIOLATED
-    raise ValueError(f"axiom {axiom} has no tuple test")
+    return cmp.compare(F, inst._intern(F.union(g_menu))) is Verdict.INDIFFERENT
+
+
+def _independence(cmp, menus, alpha, betas):
+    F, G, H = menus
+    inst = cmp.instance
+    return cmp.compare(F, G) is cmp.compare(_mixed(inst, F, H, alpha), _mixed(inst, G, H, alpha))
+
+
+def _ex_post_randomization(cmp, menus, alpha, betas):
+    (F,) = menus
+    spread = _randomize(F, betas, partial(_mixed, cmp.instance))
+    return cmp.compare(spread, F) is Verdict.INDIFFERENT
+
+
+def _favorable_mixing_monotonicity(cmp, menus, alpha, betas):
+    F, G, H, H2 = menus
+    if not (cmp.strictly_prefers(F, G) and cmp.strictly_prefers(H, H2)):
+        return _VACUOUS
+    inst = cmp.instance
+    return cmp.strictly_prefers(_mixed(inst, F, H, alpha), _mixed(inst, G, H2, alpha))
+
+
+#: The one definition of each selectable axiom, in `Axiom` order.
+_SPECS: dict[Axiom, _Spec] = {
+    Axiom.NONTRIVIALITY: _Spec(
+        lambda corpus, inst: itertools.permutations(corpus, 2), _nontriviality
+    ),
+    Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(
+        lambda corpus, inst: itertools.combinations(corpus, 2), _completeness_for_lotteries
+    ),
+    Axiom.COMPLETENESS: _Spec(
+        lambda corpus, inst: itertools.combinations(corpus, 2), _completeness
+    ),
+    Axiom.TRANSITIVITY: _Spec(
+        lambda corpus, inst: itertools.product(corpus, repeat=3), _transitivity
+    ),
+    Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(
+        lambda corpus, inst: itertools.product(corpus, repeat=3), _unambiguous_transitivity
+    ),
+    Axiom.REFLEXIVITY: _Spec(lambda corpus, inst: zip(corpus), _reflexivity),
+    Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(
+        lambda corpus, inst: itertools.permutations(corpus, 2), _preference_for_flexibility
+    ),
+    Axiom.DOMINANCE: _Spec(_with_singletons, _dominance),
+    Axiom.INDEPENDENCE: _Spec(
+        lambda corpus, inst: (
+            pair + (H,) for pair in itertools.combinations(corpus, 2) for H in corpus
+        ),
+        _independence,
+        _grid,
+    ),
+    Axiom.EX_POST_RANDOMIZATION: _Spec(
+        lambda corpus, inst: zip(corpus), _ex_post_randomization, _randomizations
+    ),
+    Axiom.FAVORABLE_MIXING_MONOTONICITY: _Spec(
+        lambda corpus, inst: (
+            p + q for p, q in itertools.product(itertools.permutations(corpus, 2), repeat=2)
+        ),
+        _favorable_mixing_monotonicity,
+        _grid,
+    ),
+}
 
 
 def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
@@ -418,95 +479,27 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     return menu
 
 
-def _is_lottery_menu(menu: Menu) -> bool:
-    return len(menu) == 1 and menu.acts[0].is_constant()
-
-
-def _axiom_tuples(
-    axiom: Axiom,
-    corpus: Sequence[Menu],
-    config: AuditConfig,
-    inst: Instance,
-) -> Iterator[tuple[tuple[Menu, ...], Optional[Fraction], Optional[tuple[Fraction, ...]]]]:
-    """All candidate tuples for one axiom, in deterministic order.
-
-    The dominance singletons are menus built here, so they are interned on
-    *inst* like the corpus.
-    """
-    if axiom in (Axiom.COMPLETENESS, Axiom.COMPLETENESS_FOR_LOTTERIES):
-        for F, G in itertools.combinations(corpus, 2):
-            yield (F, G), None, None
-    elif axiom in (Axiom.TRANSITIVITY, Axiom.UNAMBIGUOUS_TRANSITIVITY):
-        for triple in itertools.product(corpus, repeat=3):
-            yield tuple(triple), None, None
-    elif axiom is Axiom.REFLEXIVITY:
-        for F in corpus:
-            yield (F,), None, None
-    elif axiom is Axiom.PREFERENCE_FOR_FLEXIBILITY:
-        for F, G in itertools.permutations(corpus, 2):
-            yield (F, G), None, None
-    elif axiom is Axiom.DOMINANCE:
-        acts = dict.fromkeys(act for menu in corpus for act in menu)
-        singletons = [inst._intern(Menu((act,))) for act in acts]
-        for F in corpus:
-            for singleton in singletons:
-                yield (F, singleton), None, None
-    elif axiom is Axiom.INDEPENDENCE:
-        for F, G in itertools.combinations(corpus, 2):
-            for H in corpus:
-                for alpha in config.alpha_grid:
-                    yield (F, G, H), alpha, None
-    elif axiom is Axiom.EX_POST_RANDOMIZATION:
-        beta_lists = [(alpha, 1 - alpha) for alpha in config.alpha_grid]
-        beta_lists.append((Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
-        for F in corpus:
-            for betas in beta_lists:
-                yield (F,), None, betas
-    elif axiom is Axiom.FAVORABLE_MIXING_MONOTONICITY:
-        for F, G in itertools.permutations(corpus, 2):
-            for H, H2 in itertools.permutations(corpus, 2):
-                for alpha in config.alpha_grid:
-                    yield (F, G, H, H2), alpha, None
-    else:
-        raise ValueError(f"axiom {axiom} is not tuple-enumerable")
-
-
 def _shrink_counterexample(
-    axiom: Axiom,
+    test: Callable[..., Optional[bool]],
     cmp: Criterion,
     menus: tuple[Menu, ...],
     alpha: Optional[Fraction],
     betas: Optional[tuple[Fraction, ...]],
 ) -> tuple[Menu, ...]:
-    """Greedily drop acts from the witness menus while the violation persists."""
-    current = menus
-    progress = True
-    while progress:
-        progress = False
-        for i, menu in enumerate(current):
-            if len(menu) <= 1:
-                continue
-            for act in menu:
-                smaller = cmp.instance._intern(Menu(tuple(a for a in menu.acts if a != act)))
-                candidate = current[:i] + (smaller,) + current[i + 1:]
-                if _test_axiom(axiom, cmp, candidate, alpha, betas) == _VIOLATED:
-                    current = candidate
-                    progress = True
-                    break
-            if progress:
-                break
-    return current
-
-
-def _check_nontriviality(cmp: Criterion, corpus: Sequence[Menu]) -> AxiomResult:
-    # An existence claim: the first strictly ranked pair refutes triviality.
-    # With no strict pair in this corpus it cannot fail finitely.
-    status, _, checked, fired = _scan(
-        itertools.permutations(corpus, 2),
-        lambda F, G: _VIOLATED if cmp.strictly_prefers(F, G) else _VACUOUS,
-    )
-    status = STATUS_PASS if status == STATUS_FAIL else STATUS_VACUOUS
-    return AxiomResult(Axiom.NONTRIVIALITY, status, tuples_checked=checked, antecedents=fired)
+    """Greedily drop acts from the witness menus while *test* still finds a violation:
+    each round keeps the first violated tuple one act smaller, menu by menu, act by act."""
+    intern = cmp.instance._intern
+    while True:
+        smaller = (
+            menus[:i] + (intern(Menu(tuple(a for a in menu.acts if a != act))),) + menus[i + 1:]
+            for i, menu in enumerate(menus)
+            if len(menu) > 1
+            for act in menu
+        )
+        violated = next((c for c in smaller if test(cmp, c, alpha, betas) == _VIOLATED), None)
+        if violated is None:
+            return menus
+        menus = violated
 
 
 def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditReport:
@@ -515,30 +508,31 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
     Tuple enumeration is exhaustive up to ``config.max_tuples`` per axiom;
     an axiom with tuples left over and no failure among those checked is
     reported "truncated".  Gridded axioms report "pass-on-grid" rather than
-    "pass".  A trailing entry records that continuity is not audited.
+    "pass".  Nontriviality is scanned to the end whatever the cap: its
+    first strictly ranked pair makes it pass, and with none it is vacuous.
+    A trailing entry records that continuity is not audited.
     """
     corpus = list(corpus)
     results: list[AxiomResult] = []
-    for axiom in Axiom:
-        if axiom not in config.axioms or axiom is Axiom.CONTINUITY:
+    for axiom, spec in _SPECS.items():
+        if axiom not in config.axioms:
             continue
-        if axiom is Axiom.NONTRIVIALITY:
-            results.append(_check_nontriviality(cmp, corpus))
-            continue
+        existence = axiom is Axiom.NONTRIVIALITY
         status, witness, checked, fired = _scan(
-            _axiom_tuples(axiom, corpus, config, cmp.instance),
-            partial(_test_axiom, axiom, cmp),
-            config.max_tuples,
+            spec.candidates(corpus, config, cmp.instance),
+            partial(spec.test, cmp),
+            None if existence else config.max_tuples,
         )
-        if status == STATUS_FAIL:
+        shrunk = alpha = betas = None
+        if existence:
+            status = STATUS_PASS if status == STATUS_FAIL else STATUS_VACUOUS
+        elif status == STATUS_FAIL:
             menus, alpha, betas = witness
-            shrunk = _shrink_counterexample(axiom, cmp, menus, alpha, betas)
-            results.append(AxiomResult(axiom, status, shrunk, alpha, betas, checked, fired))
-            continue
-        gridded = axiom in (Axiom.INDEPENDENCE, Axiom.FAVORABLE_MIXING_MONOTONICITY)
-        if status == STATUS_PASS and gridded:
+            shrunk = _shrink_counterexample(spec.test, cmp, menus, alpha, betas)
+        elif status == STATUS_PASS and any(a is not None for a, _ in spec.weights(config)):
+            # The candidates carry an α, so the pass only covers the grid.
             status = STATUS_PASS_ON_GRID
-        results.append(AxiomResult(axiom, status, tuples_checked=checked, antecedents=fired))
+        results.append(AxiomResult(axiom, status, shrunk, alpha, betas, checked, fired))
     results.append(AxiomResult(Axiom.CONTINUITY, STATUS_NOT_AUDITED))
     return AuditReport(tuple(results))
 

@@ -126,25 +126,22 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _gap_rows(workspace: Workspace, criterion: str, param, left: Menu, right: Menu):
+def _gap_rows(workspace: Workspace, criterion: str, collection, left: Menu, right: Menu):
     """Per-generator benefit gaps that justify the verdict.
 
-    Rows are labelled by structure name; only ``hml`` rows carry a
-    ``groupN:`` prefix naming the sub-group.
+    Rows follow the criterion's collection and are labelled by structure
+    name; only ``hml`` rows carry a ``groupN:`` prefix naming the sub-group.
     """
     inst = workspace.instance
-    if criterion == "hml":
-        labelled = [(f"group{i}:", pi) for i, member in enumerate(param, start=1) for pi in member]
-    else:
-        labelled = [("", pi) for pi in ((param,) if criterion == "sl" else param)]
     return [
         [
-            prefix + workspace.structure_label(pi),
+            (f"group{i}:" if criterion == "hml" else "") + workspace.structure_label(pi),
             str(benefit_of_information(left, pi, inst)),
             str(benefit_of_information(right, pi, inst)),
             str(benefit_gap(left, right, pi, inst)),
         ]
-        for prefix, pi in labelled
+        for i, member in enumerate(collection, start=1)
+        for pi in member
     ]
 
 
@@ -155,7 +152,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     param = _resolve_param(workspace, args.criterion, args.param)
     comparator = _CRITERIA[args.criterion][0](workspace.instance, param)
     verdict = comparator.compare(left, right)
-    rows = _gap_rows(workspace, args.criterion, param, left, right)
+    rows = _gap_rows(workspace, args.criterion, comparator.collection, left, right)
     if args.format == "records":
         print(
             json.dumps(

@@ -537,15 +537,19 @@ def validate_lottery(lottery: Lottery | Mapping[str, RationalLike], inst: Instan
 
 def validate_act(act: Act, inst: Instance) -> None:
     """Check that the act assigns exactly the instance's states lotteries over its prizes."""
-    states, covered = set(inst.states), {state for state, _ in act.outcomes}
-    unknown = covered - states
-    if unknown:
-        raise ValidationError(f"unknown states {sorted(unknown)}")
+    states, covered = set(inst.states), set(act.states)
+    if not covered <= states:
+        raise ValidationError(_unknown_states(act, inst))
     missing = states - covered
     if missing:
         raise ValidationError(f"missing states {sorted(missing)}")
     for _, lottery in act.outcomes:
         validate_lottery(lottery, inst)
+
+
+def _unknown_states(act: Act, inst: Instance) -> str:
+    """The message for an act that names states outside the instance."""
+    return f"unknown states {sorted(set(act.states) - set(inst.states))}"
 
 
 def validate_posterior(p: Posterior | Mapping[str, RationalLike], inst: Instance) -> None:

@@ -30,25 +30,28 @@ from .core import (
     Posterior,
     RationalLike,
     Value,
+    _unknown_states,
     as_fraction,
     unit_weight,
     validate_posterior,
 )
-from .errors import BadWeightError, ValidationError
+from .errors import BadWeightError, DimensionMismatchError, ValidationError
 
 
 def _vector(key: Act | Posterior, inst: Instance) -> tuple[int, tuple[int, ...]]:
     """``(d, v)``: act or posterior *key* reads ``v[i] / d`` in state ``inst.states[i]``.
 
     Memoized on *inst*.  An act's entries are its lottery utilities, so it
-    must cover every state; a posterior's are its masses, so it may name no
-    other state.  ``d`` is the lcm of the entries' denominators.
+    must cover exactly the instance's states; a posterior's are its masses,
+    so it may name no other state.  ``d`` is the lcm of the entries' denominators.
     """
     table = inst._numerators
     entry = table.get(key)
     if entry is None:
         if isinstance(key, Act):
             parts = [inst._lottery_numerator(key.lottery(state)) for state in inst.states]
+            if len(key.outcomes) > len(parts):
+                raise DimensionMismatchError(_unknown_states(key, inst))
         else:
             validate_posterior(key, inst)
             parts = [(prob.numerator, prob.denominator) for prob in map(key.prob, inst.states)]

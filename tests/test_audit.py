@@ -1,31 +1,42 @@
 """The axiom-audit harness: corpora, verdict matrices, counterexamples."""
 
+import itertools
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
 from menulearn import (
+    ALL_AXIOMS,
     AuditConfig,
     Axiom,
     BadWeightError,
     BmlComparator,
     Collection,
     CredalSet,
+    Criterion,
     HmlComparator,
     InfoStructure,
     JmlComparator,
     Posterior,
     REQUIRED_AXIOMS,
+    SlComparator,
     ValidationError,
     audit,
     cross_audit,
     dominates,
     generate_corpus,
 )
-from menulearn.audit import random_instance
+from menulearn.audit import (
+    random_collection,
+    random_credal_set,
+    random_instance,
+    random_structure,
+)
 
 from conftest import menu_of
+from reference_audit import reference_audit
 
 
 class TestGenerateCorpus:
@@ -240,3 +251,99 @@ class TestCrossAudit:
         config = AuditConfig(axioms=REQUIRED_AXIOMS["jml"], corpus_size=5, seed=4)
         corpus = generate_corpus(inst, config)
         assert audit(cmp, corpus, config).passed
+
+
+@dataclass(frozen=True)
+class FlippedCriterion(Criterion):
+    """A broken criterion: weak preference negated on a fixed set of menu pairs."""
+
+    flipped: frozenset = frozenset()
+
+    def weakly_prefers(self, F, G):
+        return super().weakly_prefers(F, G) != ((F, G) in self.flipped)
+
+
+def seeded_criteria(seed):
+    """A random instance and its SL, BML, JML and HML criteria, all from *seed*."""
+    inst = random_instance(random.Random(seed))
+    rng = random.Random(1000 + seed)
+    structure = random_structure(rng, inst)
+    credal = random_credal_set(rng, inst)
+    collection = random_collection(rng, inst)
+    return inst, (
+        SlComparator(inst, structure),
+        BmlComparator(inst, credal),
+        JmlComparator(inst, credal),
+        HmlComparator(inst, collection),
+    )
+
+
+def assert_matches_reference(cmp, corpus, config):
+    """`audit` agrees with the reference, run on a fresh criterion, result by result."""
+    report = audit(cmp, corpus, config)
+    assert report == reference_audit(replace(cmp), corpus, config)
+    return report
+
+
+GRIDS = ((Fraction(1, 2),), (Fraction(1, 3), Fraction(1, 2)))
+
+
+class TestReferenceAudit:
+    """The spec-table audit against the plain enumerate-and-test reference."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_criteria(self, seed):
+        inst, criteria = seeded_criteria(seed)
+        for grid in GRIDS:
+            config = AuditConfig(corpus_size=6, seed=seed, alpha_grid=grid)
+            corpus = generate_corpus(inst, config)
+            for cmp in criteria:
+                assert_matches_reference(cmp, corpus, config)
+
+    def test_capped(self):
+        # Reversed, the corpus starts with random menus, so the first strict
+        # pair can lie past the cap, which nontriviality must ignore.
+        truncated = 0
+        for seed in range(3):
+            inst, criteria = seeded_criteria(seed)
+            for cap in (1, 40):
+                config = AuditConfig(corpus_size=6, seed=seed, max_tuples=cap)
+                corpus = generate_corpus(inst, config)
+                for cmp in criteria:
+                    for ordered in (corpus, corpus[::-1]):
+                        report = assert_matches_reference(cmp, ordered, config)
+                        truncated += len(report.truncations)
+        assert truncated > 0
+
+    def test_example2_jml_cycle(self, example2):
+        cmp = JmlComparator(example2.instance, example2.credal_set("both"))
+        fat = example2.menu("gh").union(example2.menu("f"))
+        for corpus in (
+            [example2.menu("fstar"), example2.menu("gh"), example2.menu("f")],
+            [example2.menu("fstar"), fat, example2.menu("f")],
+        ):
+            for grid in GRIDS:
+                config = AuditConfig(corpus_size=len(corpus), alpha_grid=grid)
+                report = assert_matches_reference(cmp, corpus, config)
+                assert report.result_for(Axiom.TRANSITIVITY).failed
+
+    def test_flipped_criterion_fails_every_axiom(self):
+        # Negating weak preference on corpus pairs breaks every axiom with a
+        # falsifiable consequent; each failure, its witness shrink included,
+        # must match the reference.
+        failed = set()
+        for seed in range(4):
+            inst, criteria = seeded_criteria(seed)
+            for grid in GRIDS:
+                config = AuditConfig(corpus_size=6, seed=seed, alpha_grid=grid)
+                corpus = generate_corpus(inst, config)
+                flipped = frozenset(
+                    (corpus[i], corpus[j])
+                    for i, j in itertools.product(range(len(corpus)), repeat=2)
+                    if (2 * i + j) % 5 == 1
+                )
+                for cmp in criteria:
+                    broken = FlippedCriterion(inst, cmp.collection, flipped)
+                    report = assert_matches_reference(broken, corpus, config)
+                    failed |= {result.axiom for result in report.failures}
+        assert failed == ALL_AXIOMS - {Axiom.NONTRIVIALITY}

@@ -60,7 +60,7 @@ from menulearn import (
     support_value,
 )
 from menulearn.audit import (
-    _axiom_tuples,
+    _SPECS,
     _mixed,
     random_collection,
     random_credal_set,
@@ -371,7 +371,7 @@ class TestDerivedMemos:
         for seed in range(6):
             inst = random_instance(random.Random(seed))
             corpus = generate_corpus(inst, replace(config, seed=seed))
-            tuples = list(_axiom_tuples(Axiom.EX_POST_RANDOMIZATION, corpus, config, inst))
+            tuples = list(_SPECS[Axiom.EX_POST_RANDOMIZATION].candidates(corpus, config, inst))
             assert {betas for _, _, betas in tuples} == {
                 (Fraction(1, 3), Fraction(2, 3)),
                 (Fraction(1, 2), Fraction(1, 2)),
@@ -428,9 +428,8 @@ class TestInterning:
                 if len(F) == 1:
                     # A one-act menu mixed with itself is itself.
                     assert _mixed(inst, F, F, alpha) is F
-            singletons = {
-                menus[1] for menus, _, _ in _axiom_tuples(Axiom.DOMINANCE, corpus, config, inst)
-            }
+            candidates = _SPECS[Axiom.DOMINANCE].candidates(corpus, config, inst)
+            singletons = {menus[1] for menus, _, _ in candidates}
             for singleton in singletons:
                 assert len(singleton) == 1
                 assert inst._intern(Menu(singleton.acts)) is singleton
@@ -494,7 +493,7 @@ class TestTypedErrors:
             act_value(partial, Posterior.degenerate("w2"), two_state_instance)
 
     def test_posterior_on_a_state_outside_the_instance(self, two_state_instance):
-        # The act names w3, so only the posterior check can catch it.
+        # Both name w3; the posterior is read first, so its check reports it.
         inst = two_state_instance
         lose, win = Lottery.degenerate("lose"), Lottery.degenerate("win")
         f = Act({"w1": lose, "w2": lose, "w3": win})
@@ -505,6 +504,22 @@ class TestTypedErrors:
             support_value(Menu((f,)), p, inst)
         with pytest.raises(DimensionMismatchError, match=r"unknown states \['w3'\]"):
             benefit_of_information(Menu((f,)), InfoStructure.point_mass(p), inst)
+
+    def test_act_on_a_state_outside_the_instance(self, two_state_instance):
+        # The posterior lies on the instance's states, so only the act's
+        # extra state w3 is wrong; it must not be ignored.
+        inst = two_state_instance
+        lose, win = Lottery.degenerate("lose"), Lottery.degenerate("win")
+        f = Act({"w1": lose, "w2": lose, "w3": win})
+        menu, p = Menu((f,)), Posterior.degenerate("w1")
+        for evaluate in (
+            lambda: act_value(f, p, inst),
+            lambda: support_value(menu, p, inst),
+            lambda: benefit_of_information(menu, InfoStructure.point_mass(p), inst),
+            lambda: dominates(menu, menu, inst),
+        ):
+            with pytest.raises(DimensionMismatchError, match=r"^unknown states \['w3'\]$"):
+                evaluate()
 
     def test_partial_act_under_a_posterior_on_its_states(self, two_state_instance):
         inst = two_state_instance

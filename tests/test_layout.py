@@ -7,7 +7,8 @@ below is part of one rule's error message, so it may appear in `core.py`
 and in no other module.  Memos are tables on the `Instance` or the
 `Criterion` they serve, freed with it, so no module may keep a
 module-level function cache.  A held `Criterion` is the only way to rank
-menus, and the README's library example runs as written.
+menus, each selectable axiom is defined by one entry of the audit's spec
+table, and the README's library example runs as written.
 """
 
 import re
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import menulearn
-from menulearn import Verdict, criteria, errors
+from menulearn import ALL_AXIOMS, Axiom, Verdict, criteria, errors
+from menulearn.audit import _SPECS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "menulearn"
@@ -65,6 +67,11 @@ REMOVED_NAMES = (
 @pytest.mark.parametrize("module", [menulearn, criteria, errors], ids=lambda m: m.__name__)
 def test_removed_names_stay_removed(module):
     assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+
+
+def test_each_selectable_axiom_has_one_spec_in_declaration_order():
+    assert list(_SPECS) == [axiom for axiom in Axiom if axiom is not Axiom.CONTINUITY]
+    assert frozenset(_SPECS) == ALL_AXIOMS
 
 
 def test_readme_library_example_runs():
