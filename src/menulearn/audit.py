@@ -103,10 +103,11 @@ STATUS_NOT_AUDITED = "not-audited"
 class AuditConfig:
     """Knobs for corpus generation and axiom checking.
 
-    ``axioms`` holds `Axiom` members only.  ``alpha_grid`` entries are exact
-    rationals (see `as_fraction`) strictly inside (0, 1); gridded axioms
-    (independence, favorable mixing monotonicity) are only checked at those
-    mixture weights, each once (a repeated weight keeps its first place).
+    ``axioms`` holds `Axiom` members only.  ``alpha_grid`` holds at least one
+    weight, each an exact rational (see `as_fraction`) strictly inside
+    (0, 1); gridded axioms (independence, favorable mixing monotonicity) are
+    only checked at those mixture weights, each once (a repeated weight
+    keeps its first place).
     ``max_tuples`` (at least 1) is a safety valve for pathological
     configurations; at the default corpus sizes every axiom is enumerated
     exhaustively.  An axiom that stops at the cap without a failure is
@@ -130,6 +131,8 @@ class AuditConfig:
             raise ValidationError(f"audit axioms must be Axiom members, got {', '.join(stray)}")
         if Axiom.CONTINUITY in self.axioms:
             raise ValidationError("continuity is not finitely checkable and cannot be selected")
+        if not self.alpha_grid:
+            raise BadWeightError("alpha grid needs at least one weight")
         if any(not 0 < a < 1 for a in self.alpha_grid):
             raise BadWeightError("alpha grid entries must lie strictly between 0 and 1")
         if self.corpus_size < 1:

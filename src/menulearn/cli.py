@@ -450,9 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The one parser of this process, built by the first `main` call (not at
+#: import, so importing the CLI stays cheap).  Parsing leaves it unchanged:
+#: each call gets a fresh namespace.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -80,13 +80,14 @@ class _HashOnce:
         return state
 
 
-def _hash_of(*canonical_fields: str):
+def _hash_of(*canonical_fields: str, key=None):
     """A ``__hash__`` over the given already-canonical fields, kept after first use.
 
     Hashing a Fraction recomputes a modular inverse every time, and these
     values are hashed on every memo lookup, so the hash is worth keeping.
+    *key*, if given, maps the value to what is hashed instead of the fields.
     """
-    key = attrgetter(*canonical_fields)
+    key = key or attrgetter(*canonical_fields)
 
     def __hash__(self) -> int:
         cached = self._hash
@@ -98,9 +99,16 @@ def _hash_of(*canonical_fields: str):
     return __hash__
 
 
-def _pairs(entries: Mapping | Iterable[tuple]) -> list[tuple]:
-    """The (key, value) pairs of a mapping, or the given pairs as a list."""
-    return list(entries.items() if isinstance(entries, Mapping) else entries)
+def _pairs(entries: Mapping | Iterable[tuple]) -> Iterable[tuple]:
+    """The (key, value) pairs of a mapping, or the given pairs."""
+    # Exact type tests first: the `Mapping` ABC check is slow, and the
+    # entries are almost always a dict or a list of pairs.
+    kind = type(entries)
+    if kind is dict:
+        return entries.items()
+    if kind is list or not isinstance(entries, Mapping):
+        return entries
+    return entries.items()
 
 
 def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, key=None):
@@ -108,21 +116,26 @@ def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, ke
 
     Labels must be *label_type*s.  A negative entry is rejected before
     repeated labels are summed; zeros are dropped and the total must be
-    exactly 1.  *what* names the entries in messages; *key* orders the pairs.
+    exactly 1.  The total is checked on integers, as `Instance._lottery_numerator`
+    computes expected utility: the numerators rescaled to the lcm of the
+    denominators must sum to that lcm.  *what* names the entries in
+    messages; *key* orders the pairs.
     """
     merged: dict = {}
     for label, raw in _pairs(entries):
         if not isinstance(label, label_type):
             raise TypeError(f"{what} must be keyed by {label_type.__name__}, got {label!r}")
-        prob = as_fraction(raw)
-        if prob < 0:
+        prob = raw if type(raw) is Fraction else as_fraction(raw)
+        if prob.numerator < 0:
             raise BadProbabilityError(f"{what} must be nonnegative, got {prob} for {label!r}")
         # Not `merged.get(label, 0) + prob`: int + Fraction runs the slower `__radd__`.
         merged[label] = merged[label] + prob if label in merged else prob
-    total = sum(merged.values(), Fraction(0))
-    if total != 1:
+    probs = merged.values()
+    common = lcm(*[prob.denominator for prob in probs])
+    if sum([prob.numerator * (common // prob.denominator) for prob in probs]) != common:
+        total = sum(probs, Fraction(0))
         raise BadProbabilityError(f"{what} sum to {total}, expected exactly 1")
-    return tuple(sorted(((label, p) for label, p in merged.items() if p), key=key))
+    return tuple(sorted([pair for pair in merged.items() if pair[1].numerator], key=key))
 
 
 def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:
@@ -148,7 +161,11 @@ class _Distribution(_HashOnce):
     """
 
     probs: Mapping[str, RationalLike]
-    __hash__ = _hash_of("probs")
+    # Hashed over (label, numerator, denominator) triples, which canonical
+    # Fractions determine: ints hash without a Fraction's modular inverse.
+    __hash__ = _hash_of(
+        key=lambda self: tuple([(label, p.numerator, p.denominator) for label, p in self.probs])
+    )
 
     #: What the entries are, for error messages.
     _what: ClassVar[str]
@@ -530,19 +547,23 @@ def validate_instance(inst: Instance) -> None:
 def validate_lottery(lottery: Lottery | Mapping[str, RationalLike], inst: Instance) -> None:
     """Check that the lottery, or the label map it is built from, names only known prizes."""
     labels = lottery.support if isinstance(lottery, Lottery) else lottery
-    unknown = set(labels) - set(inst.prizes)
+    unknown = set(labels).difference(inst.prizes)
     if unknown:
         raise ValidationError(f"lottery over unknown prizes {sorted(unknown)}")
 
 
 def validate_act(act: Act, inst: Instance) -> None:
-    """Check that the act assigns exactly the instance's states lotteries over its prizes."""
+    """Check that the act assigns exactly the instance's states lotteries over its prizes.
+
+    A state outside the instance or a missing one is a DimensionMismatchError,
+    as in the evaluation kernel; an unknown prize is a ValidationError.
+    """
     states, covered = set(inst.states), set(act.states)
     if not covered <= states:
-        raise ValidationError(_unknown_states(act, inst))
+        raise DimensionMismatchError(_unknown_states(act, inst))
     missing = states - covered
     if missing:
-        raise ValidationError(f"missing states {sorted(missing)}")
+        raise DimensionMismatchError(f"missing states {sorted(missing)}")
     for _, lottery in act.outcomes:
         validate_lottery(lottery, inst)
 

@@ -27,8 +27,8 @@ class BadWeightError(ValidationError):
     """A weight is out of range, or a weight list is negative, empty or does not sum to 1."""
 
 
-class DimensionMismatchError(MenuLearnError):
-    """Two objects built over different state spaces were compared."""
+class DimensionMismatchError(ValidationError):
+    """An object names states outside the instance, or an act misses some of its states."""
 
 
 class ParseError(MenuLearnError):

@@ -18,10 +18,19 @@ credal sets, and collections:
       "collections": {"split": [["delta_p"], ["pi"]], "hull": ["Pi"]}
     }
 
-All rationals are "p/q" strings (or plain integer strings), never floats,
-so a parse -> serialize -> parse round trip reproduces the document's
-objects exactly.  Collection members may name a credal set or inline a
-list of information-structure names.
+All rationals are strings (or JSON integers), never floats, so a parse ->
+serialize -> parse round trip reproduces the document's objects exactly.
+A rational string is ASCII and has one of three forms, ``D`` one or more
+digits 0-9:
+
+* ``[+-]D``: an integer, ``"3"``, ``"-2"``;
+* ``[+-]D/D`` with a nonzero denominator: ``"2/3"``, ``"+05/10"``;
+* ``[+-]D.D``: a finite decimal, ``"0.25"``.
+
+Nothing else is a rational: no whitespace, ``_`` separators, exponents
+(``"1e3"``), bare points (``".5"``, ``"1."``) or non-ASCII digits.
+Collection members may name a credal set or inline a list of
+information-structure names.
 """
 
 from __future__ import annotations
@@ -48,15 +57,42 @@ from .errors import MenuLearnError, ParseError, UnknownNameError
 
 
 def parse_fraction(text: object, where: str) -> Fraction:
-    """Parse an exact rational from a "p/q" or integer string."""
+    """Parse an exact rational from a string of the grammar above, or an int."""
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a rational string like '3/4', got {text!r}")
     try:
-        return Fraction(text)
+        return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: malformed rational {text!r} ({exc})") from None
+
+
+def _rational(text: str) -> Fraction:
+    """The value of a rational string, read in one pass with `int`.
+
+    Raises ValueError for a string outside the grammar and ZeroDivisionError
+    for a zero denominator, with the messages ``Fraction(text)`` gives.
+    """
+    body = text[1:] if text[:1] in ("+", "-") else text
+    num, slash, den = body.partition("/")
+    whole, point, decimals = num.partition(".")
+    if body.isascii() and (
+        num.isdigit() and den.isdigit()
+        if slash
+        else whole.isdigit() and (decimals.isdigit() or not point)
+    ):
+        if slash:
+            numerator, denominator = int(num), int(den)
+        else:
+            denominator = 10 ** len(decimals)
+            numerator = int(whole) * denominator + int(decimals or 0)
+        if text[0] == "-":
+            numerator = -numerator
+        if denominator:
+            return Fraction(numerator, denominator)
+        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+    raise ValueError(f"Invalid literal for Fraction: {text!r}")
 
 
 #: Workspace table -> the noun every message uses for its objects, parameter
@@ -104,35 +140,62 @@ class Workspace:
         return "{" + ", ".join(parts) + "}"
 
 
-def _parse_distribution(data: object, where: str) -> dict[str, Fraction]:
+class _Parsed(dict):
+    """One document's rational strings, each read once: string -> Fraction.
+
+    Only strings go in, so ``1``, ``1.0`` and ``True`` never find ``"1"``;
+    Fractions are immutable, so every entry with the same text shares one.
+    """
+
+    def __missing__(self, text: object) -> Fraction:
+        if not isinstance(text, str):
+            raise TypeError(f"not a rational string: {text!r}")
+        value = self[text] = _rational(text)
+        return value
+
+
+def _rationals(
+    data: object, where: str, label: str, parsed: _Parsed
+) -> list[tuple[str, Fraction]]:
+    """The (key, Fraction) pairs of the JSON object at ``{where}.{label}``."""
     if not isinstance(data, dict):
-        raise ParseError(f"{where}: expected an object mapping labels to rationals")
-    return {label: parse_fraction(raw, f"{where}.{label}") for label, raw in data.items()}
+        raise ParseError(f"{where}.{label}: expected an object mapping labels to rationals")
+    try:
+        return [(key, parsed[raw]) for key, raw in data.items()]
+    except (TypeError, ValueError, ZeroDivisionError):
+        # A JSON integer, or a fault: read entry by entry, each at its location.
+        return [
+            (key, parse_fraction(raw, f"{where}.{label}.{key}")) for key, raw in data.items()
+        ]
 
 
-def _parse_act(data: object, instance: Instance, where: str) -> Act:
+def _parse_act(data: object, instance: Instance, where: str, parsed: _Parsed) -> Act:
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
     outcomes, with_zeros = {}, []
     for state, lottery_data in data.items():
-        probs = _parse_distribution(lottery_data, f"{where}.{state}")
-        outcomes[state] = lottery = _wrap(Lottery, probs, where=f"{where}.{state}")
-        if len(lottery.probs) < len(probs):
-            with_zeros.append(probs)
+        pairs = _rationals(lottery_data, where, state, parsed)
+        outcomes[state] = lottery = _wrap(Lottery, pairs, where=where, label=state)
+        if len(lottery.probs) < len(pairs):
+            with_zeros.append(lottery_data)
     act = _wrap(Act, outcomes, where=where)
     _wrap(validate_act, act, instance, where=where)
-    for probs in with_zeros:
+    for lottery_data in with_zeros:
         # The lottery dropped the zero entries; an unknown prize among them is still a fault.
-        _wrap(validate_lottery, probs, instance, where=where)
+        _wrap(validate_lottery, lottery_data, instance, where=where)
     return act
 
 
-def _wrap(fn, *args, where: str):
-    """Call *fn*; a `MenuLearnError` it raises becomes a ParseError located at *where*."""
+def _wrap(fn, *args, where: str, label: str | None = None):
+    """Call *fn*; a `MenuLearnError` it raises becomes a ParseError located at *where*.
+
+    With a *label* the location is ``{where}.{label}``, formatted only for an error.
+    """
     try:
         return fn(*args)
     except MenuLearnError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        location = where if label is None else f"{where}.{label}"
+        raise ParseError(f"{location}: {exc}") from None
 
 
 def load_document(data: object) -> Workspace:
@@ -154,12 +217,13 @@ def load_document(data: object) -> Workspace:
         raise ParseError(f"invalid instance: {exc}") from None
 
     workspace = Workspace(instance=instance)
+    parsed = _Parsed()
 
     for name, acts_data in _expect_object(data.get("menus", {}), "menus").items():
         if not isinstance(acts_data, list):
             raise ParseError(f"menus.{name}: expected a list of acts")
         acts = [
-            _parse_act(act_data, instance, f"menus.{name}[{i}]")
+            _parse_act(act_data, instance, f"menus.{name}[{i}]", parsed)
             for i, act_data in enumerate(acts_data)
         ]
         workspace.menus[name] = _wrap(Menu, tuple(acts), where=f"menus.{name}")
@@ -174,9 +238,9 @@ def load_document(data: object) -> Workspace:
             where = f"info_structures.{name}[{i}]"
             if not isinstance(point, dict) or "posterior" not in point or "weight" not in point:
                 raise ParseError(f"{where}: expected an object with 'posterior' and 'weight'")
-            probs = _parse_distribution(point["posterior"], f"{where}.posterior")
-            _wrap(validate_posterior, probs, instance, where=where)
-            posterior = _wrap(Posterior, probs, where=f"{where}.posterior")
+            pairs = _rationals(point["posterior"], where, "posterior", parsed)
+            _wrap(validate_posterior, point["posterior"], instance, where=where)
+            posterior = _wrap(Posterior, pairs, where=where, label="posterior")
             weight = parse_fraction(point["weight"], f"{where}.weight")
             support.append((posterior, weight))
         workspace.info_structures[name] = _wrap(

@@ -74,6 +74,12 @@ class TestGenerateCorpus:
         with pytest.raises(BadWeightError, match="strictly between 0 and 1"):
             AuditConfig(alpha_grid=(alpha,))
 
+    @pytest.mark.parametrize("grid", [(), [], iter(())], ids=["tuple", "list", "iterator"])
+    def test_empty_alpha_grid_is_a_bad_weight(self, grid):
+        # Independence and FMM would otherwise read "vacuous" with nothing checked.
+        with pytest.raises(BadWeightError, match="^alpha grid needs at least one weight$"):
+            AuditConfig(alpha_grid=grid, corpus_size=5)
+
     @pytest.mark.parametrize("axioms", [{"transitivity"}, {Axiom.TRANSITIVITY, "dominance"}])
     def test_axioms_must_be_axiom_members(self, axioms):
         stray = next(a for a in axioms if isinstance(a, str))

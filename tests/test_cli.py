@@ -1,11 +1,14 @@
 """Command-line behavior: outputs, formats, exit codes, env overrides."""
 
+import argparse
 import json
+import subprocess
+import sys
 from functools import partial
 
 import pytest
 
-from menulearn import AuditConfig, cli
+from menulearn import AuditConfig, DimensionMismatchError, cli
 from menulearn.cli import (
     EXIT_BAD_KIND,
     EXIT_CHECK_FAILED,
@@ -193,6 +196,43 @@ class TestAudit:
         assert captured.out == ""
         assert captured.err == f"invalid request: {message}\n"
 
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_alpha_grid_without_a_weight_is_a_parse_error(self, capsys, grid):
+        code = main(
+            ["audit", EXAMPLE1, "--criterion", "bml", "--param", "both", "--alpha-grid", grid]
+        )
+        assert code == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: --alpha-grid: malformed rational '' "
+            "(Invalid literal for Fraction: '')\n"
+        )
+
+    def test_alpha_grid_parts_are_stripped(self, capsys):
+        argv = ["audit", EXAMPLE1, "--criterion", "bml", "--param", "both",
+                "--axioms", "independence", "--corpus-size", "3"]
+        assert main(argv + ["--alpha-grid", " 1/3 , 1/2 "]) == EXIT_OK
+        spaced = capsys.readouterr()
+        assert main(argv + ["--alpha-grid", "1/3,1/2"]) == EXIT_OK
+        assert capsys.readouterr() == spaced
+
+    @pytest.mark.parametrize("grid", ["1e-1", "1_0/3_0", "٣/4", ".5", "1.", "+-1/2"])
+    def test_alpha_grid_weight_outside_the_rational_grammar_is_a_parse_error(
+        self, capsys, grid
+    ):
+        code = main(
+            ["audit", EXAMPLE1, "--criterion", "bml", "--param", "both",
+             "--alpha-grid", f"1/3,{grid}"]
+        )
+        assert code == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"parse error: --alpha-grid: malformed rational {grid.strip()!r} ("
+        )
+        assert captured.err.count("\n") == 1
+
     def test_unknown_param_name(self, capsys):
         code = main(["audit", EXAMPLE1, "--criterion", "bml", "--param", "nope"])
         assert code == EXIT_UNKNOWN_NAME
@@ -271,6 +311,25 @@ class TestRationalize:
         code = main(["rationalize", EXAMPLE1, "--collection", "split", "--policy", "wild"])
         assert code == EXIT_BAD_KIND
 
+    @pytest.mark.parametrize("weight", ["1e-1", " 1/2", "1_0/3_0", "٣/4"])
+    def test_const_weight_outside_the_rational_grammar_is_a_parse_error(self, capsys, weight):
+        code = main(
+            ["rationalize", EXAMPLE1, "--collection", "split", "--policy", f"const={weight}"]
+        )
+        assert code == EXIT_PARSE_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: --policy const=: malformed rational {weight!r} (")
+        assert err.count("\n") == 1
+
+    def test_dimension_mismatch_is_an_invalid_request(self, capsys, monkeypatch):
+        def mismatched(*args, **kwargs):
+            raise DimensionMismatchError("missing states ['w2']")
+
+        monkeypatch.setattr(cli, "rank_menus", mismatched)
+        code = main(["rationalize", EXAMPLE1, "--collection", "split"])
+        assert code == EXIT_BAD_KIND
+        assert capsys.readouterr().err == "invalid request: missing states ['w2']\n"
+
     def test_document_without_menus_is_one_error_line(self, tmp_path, capsys):
         document = json.loads((DATA_DIR / "example1.json").read_text())
         del document["menus"]
@@ -324,3 +383,71 @@ class TestExamples:
         monkeypatch.setattr(cli, "_bundled_workspace", tampered)
         assert main(["examples"]) == EXIT_CHECK_FAILED
         assert "MISMATCH" in capsys.readouterr().out
+
+
+class TestSharedParser:
+    """`main` builds one parser per process; no call may see another's arguments."""
+
+    SEQUENCE = (
+        ["rationalize", EXAMPLE2, "--collection", "split", "--format", "records"],
+        ["rationalize", EXAMPLE1, "--collection", "split", "--policy", "wild"],
+        ["compare", EXAMPLE1, "f", "gh", "--criterion", "bml", "--param", "both"],
+        ["audit", EXAMPLE1, "--criterion", "jml", "--param", "both", "--alpha-grid", "1/3,1/2",
+         "--corpus-size", "3"],
+        ["rationalize", EXAMPLE2, "--collection", "split"],
+    )
+
+    def run_sequence(self, capsys, monkeypatch, fresh):
+        results = []
+        for argv in self.SEQUENCE:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_calls_in_one_process_match_calls_on_fresh_parsers(self, capsys, monkeypatch):
+        monkeypatch.delenv("MENULEARN_SEED", raising=False)
+        namespaces = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, *args, **kwargs):
+            namespace = parse_args(parser, *args, **kwargs)
+            namespaces.append(dict(vars(namespace)))
+            return namespace
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        shared = self.run_sequence(capsys, monkeypatch, fresh=False)
+        # Each command saw exactly the arguments a parser of its own gives.
+        expected = [vars(parse_args(cli.build_parser(), argv)) for argv in self.SEQUENCE]
+        assert namespaces == expected
+        assert [code for code, _, _ in shared] == [EXIT_OK, EXIT_BAD_KIND, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert shared == self.run_sequence(capsys, monkeypatch, fresh=True)
+
+    def test_import_builds_no_parser_and_main_builds_one(self):
+        script = (
+            "import argparse, contextlib, io\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import menulearn.cli\n"
+            "print(len(built))\n"
+            "argv = ['evaluate', %r, '--menu', 'f', '--info', 'pi']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    menulearn.cli.main(argv)\n"
+            "print(len(built))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    menulearn.cli.main(argv)\n"
+            "print(len(built))\n"
+        ) % EXAMPLE1
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(DATA_DIR.parent.parent)},
+        )
+        at_import, first, second = map(int, result.stdout.split())
+        assert at_import == 0
+        assert first == second > 0

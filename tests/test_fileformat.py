@@ -1,9 +1,12 @@
 """Instance documents: parsing, validation errors, round trips."""
 
 import json
+from fractions import Fraction
+
 import pytest
 
 from menulearn import ParseError, UnknownNameError, dump_document, load_document, loads
+from menulearn.fileformat import parse_fraction
 
 
 MINIMAL = {
@@ -28,6 +31,56 @@ class TestParsing:
     def test_malformed_rational(self):
         with pytest.raises(ParseError, match="malformed rational"):
             load_document(doc(utility={"a": "1/0", "b": "0"}))
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("3", 3), ("-2", -2), ("+7", 7), ("2/3", Fraction(2, 3)), ("-06/8", Fraction(-3, 4)),
+         ("+1/2", Fraction(1, 2)), ("0.25", Fraction(1, 4)), ("-1.50", Fraction(-3, 2)),
+         ("007", 7)],
+    )
+    def test_rational_grammar(self, text, value):
+        assert parse_fraction(text, "x") == value
+        assert type(parse_fraction(text, "x")) is Fraction
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e3", "1E3", " 1/2", "1/2 ", "1_000", "٣/4", "3/٤", "１", "²", ".5", "1.", "1/",
+         "/2", "", "+", "-", "+-1", "1/-2", "1.5/2", "1/2.5", "0x10", "inf", "nan", "1/2/3"],
+    )
+    def test_strings_outside_the_grammar_are_malformed(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_fraction(text, "utility.a")
+        assert str(info.value) == (
+            f"utility.a: malformed rational {text!r} (Invalid literal for Fraction: {text!r})"
+        )
+
+    @pytest.mark.parametrize("text,numerator", [("1/0", 1), ("-3/00", -3), ("-0/0", 0)])
+    def test_zero_denominator_keeps_its_message(self, text, numerator):
+        with pytest.raises(ParseError) as info:
+            parse_fraction(text, "w")
+        assert str(info.value) == f"w: malformed rational {text!r} (Fraction({numerator}, 0))"
+
+    def test_malformed_entry_is_located_at_its_label(self):
+        bad = doc(menus={"m": [{"w1": {"a": "1/2", "b": "1/2"}}, {"w1": {"a": "1/2", "b": "½"}}]})
+        with pytest.raises(
+            ParseError, match=r"^menus\.m\[1\]\.w1\.b: malformed rational '½' \(Invalid literal"
+        ):
+            load_document(bad)
+
+    @pytest.mark.parametrize("raw", [True, 1.0, None, ["1"], {"1": 1}])
+    def test_non_string_rationals_are_rejected_even_after_the_same_value_as_text(self, raw):
+        # The document has already read "1"; a value that equals it is still no string.
+        bad = doc(menus={"m": [{"w1": {"a": "1"}}, {"w1": {"a": raw}}]})
+        with pytest.raises(ParseError) as info:
+            load_document(bad)
+        assert str(info.value) == (
+            f"menus.m[1].w1.a: expected a rational string like '3/4', got {raw!r}"
+        )
+
+    def test_json_integers_are_rationals(self):
+        ws = load_document(doc(utility={"a": 2, "b": "0"}, menus={"m": [{"w1": {"a": 1}}]}))
+        assert ws.instance.utility_of("a") == 2
+        assert ws.menu("m").acts[0].lottery("w1").probs == (("a", Fraction(1)),)
 
     def test_float_rejected(self):
         with pytest.raises(ParseError):

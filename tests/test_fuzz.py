@@ -3,8 +3,8 @@
 Every mutated bundled document either loads or is one parse error; every
 argv list either succeeds or exits 2-4 with exactly one line on stderr,
 never a traceback.  The rational parser agrees with `Fraction` wherever it
-returns, and the measure rule accepts exactly the distributions whose
-exact sum is 1.
+returns and accepts exactly the strings of the document grammar, and the
+measure rule accepts exactly the distributions whose exact sum is 1.
 """
 
 import contextlib
@@ -187,7 +187,10 @@ def test_fuzzed_argv_exits_cleanly_with_one_error_line(argv):
     assert "Traceback" not in err
 
 
-RATIONAL_ALPHABET = "0123456789+-/._eE \t٣１"
+RATIONAL_ALPHABET = "0123456789+-/._eE \t٣１²"
+
+#: The rational grammar of documents and CLI weights, as an independent oracle.
+GRAMMAR = re.compile(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*|\.[0-9]+)?")
 
 
 @settings(max_examples=600, deadline=None)
@@ -205,10 +208,12 @@ def test_parse_fraction_agrees_with_fraction(text):
     try:
         value = parse_fraction(text, "where")
     except ParseError as exc:
-        # A string `Fraction` rejects keeps its message; any rejection is a ParseError.
+        assert not GRAMMAR.fullmatch(text)
+        # A string `Fraction` rejects keeps its message.
         if isinstance(expected, str):
             assert str(exc) == expected
     else:
+        assert GRAMMAR.fullmatch(text)
         assert value == expected and type(value) is Fraction
 
 

@@ -66,6 +66,7 @@ from menulearn.audit import (
     random_credal_set,
     random_instance,
 )
+from menulearn.core import validate_act
 from menulearn.evaluation import _randomize
 
 from conftest import (
@@ -520,6 +521,32 @@ class TestTypedErrors:
         ):
             with pytest.raises(DimensionMismatchError, match=r"^unknown states \['w3'\]$"):
                 evaluate()
+
+    @pytest.mark.parametrize(
+        "states,message",
+        [(("w1",), r"missing states \['w2'\]|no outcome for state 'w2'"),
+         (("w1", "w2", "w3"), r"unknown states \['w3'\]")],
+        ids=["missing_state", "unknown_state"],
+    )
+    def test_one_act_gets_one_error_type_at_every_entry_point(
+        self, two_state_instance, states, message
+    ):
+        inst = two_state_instance
+        act = Act({state: Lottery.degenerate("win") for state in states})
+        menu, p = Menu((act,)), Posterior({"w1": Fraction(1, 2), "w2": Fraction(1, 2)})
+        credal = CredalSet((InfoStructure.point_mass(p),))
+        for check in (
+            lambda: validate_act(act, inst),
+            lambda: act_value(act, p, inst),
+            lambda: support_value(menu, p, inst),
+            lambda: benefit_of_information(menu, InfoStructure.point_mass(p), inst),
+            lambda: dominates(menu, menu, inst),
+            lambda: BmlComparator(inst, credal).compare(menu, menu),
+        ):
+            with pytest.raises(DimensionMismatchError, match=message) as info:
+                check()
+            # Every `except ValidationError` still catches it.
+            assert isinstance(info.value, ValidationError)
 
     def test_partial_act_under_a_posterior_on_its_states(self, two_state_instance):
         inst = two_state_instance
