@@ -135,7 +135,7 @@ def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, ke
     if sum([prob.numerator * (common // prob.denominator) for prob in probs]) != common:
         total = sum(probs, Fraction(0))
         raise BadProbabilityError(f"{what} sum to {total}, expected exactly 1")
-    return tuple(sorted([pair for pair in merged.items() if pair[1].numerator], key=key))
+    return tuple(sorted(((label, p) for label, p in merged.items() if p), key=key))
 
 
 def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:

@@ -175,7 +175,10 @@ def _parse_act(data: object, instance: Instance, where: str, parsed: _Parsed) ->
     outcomes, with_zeros = {}, []
     for state, lottery_data in data.items():
         pairs = _rationals(lottery_data, where, state, parsed)
-        outcomes[state] = lottery = _wrap(Lottery, pairs, where=where, label=state)
+        try:
+            outcomes[state] = lottery = Lottery(pairs)
+        except MenuLearnError as exc:
+            raise ParseError(f"{where}.{state}: {exc}") from None
         if len(lottery.probs) < len(pairs):
             with_zeros.append(lottery_data)
     act = _wrap(Act, outcomes, where=where)
@@ -186,16 +189,12 @@ def _parse_act(data: object, instance: Instance, where: str, parsed: _Parsed) ->
     return act
 
 
-def _wrap(fn, *args, where: str, label: str | None = None):
-    """Call *fn*; a `MenuLearnError` it raises becomes a ParseError located at *where*.
-
-    With a *label* the location is ``{where}.{label}``, formatted only for an error.
-    """
+def _wrap(fn, *args, where: str):
+    """Call *fn*; a `MenuLearnError` it raises becomes a ParseError located at *where*."""
     try:
         return fn(*args)
     except MenuLearnError as exc:
-        location = where if label is None else f"{where}.{label}"
-        raise ParseError(f"{location}: {exc}") from None
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def load_document(data: object) -> Workspace:
@@ -240,7 +239,7 @@ def load_document(data: object) -> Workspace:
                 raise ParseError(f"{where}: expected an object with 'posterior' and 'weight'")
             pairs = _rationals(point["posterior"], where, "posterior", parsed)
             _wrap(validate_posterior, point["posterior"], instance, where=where)
-            posterior = _wrap(Posterior, pairs, where=where, label="posterior")
+            posterior = _wrap(Posterior, pairs, where=f"{where}.posterior")
             weight = parse_fraction(point["weight"], f"{where}.weight")
             support.append((posterior, weight))
         workspace.info_structures[name] = _wrap(
