@@ -7,6 +7,11 @@ cut the enumeration short.  Failures carry a replayable, shrunken
 counterexample: rerunning the audit on the counterexample menus alone
 reproduces the failure.  Each axiom is defined in one place, its entry in
 the spec table `_SPECS`: the tuples it is checked on and its test of one.
+Where the antecedent reads only relations between corpus menus
+(nontriviality, transitivity, unambiguous transitivity, favorable mixing
+monotonicity), the entry also enumerates just the candidates whose
+antecedent fires, decided once per audit on bitsets over the corpus; the
+report, counts and truncation point stay those of the plain enumeration.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -38,11 +43,18 @@ from .core import (
     as_fraction,
     constant_menu,
 )
-from .comparative import _VACUOUS, _VIOLATED, _scan
+from .comparative import _VACUOUS, _VIOLATED, _bits, _each, _pair_position, _scan, _strict
 from .comparative import STATUS_FAIL, STATUS_PASS, STATUS_TRUNCATED, STATUS_VACUOUS
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
-from .evaluation import _randomize, dominates, mix_acts, mix_lotteries, mix_menus
+from .evaluation import (
+    _dominance_relation,
+    _randomize,
+    dominates,
+    mix_acts,
+    mix_lotteries,
+    mix_menus,
+)
 
 
 class Axiom(Enum):
@@ -320,11 +332,19 @@ class _Spec(NamedTuple):
     """One axiom: the menu tuples ``tuples(corpus, inst)``, each tried with
     every ``(alpha, betas)`` of ``weights(config)``, and ``test(cmp, menus,
     alpha, betas)``: `_VACUOUS` when the antecedent does not fire, else
-    whether the consequent holds."""
+    whether the consequent holds.
+
+    An axiom whose antecedent reads only relations between corpus menus
+    also has ``fired(cmp, corpus, weights)``: the number of candidates, and
+    the candidates whose antecedent fires as `_scan` takes them, decided on
+    the corpus relations as bitsets.  Where a consequent is not decided
+    there, ``consequent(cmp, menus, alpha, betas)`` decides it."""
 
     tuples: Callable[[Sequence[Menu], Instance], Iterable[tuple[Menu, ...]]]
     test: Callable[..., Optional[bool]]
     weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
+    fired: Optional[Callable[..., tuple[int, Iterable[tuple]]]] = None
+    consequent: Optional[Callable[..., bool]] = None
 
     def candidates(self, corpus: Sequence[Menu], config: AuditConfig, inst: Instance):
         """Every ``(menus, alpha, betas)`` in deterministic order, weights varying fastest."""
@@ -353,6 +373,19 @@ def _nontriviality(cmp, menus, alpha, betas):
     return _VIOLATED if cmp.strictly_prefers(*menus) else _VACUOUS
 
 
+def _strictly_ranked(cmp, corpus, weights):
+    """Nontriviality's fired pairs: the strictly ranked ones, each a witness."""
+    n = len(corpus)
+
+    def fired():
+        strict = _strict(cmp, corpus)
+        for i, F in enumerate(corpus):
+            for j in _bits(strict[i]):
+                yield _pair_position(i, j, n), ((F, corpus[j]), None, None), _VIOLATED
+
+    return n * (n - 1), fired()
+
+
 def _completeness_for_lotteries(cmp, menus, alpha, betas):
     lotteries = all(len(menu) == 1 and menu.acts[0].is_constant() for menu in menus)
     return _completeness(cmp, menus, alpha, betas) if lotteries else _VACUOUS
@@ -369,6 +402,21 @@ def _transitivity(cmp, menus, alpha, betas):
     return _VACUOUS
 
 
+def _chains(cmp, corpus, weights):
+    """Transitivity's fired triples: G after F and H after G in the weak relation."""
+    n = len(corpus)
+
+    def fired():
+        up = cmp._relation(corpus)
+        for i, F in enumerate(corpus):
+            for j in _bits(up[i]):
+                G = corpus[j]
+                for k in _bits(up[j]):
+                    yield (i * n + j) * n + k, ((F, G, corpus[k]), None, None), up[i] >> k & 1
+
+    return n**3, fired()
+
+
 def _unambiguous_transitivity(cmp, menus, alpha, betas):
     F, G, H = menus
     if (dominates(F, G, cmp.instance) and cmp.weakly_prefers(G, H)) or (
@@ -376,6 +424,22 @@ def _unambiguous_transitivity(cmp, menus, alpha, betas):
     ):
         return cmp.weakly_prefers(F, H)
     return _VACUOUS
+
+
+def _unambiguous_chains(cmp, corpus, weights):
+    """Unambiguous transitivity's fired triples: one link is dominance, the other preference."""
+    n = len(corpus)
+
+    def fired():
+        dom = _dominance_relation(corpus, cmp.instance, False)
+        up = cmp._relation(corpus)
+        for i, F in enumerate(corpus):
+            for j, G in enumerate(corpus):
+                after = (up[j] if dom[i] >> j & 1 else 0) | (dom[j] if up[i] >> j & 1 else 0)
+                for k in _bits(after):
+                    yield (i * n + j) * n + k, ((F, G, corpus[k]), None, None), up[i] >> k & 1
+
+    return n**3, fired()
 
 
 def _reflexivity(cmp, menus, alpha, betas):
@@ -412,14 +476,41 @@ def _favorable_mixing_monotonicity(cmp, menus, alpha, betas):
     F, G, H, H2 = menus
     if not (cmp.strictly_prefers(F, G) and cmp.strictly_prefers(H, H2)):
         return _VACUOUS
+    return _mixing_keeps_strict(cmp, menus, alpha, betas)
+
+
+def _mixing_keeps_strict(cmp, menus, alpha, betas):
+    F, G, H, H2 = menus
     inst = cmp.instance
     return cmp.strictly_prefers(_mixed(inst, F, H, alpha), _mixed(inst, G, H2, alpha))
+
+
+def _strict_pairs_of_pairs(cmp, corpus, weights):
+    """Favorable mixing monotonicity's fired candidates: two strictly ranked pairs, each weight."""
+    n, w = len(corpus), len(weights)
+    pairs = n * (n - 1)
+
+    def fired():
+        strict = _strict(cmp, corpus)
+        ranked = [
+            (_pair_position(i, j, n), F, corpus[j])
+            for i, F in enumerate(corpus)
+            for j in _bits(strict[i])
+        ]
+        for p, F, G in ranked:
+            for q, H, H2 in ranked:
+                for a, (alpha, betas) in enumerate(weights):
+                    yield (p * pairs + q) * w + a, ((F, G, H, H2), alpha, betas), None
+
+    return pairs * pairs * w, fired()
 
 
 #: The one definition of each selectable axiom, in `Axiom` order.
 _SPECS: dict[Axiom, _Spec] = {
     Axiom.NONTRIVIALITY: _Spec(
-        lambda corpus, inst: itertools.permutations(corpus, 2), _nontriviality
+        lambda corpus, inst: itertools.permutations(corpus, 2),
+        _nontriviality,
+        fired=_strictly_ranked,
     ),
     Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(
         lambda corpus, inst: itertools.combinations(corpus, 2), _completeness_for_lotteries
@@ -428,10 +519,12 @@ _SPECS: dict[Axiom, _Spec] = {
         lambda corpus, inst: itertools.combinations(corpus, 2), _completeness
     ),
     Axiom.TRANSITIVITY: _Spec(
-        lambda corpus, inst: itertools.product(corpus, repeat=3), _transitivity
+        lambda corpus, inst: itertools.product(corpus, repeat=3), _transitivity, fired=_chains
     ),
     Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(
-        lambda corpus, inst: itertools.product(corpus, repeat=3), _unambiguous_transitivity
+        lambda corpus, inst: itertools.product(corpus, repeat=3),
+        _unambiguous_transitivity,
+        fired=_unambiguous_chains,
     ),
     Axiom.REFLEXIVITY: _Spec(lambda corpus, inst: zip(corpus), _reflexivity),
     Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(
@@ -454,6 +547,8 @@ _SPECS: dict[Axiom, _Spec] = {
         ),
         _favorable_mixing_monotonicity,
         _grid,
+        _strict_pairs_of_pairs,
+        _mixing_keeps_strict,
     ),
 }
 
@@ -521,9 +616,14 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
         if axiom not in config.axioms:
             continue
         existence = axiom is Axiom.NONTRIVIALITY
+        if spec.fired is None:
+            total, candidates = None, _each(spec.candidates(corpus, config, cmp.instance))
+        else:
+            total, candidates = spec.fired(cmp, corpus, spec.weights(config))
         status, witness, checked, fired = _scan(
-            spec.candidates(corpus, config, cmp.instance),
-            partial(spec.test, cmp),
+            candidates,
+            partial(spec.consequent or spec.test, cmp),
+            total,
             None if existence else config.max_tuples,
         )
         shrunk = alpha = betas = None

@@ -12,19 +12,27 @@ Nestedness itself is decided exactly: information structures embed as
 rational vectors indexed by the union of support posteriors, and hull
 membership reduces to feasibility of an equality-constrained nonnegative
 combination, solved by a phase-one simplex over Fractions.
+
+Each check decides the relations it reads on the corpus once per call, as
+one Python-int bitset per corpus position: weak preference from
+`Criterion._relation`, strict preference as its asymmetric part, strict
+statewise dominance from `_dominance_relation`.  Only the tuples whose
+antecedent fires are visited, at their positions in the plain enumeration
+(ordered pairs, or dominance-filtered triples), and `_scan` reports the
+first witness and the counts that enumeration would.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import CredalSet, Instance, InfoStructure, Menu, Posterior, validate_posterior
 from .criteria import Criterion
 from .errors import DimensionMismatchError
-from .evaluation import dominates
+from .evaluation import _dominance_relation
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +189,71 @@ STATUS_PASS, STATUS_FAIL, STATUS_TRUNCATED, STATUS_VACUOUS = "pass", "fail", "tr
 
 
 def _scan(
-    tuples: Iterable[tuple],
-    test: Callable[..., Optional[bool]],
+    fired: Iterable[tuple[int, tuple, Optional[bool]]],
+    test: Optional[Callable[..., Optional[bool]]] = None,
+    total: Optional[int] = None,
     max_tuples: Optional[int] = None,
 ) -> tuple[str, Optional[tuple], int, int]:
-    """Test an implication on each tuple in order, stopping at the first violation.
+    """Test an implication over tuples in enumeration order, stopping at the first violation.
 
-    ``test(*item)`` returns None when the antecedent does not fire, else
-    whether the consequent holds.  Returns ``(status, witness,
-    tuples_checked, antecedents)``: status "fail" with the violating tuple
-    as witness; "truncated" when *max_tuples* tuples were checked and more
-    were left; otherwise "pass", or "vacuous" when nothing fired.
+    *fired* yields ``(position, item, holds)`` in increasing position, where
+    the position counts every tuple of the enumeration.  *holds* says
+    whether the consequent holds at *item*, or is None to let ``test(*item)``
+    decide, which returns None in turn when the antecedent does not fire.
+    A tuple *fired* skips is vacuous.  *total* counts the tuples; None means
+    *fired* yields all of them (see `_each`).  Returns ``(status, witness,
+    tuples_checked, antecedents)``: status "fail" with the violating item as
+    witness and the tuples up to it checked; "truncated" when *max_tuples*
+    tuples were checked and more were left; otherwise "pass", or "vacuous"
+    when nothing fired.
     """
-    checked = 0
-    fired = 0
-    for item in tuples:
-        if max_tuples is not None and checked >= max_tuples:
-            return STATUS_TRUNCATED, None, checked, fired
-        checked += 1
-        outcome = test(*item)
-        if outcome is _VACUOUS:
-            continue
-        fired += 1
-        if not outcome:
-            return STATUS_FAIL, item, checked, fired
-    return (STATUS_PASS if fired else STATUS_VACUOUS), None, checked, fired
+    antecedents = 0
+    position = -1
+    for position, item, holds in fired:
+        if max_tuples is not None and position >= max_tuples:
+            return STATUS_TRUNCATED, None, max_tuples, antecedents
+        if holds is None:
+            holds = test(*item)
+            if holds is _VACUOUS:
+                continue
+        antecedents += 1
+        if not holds:
+            return STATUS_FAIL, item, position + 1, antecedents
+    if total is None:
+        total = position + 1
+    if max_tuples is not None and total > max_tuples:
+        return STATUS_TRUNCATED, None, max_tuples, antecedents
+    return (STATUS_PASS if antecedents else STATUS_VACUOUS), None, total, antecedents
+
+
+def _each(items: Iterable[tuple]) -> Iterator[tuple[int, tuple, None]]:
+    """Every item at its position, for `_scan`'s test to decide."""
+    return ((position, item, None) for position, item in enumerate(items))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of *mask*, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _converse(relation: Sequence[int]) -> list[int]:
+    """The converse of a bitset relation: bit j of entry i is set iff bit i of entry j is."""
+    n = len(relation)
+    return [sum(1 << j for j in range(n) if relation[j] >> i & 1) for i in range(n)]
+
+
+def _strict(cmp: Criterion, menus: Sequence[Menu]) -> list[int]:
+    """`strictly_prefers` between every ordered pair of *menus*, as bitsets."""
+    weak = cmp._relation(menus)
+    return [up & ~down for up, down in zip(weak, _converse(weak))]
+
+
+def _pair_position(i: int, j: int, n: int) -> int:
+    """The index of ``(menus[i], menus[j])`` in ``itertools.permutations(menus, 2)``."""
+    return i * (n - 1) + j - (j > i)
 
 
 @dataclass(frozen=True)
@@ -238,36 +286,83 @@ class CheckReport:
         return record
 
 
+def _check_pairs(
+    check: str,
+    antecedent: Callable[[Sequence[Menu]], list[int]],
+    consequent: Callable[[Sequence[Menu]], list[int]],
+    corpus: Sequence[Menu],
+) -> CheckReport:
+    """*check* over the ordered pairs of distinct corpus positions: every pair
+    in the relation ``antecedent(corpus)`` must be in ``consequent(corpus)``."""
+    n = len(corpus)
+
+    def fired():
+        fires, holds = antecedent(corpus), consequent(corpus)
+        for i, F in enumerate(corpus):
+            for j in _bits(fires[i] & ~(1 << i)):
+                yield _pair_position(i, j, n), (F, corpus[j]), holds[i] >> j & 1
+
+    return CheckReport(check, *_scan(fired(), total=n * (n - 1)))
+
+
 def check_more_decisive(
     cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Whenever the second unanimity criterion ranks a pair, the first must agree."""
-    def test(F: Menu, G: Menu) -> Optional[bool]:
-        return cmp1.weakly_prefers(F, G) if cmp2.weakly_prefers(F, G) else _VACUOUS
-
-    return CheckReport("more_decisive", *_scan(itertools.permutations(corpus, 2), test))
+    return _check_pairs("more_decisive", cmp2._relation, cmp1._relation, corpus)
 
 
 def check_more_strict_decisive(
     cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Whenever the second veto criterion is strictly decided, so is the first."""
-    def test(F: Menu, G: Menu) -> Optional[bool]:
-        return cmp1.strictly_prefers(F, G) if cmp2.strictly_prefers(F, G) else _VACUOUS
+    return _check_pairs(
+        "more_strict_decisive", partial(_strict, cmp2), partial(_strict, cmp1), corpus
+    )
 
-    return CheckReport("more_strict_decisive", *_scan(itertools.permutations(corpus, 2), test))
 
+def _check_triples(
+    check: str,
+    cmp1: Criterion,
+    cmp2: Criterion,
+    corpus: Sequence[Menu],
+    pattern: Callable[[list[int], list[int], int, int], int],
+) -> CheckReport:
+    """*check* over the triples (F, G, H) with H strictly dominating F: wherever
+    *pattern* holds for the first criterion, it must hold for the second.
 
-def _dominance_filtered_triples(corpus: Sequence[Menu], instance: Instance):
-    """Ordered triples (F, G, H) with H strictly statewise dominating F."""
-    strict_pairs = [
-        (H, F)
-        for H, F in itertools.permutations(corpus, 2)
-        if dominates(H, F, instance, strict=True)
+    The triples run through the strictly dominating pairs (H, F) in
+    permutation order, G varying fastest.  ``pattern(up, down, f, h)`` gives
+    the bitset of G positions where it holds, from the criterion's weak
+    relation *up* and its converse *down*.
+    """
+    n = len(corpus)
+    dominating = [
+        (h, f)
+        for h, dominated in enumerate(_dominance_relation(corpus, cmp1.instance, True))
+        for f in _bits(dominated)
     ]
-    for H, F in strict_pairs:
-        for G in corpus:
-            yield F, G, H
+
+    def fired():
+        up1, up2 = cmp1._relation(corpus), cmp2._relation(corpus)
+        down1, down2 = _converse(up1), _converse(up2)
+        full = (1 << n) - 1
+        for rank, (h, f) in enumerate(dominating):
+            holds = pattern(up2, down2, f, h)
+            for g in _bits(pattern(up1, down1, f, h) & full):
+                yield rank * n + g, (corpus[f], corpus[g], corpus[h]), holds >> g & 1
+
+    return CheckReport(check, *_scan(fired(), total=len(dominating) * n))
+
+
+def _silent(up: list[int], down: list[int], f: int, h: int) -> int:
+    """The Gs ranked neither below H nor above F."""
+    return ~(up[h] | down[f])
+
+
+def _chain(up: list[int], down: list[int], f: int, h: int) -> int:
+    """The Gs with F ranked above G and G above H."""
+    return up[f] & down[h]
 
 
 def check_less_negative_inconsistent(
@@ -278,13 +373,7 @@ def check_less_negative_inconsistent(
     Over triples with H strictly dominating F: if the first criterion can
     rank neither H over G nor G over F, the second must be equally silent.
     """
-    def test(F: Menu, G: Menu, H: Menu) -> Optional[bool]:
-        if cmp1.weakly_prefers(H, G) or cmp1.weakly_prefers(G, F):
-            return _VACUOUS
-        return not (cmp2.weakly_prefers(H, G) or cmp2.weakly_prefers(G, F))
-
-    triples = _dominance_filtered_triples(corpus, cmp1.instance)
-    return CheckReport("less_negative_inconsistent", *_scan(triples, test))
+    return _check_triples("less_negative_inconsistent", cmp1, cmp2, corpus, _silent)
 
 
 def check_less_inconsistent(
@@ -296,10 +385,4 @@ def check_less_inconsistent(
     an inconsistency (H dominates F); if the first criterion exhibits it,
     the second must too.
     """
-    def test(F: Menu, G: Menu, H: Menu) -> Optional[bool]:
-        if not (cmp1.weakly_prefers(F, G) and cmp1.weakly_prefers(G, H)):
-            return _VACUOUS
-        return cmp2.weakly_prefers(F, G) and cmp2.weakly_prefers(G, H)
-
-    triples = _dominance_filtered_triples(corpus, cmp1.instance)
-    return CheckReport("less_inconsistent", *_scan(triples, test))
+    return _check_triples("less_inconsistent", cmp1, cmp2, corpus, _chain)

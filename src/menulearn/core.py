@@ -42,7 +42,8 @@ def as_fraction(value: RationalLike) -> Fraction:
 
     Floats are rejected on purpose: silently converting 0.1 to
     3602879701896397/36028797018963968 would corrupt every downstream
-    comparison.
+    comparison.  A string must follow the rational grammar of `_rational`,
+    else it is a ValidationError.
     """
     if isinstance(value, Fraction):
         return value
@@ -50,10 +51,40 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _rational(value)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"malformed rational {value!r}") from None
     raise TypeError(f"expected an exact rational (Fraction, int, or 'p/q' string), got {value!r}")
+
+
+def _rational(text: str) -> Fraction:
+    """The value of a rational string, read in one pass with `int`.
+
+    This is the one rational grammar, shared by `as_fraction`, documents and
+    CLI weights: ASCII ``[+-]D``, ``[+-]D/D`` or ``[+-]D.D`` with ``D`` one
+    or more digits 0-9, so no whitespace, ``_`` separators, exponents, bare
+    points or non-ASCII digits.  Raises ValueError for a string outside the grammar and ZeroDivisionError
+    for a zero denominator, with the messages ``Fraction(text)`` gives.
+    """
+    body = text[1:] if text[:1] in ("+", "-") else text
+    num, slash, den = body.partition("/")
+    whole, point, decimals = num.partition(".")
+    if body.isascii() and (
+        num.isdigit() and den.isdigit()
+        if slash
+        else whole.isdigit() and (decimals.isdigit() or not point)
+    ):
+        if slash:
+            numerator, denominator = int(num), int(den)
+        else:
+            denominator = 10 ** len(decimals)
+            numerator = int(whole) * denominator + int(decimals or 0)
+        if text[0] == "-":
+            numerator = -numerator
+        if denominator:
+            return Fraction(numerator, denominator)
+        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+    raise ValueError(f"Invalid literal for Fraction: {text!r}")
 
 
 def unit_weight(raw: RationalLike, what: str) -> Fraction:

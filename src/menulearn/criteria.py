@@ -26,7 +26,9 @@ the whole pipeline exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import ge
+from math import lcm
+from operator import and_, ge, or_
+from typing import Sequence
 
 from .core import (
     Collection,
@@ -39,7 +41,7 @@ from .core import (
     Verdict,
     mix_structures,
 )
-from .evaluation import benefit_of_information
+from .evaluation import _at_most, benefit_of_information
 
 
 def benefit_gap(F: Menu, G: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -66,7 +68,9 @@ class Criterion:
     and neither is pickled or copied: a criterion rebuilds from its instance
     and collection.  Since a row evaluates every generator, a menu that
     cannot be evaluated at one of them raises even where another member
-    would already decide the verdict.
+    would already decide the verdict.  An engine that needs the verdict
+    between every pair of a corpus asks `_relation` once instead, which
+    reads the same rows and keeps nothing.
     """
 
     instance: Instance
@@ -97,6 +101,25 @@ class Criterion:
                 all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G))
             )
         return verdict
+
+    def _relation(self, menus: Sequence[Menu]) -> list[int]:
+        """`weakly_prefers` between every ordered pair of *menus*, as one bitset per
+        position: bit j of entry i is set iff ``menus[i]`` is weakly preferred to ``menus[j]``.
+
+        In each generator column, one sort of the benefits, as integers over
+        their common denominator, gives every position the positions whose
+        benefit is no larger; these sets are AND-ed over a member's
+        generators and OR-ed over the members.
+        """
+        relation = [0] * len(menus)
+        for member in zip(*[self._row(menu) for menu in menus]):
+            agree = [-1] * len(menus)
+            for column in zip(*member):
+                common = lcm(*[b.denominator for b in column])
+                scaled = [b.numerator * (common // b.denominator) for b in column]
+                agree = list(map(and_, agree, _at_most(scaled)))
+            relation = list(map(or_, relation, agree))
+        return relation
 
     def strictly_prefers(self, F: Menu, G: Menu) -> bool:
         return self.weakly_prefers(F, G) and not self.weakly_prefers(G, F)

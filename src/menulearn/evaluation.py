@@ -11,14 +11,18 @@ product per act and a max taken by cross-multiplication.  Three memos live
 on the `Instance` and are freed with it: those vectors
 (`Instance._numerators`), each ``(menu, structure)`` benefit
 (`Instance._benefits`, one exact `Fraction` per entry) and each
-``(F, G, strict)`` dominance verdict (`Instance._dominance`).
+``(F, G, strict)`` dominance verdict (`Instance._dominance`).  An engine
+that needs dominance between every pair of a corpus asks `_dominance_relation`
+once instead, for the whole relation as one bitset per menu.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import groupby
 from math import lcm
-from operator import ge, gt, mul
+from operator import and_, ge, gt, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -197,3 +201,42 @@ def _dominates(F: Menu, G: Menu, inst: Instance, strict: bool) -> bool:
         ):
             return False
     return True
+
+
+def _at_most(values: Sequence, strict: bool = False) -> list[int]:
+    """Bitsets over the positions of *values*: bit j of entry i is set iff
+    ``values[j] <= values[i]`` (``<`` when *strict*).  One sort; ties are
+    grouped, so the values need only be totally ordered."""
+    masks = [0] * len(values)
+    below = 0
+    key = values.__getitem__
+    for _, tied in groupby(sorted(range(len(values)), key=key), key):
+        tied = list(tied)
+        group = sum(1 << i for i in tied)
+        for i in tied:
+            masks[i] = below if strict else below | group
+        below |= group
+    return masks
+
+
+def _dominance_relation(menus: Sequence[Menu], inst: Instance, strict: bool) -> list[int]:
+    """`dominates` between every ordered pair of *menus*, as one bitset per position:
+    bit j of entry i is set iff ``dominates(menus[i], menus[j], inst, strict=strict)``.
+
+    The distinct acts are numbered once.  In each state, one sort of their
+    utilities, as integers over the acts' common denominator, gives every
+    act the acts it beats there; AND-ed over the states that is the set of
+    acts it dominates.  A menu covers the union of its acts' sets and
+    dominates every menu all of whose acts it covers.
+    """
+    number: dict[Act, int] = {}
+    members = [[number.setdefault(act, len(number)) for act in menu] for menu in menus]
+    vectors = [_vector(act, inst) for act in number]
+    common = lcm(*[den for den, _ in vectors])
+    beaten = [-1] * len(vectors)
+    for state in range(len(inst.states)):
+        keys = [utils[state] * (common // den) for den, utils in vectors]
+        beaten = list(map(and_, beaten, _at_most(keys, strict)))
+    owned = [sum(1 << k for k in acts) for acts in members]
+    covered = [reduce(or_, [beaten[k] for k in acts]) for acts in members]
+    return [sum(1 << j for j, own in enumerate(owned) if not own & ~cover) for cover in covered]

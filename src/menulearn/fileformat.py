@@ -49,6 +49,7 @@ from .core import (
     Lottery,
     Menu,
     Posterior,
+    _rational,
     validate_act,
     validate_lottery,
     validate_posterior,
@@ -66,33 +67,6 @@ def parse_fraction(text: object, where: str) -> Fraction:
         return _rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: malformed rational {text!r} ({exc})") from None
-
-
-def _rational(text: str) -> Fraction:
-    """The value of a rational string, read in one pass with `int`.
-
-    Raises ValueError for a string outside the grammar and ZeroDivisionError
-    for a zero denominator, with the messages ``Fraction(text)`` gives.
-    """
-    body = text[1:] if text[:1] in ("+", "-") else text
-    num, slash, den = body.partition("/")
-    whole, point, decimals = num.partition(".")
-    if body.isascii() and (
-        num.isdigit() and den.isdigit()
-        if slash
-        else whole.isdigit() and (decimals.isdigit() or not point)
-    ):
-        if slash:
-            numerator, denominator = int(num), int(den)
-        else:
-            denominator = 10 ** len(decimals)
-            numerator = int(whole) * denominator + int(decimals or 0)
-        if text[0] == "-":
-            numerator = -numerator
-        if denominator:
-            return Fraction(numerator, denominator)
-        raise ZeroDivisionError(f"Fraction({numerator}, 0)")
-    raise ValueError(f"Invalid literal for Fraction: {text!r}")
 
 
 #: Workspace table -> the noun every message uses for its objects, parameter

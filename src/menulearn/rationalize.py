@@ -26,7 +26,7 @@ from .core import (
     constant_menu,
     unit_weight,
 )
-from .comparative import _VACUOUS, CheckReport, _scan
+from .comparative import _VACUOUS, CheckReport, _each, _scan
 from .criteria import Criterion, collection_maxmin_gap
 from .errors import BadWeightError, ValidationError
 from .evaluation import benefit_of_information, mix_lotteries
@@ -248,6 +248,6 @@ def check_consistency(
     pairs = itertools.permutations(constant_menus, 2)
     distinct = ((F, G) for F in corpus for G in corpus if F != G)
     return ConsistencyReport(
-        CheckReport("lottery_consistency", *_scan(pairs, lottery_test)),
-        CheckReport("robust_strict_consistency", *_scan(distinct, strict_test)),
+        CheckReport("lottery_consistency", *_scan(_each(pairs), lottery_test)),
+        CheckReport("robust_strict_consistency", *_scan(_each(distinct), strict_test)),
     )

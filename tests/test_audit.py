@@ -268,6 +268,13 @@ class FlippedCriterion(Criterion):
     def weakly_prefers(self, F, G):
         return super().weakly_prefers(F, G) != ((F, G) in self.flipped)
 
+    def _relation(self, menus):
+        # The corpus relation read from the corrupted predicate, pair by pair,
+        # so the audit's bitset path sees the same flips as its pair path.
+        return [
+            sum(1 << j for j, G in enumerate(menus) if self.weakly_prefers(F, G)) for F in menus
+        ]
+
 
 def seeded_criteria(seed):
     """A random instance and its SL, BML, JML and HML criteria, all from *seed*."""

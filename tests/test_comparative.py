@@ -23,6 +23,14 @@ from menulearn import (
 )
 from menulearn.audit import AuditConfig, generate_corpus, random_credal_set, random_instance
 
+from conftest import twin_menu
+from reference_comparative import (
+    reference_less_inconsistent,
+    reference_less_negative_inconsistent,
+    reference_more_decisive,
+    reference_more_strict_decisive,
+)
+
 
 def brute_force_membership(target, generators, resolution: int = 12):
     """Grid oracle: True when some convex combination on the grid hits the target.
@@ -300,3 +308,68 @@ class TestDecisivenessChecks:
         ).to_record()
         assert record["check"] == "more_decisive"
         assert record["status"] in ("pass", "vacuous")
+
+
+#: Each check, its reference, and the criterion it compares.
+CHECKS = (
+    (check_more_decisive, reference_more_decisive, BmlComparator),
+    (check_less_negative_inconsistent, reference_less_negative_inconsistent, BmlComparator),
+    (check_more_strict_decisive, reference_more_strict_decisive, JmlComparator),
+    (check_less_inconsistent, reference_less_inconsistent, JmlComparator),
+)
+
+
+def assert_checks_match_reference(inst, first, second, corpus):
+    """The four checks equal their references on fresh criteria, witness menus included."""
+    reports = []
+    for check, reference, kind in CHECKS:
+        got = check(kind(inst, first), kind(inst, second), corpus)
+        want = reference(kind(inst, first), kind(inst, second), corpus)
+        assert got == want
+        if got.witness is not None:
+            assert all(a is b for a, b in zip(got.witness, want.witness))
+        reports.append(got)
+    return reports
+
+
+class TestReferenceComparative:
+    """The bitset checks against the plain pair-by-pair reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_nested_pairs(self, seed):
+        rng = random.Random(700 + seed)
+        inst = random_instance(rng)
+        inner, outer = _nested_pair(rng, inst)
+        corpus = generate_corpus(inst, AuditConfig(corpus_size=10, seed=seed))
+        reports = assert_checks_match_reference(inst, inner, outer, corpus)
+        assert all(report.passed for report in reports)
+
+    def test_swapped_roles_fail_every_check(self):
+        failed = set()
+        for seed in range(12):
+            rng = random.Random(700 + seed)
+            inst = random_instance(rng)
+            inner, outer = _nested_pair(rng, inst)
+            corpus = generate_corpus(inst, AuditConfig(corpus_size=10, seed=seed))
+            for report in assert_checks_match_reference(inst, outer, inner, corpus):
+                if report.status == "fail":
+                    failed.add(report.check)
+        assert failed == {check.__name__.removeprefix("check_") for check, _, _ in CHECKS}
+
+    def test_corpus_with_repeated_menus(self, example1):
+        # As `menulearn comparative` builds it: the generated corpus, then the
+        # document's menus; twins of generated menus repeat values by new objects.
+        inst = example1.instance
+        both = example1.credal_set("both")
+        third = combine_structures(both.generators, (Fraction(1, 3), Fraction(2, 3)))
+        corpus = generate_corpus(inst, AuditConfig(corpus_size=8, seed=4))
+        corpus.extend(example1.menus[name] for name in sorted(example1.menus))
+        corpus.extend(twin_menu(menu) for menu in corpus[:4])
+        corpus.append(corpus[1])
+        for first, second in ((CredalSet.singleton(third), both), (both, CredalSet.singleton(third))):
+            assert_checks_match_reference(inst, first, second, corpus)
+
+    def test_empty_corpus(self, example1):
+        both = example1.credal_set("both")
+        for report in assert_checks_match_reference(example1.instance, both, both, []):
+            assert (report.status, report.tuples_checked, report.antecedents) == ("vacuous", 0, 0)

@@ -34,7 +34,7 @@ from menulearn import (
     mix_structures,
     validate_instance,
 )
-from menulearn.core import unit_weight, validate_act, validate_posterior
+from menulearn.core import as_fraction, unit_weight, validate_act, validate_posterior
 
 from conftest import instances, lotteries, posteriors, structures
 
@@ -340,6 +340,17 @@ class TestInputRules:
     def test_malformed_rational_string_is_a_validation_error(self, build):
         with pytest.raises(ValidationError, match="^malformed rational '"):
             build()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-1", " 1/2 ", "1_000", ".5", "\u0663/6"],
+        ids=["exponent", "whitespace", "separator", "bare_point", "non_ascii_digit"],
+    )
+    def test_as_fraction_reads_only_the_document_grammar(self, text):
+        # Each string is one class `Fraction(text)` accepts and documents reject.
+        Fraction(text)
+        with pytest.raises(ValidationError, match=r"^malformed rational '"):
+            as_fraction(text)
 
     def test_lottery_in_a_state_the_act_lacks(self):
         act = Act({"w1": Lottery.degenerate("x")})

@@ -3,8 +3,9 @@
 Every mutated bundled document either loads or is one parse error; every
 argv list either succeeds or exits 2-4 with exactly one line on stderr,
 never a traceback.  The rational parser agrees with `Fraction` wherever it
-returns and accepts exactly the strings of the document grammar, and the
-measure rule accepts exactly the distributions whose exact sum is 1.
+returns and accepts exactly the strings of the document grammar, as does
+the library's `as_fraction`, and the measure rule accepts exactly the
+distributions whose exact sum is 1.
 """
 
 import contextlib
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from menulearn import BadProbabilityError, Lottery, ParseError, cli, loads
+from menulearn import BadProbabilityError, Lottery, ParseError, ValidationError, cli, loads
+from menulearn.core import as_fraction
 from menulearn.fileformat import parse_fraction
 
 from conftest import DATA_DIR
@@ -215,6 +217,15 @@ def test_parse_fraction_agrees_with_fraction(text):
     else:
         assert GRAMMAR.fullmatch(text)
         assert value == expected and type(value) is Fraction
+    # The library reads strings by the same grammar.
+    try:
+        library = as_fraction(text)
+    except ValidationError as exc:
+        assert not GRAMMAR.fullmatch(text)
+        assert str(exc) == f"malformed rational {text!r}"
+    else:
+        assert GRAMMAR.fullmatch(text)
+        assert library == expected and type(library) is Fraction
 
 
 @st.composite

@@ -9,9 +9,10 @@ coprime, large and negative denominators and by ties that only show after
 cross-multiplying, that each memo keeps apart the questions it must
 (strict from weak dominance), that the audit's mixtures and randomizations
 equal the public mixers' and its menus are interned without changing any
-report, that vectors follow the instance's state order, that malformed acts
-and posteriors raise typed errors, and that every table is freed with its
-owner.
+report, that the corpus relations decided at once as bitsets (weak
+preference, dominance) agree with the pair-by-pair predicates, that vectors
+follow the instance's state order, that malformed acts and posteriors raise
+typed errors, and that every table is freed with its owner.
 """
 
 import gc
@@ -44,6 +45,7 @@ from menulearn import (
     Lottery,
     Menu,
     Posterior,
+    SlComparator,
     ValidationError,
     act_value,
     audit,
@@ -67,9 +69,11 @@ from menulearn.audit import (
     random_instance,
 )
 from menulearn.core import validate_act
-from menulearn.evaluation import _randomize
+from menulearn.evaluation import _dominance_relation, _randomize
 
 from conftest import (
+    collections,
+    credal_sets,
     instances,
     lotteries,
     menu_of,
@@ -171,6 +175,82 @@ def tie_twin(f: Act, inst: Instance) -> Act:
     return Act(
         {state: utility_lottery(inst, ref.lottery_utility(x, inst)) for state, x in f.outcomes}
     )
+
+
+@st.composite
+def tied_corpora(draw, inst: Instance):
+    """Corpora with repeated menus and tied benefits: drawn menus, equal twins,
+    singletons of their first acts and of tie twins paying the same utilities."""
+    drawn = [draw(menus(inst)) for _ in range(draw(st.integers(1, 4)))]
+    pool = list(drawn)
+    for menu in drawn:
+        first = menu.acts[0]
+        pool += [twin_menu(menu), Menu((first,)), Menu((tie_twin(first, inst),))]
+    return draw(st.lists(st.sampled_from(pool), max_size=9))
+
+
+def bit(relation, i, j):
+    return bool(relation[i] >> j & 1)
+
+
+class TestCorpusRelations:
+    """`Criterion._relation` and `_dominance_relation` against the pair predicates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_weak_preference_bits(self, data):
+        inst = data.draw(instances())
+        corpus = data.draw(tied_corpora(inst))
+        credal = data.draw(credal_sets(inst))
+        kinds = (
+            (SlComparator, credal.generators[0]),
+            (BmlComparator, credal),
+            (JmlComparator, credal),
+            (HmlComparator, data.draw(collections(inst))),
+        )
+        for kind, param in kinds:
+            relation = kind(inst, param)._relation(corpus)
+            pairs = kind(inst, param)
+            assert len(relation) == len(corpus)
+            for i, F in enumerate(corpus):
+                for j, G in enumerate(corpus):
+                    assert bit(relation, i, j) == pairs.weakly_prefers(F, G)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dominance_bits(self, data):
+        inst = data.draw(instances())
+        corpus = data.draw(tied_corpora(inst))
+        for strict in (False, True):
+            relation = _dominance_relation(corpus, inst, strict)
+            for i, F in enumerate(corpus):
+                for j, G in enumerate(corpus):
+                    assert bit(relation, i, j) == dominates(F, G, inst, strict=strict)
+
+    def test_unevaluable_menu_raises_as_on_the_pair_path(self, two_state_instance):
+        inst = two_state_instance
+        lose, win = Lottery.degenerate("lose"), Lottery.degenerate("win")
+        good = Menu((Act({"w1": win, "w2": lose}),))
+        stray = Menu((Act({"w1": lose, "w2": lose, "w3": win}),))
+        partial_act = Menu((Act({"w1": win}),))
+        structure = InfoStructure.point_mass(Posterior({"w1": 1}))
+        for bad in (stray, partial_act):
+            relations = (
+                lambda corpus: SlComparator(inst, structure)._relation(corpus),
+                lambda corpus: _dominance_relation(corpus, inst, False),
+                lambda corpus: _dominance_relation(corpus, inst, True),
+            )
+            pairs = (
+                lambda F, G: SlComparator(inst, structure).weakly_prefers(F, G),
+                lambda F, G: dominates(F, G, inst),
+                lambda F, G: dominates(F, G, inst, strict=True),
+            )
+            for relation, pair in zip(relations, pairs):
+                with pytest.raises(DimensionMismatchError) as on_pairs:
+                    pair(good, bad)
+                with pytest.raises(DimensionMismatchError) as at_once:
+                    relation([good, bad])
+                assert str(at_once.value) == str(on_pairs.value)
 
 
 class TestIntegerKernel:

@@ -8,9 +8,11 @@ and in no other module.  Memos are tables on the `Instance` or the
 `Criterion` they serve, freed with it, so no module may keep a
 module-level function cache.  A held `Criterion` is the only way to rank
 menus, each selectable axiom is defined by one entry of the audit's spec
-table, and the README's library example runs as written.
+table, the test oracles `tests/reference_*.py` import no private name of
+the package, and the README's library example runs as written.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -29,6 +31,7 @@ RULE_PHRASES = (
     "lottery over unknown prizes",
     "posterior over unknown states",
     "must lie in [0, 1]",
+    "Invalid literal for Fraction",
 )
 
 
@@ -48,6 +51,25 @@ def test_no_module_keeps_a_function_cache():
         path.name for path in SRC.glob("*.py") if FUNCTION_CACHE.search(path.read_text())
     )
     assert caching == []
+
+
+def _private_menulearn_imports(path: Path) -> list[str]:
+    """The underscore-prefixed names *path* imports from a `menulearn` module."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "menulearn":
+            names += [alias.name for alias in node.names if alias.name.startswith("_")]
+            names += [part for part in node.module.split(".") if part.startswith("_")]
+    return names
+
+
+def test_reference_oracles_import_no_private_names():
+    # An oracle that borrowed a fast path's helper would check it against itself.
+    oracles = sorted((ROOT / "tests").glob("reference_*.py"))
+    assert oracles
+    assert {path.name: _private_menulearn_imports(path) for path in oracles} == {
+        path.name: [] for path in oracles
+    }
 
 
 #: Per-call compare wrappers, gap one-liners, the static-priors oracle and
