@@ -6,12 +6,13 @@ reports pass / fail / vacuous per axiom, or truncated when the tuple cap
 cut the enumeration short.  Failures carry a replayable, shrunken
 counterexample: rerunning the audit on the counterexample menus alone
 reproduces the failure.  Each axiom is defined in one place, its entry in
-the spec table `_SPECS`: the tuples it is checked on and its test of one.
-Where the antecedent reads only relations between corpus menus
-(nontriviality, transitivity, unambiguous transitivity, favorable mixing
-monotonicity), the entry also enumerates just the candidates whose
-antecedent fires, decided once per audit on bitsets over the corpus; the
-report, counts and truncation point stay those of the plain enumeration.
+the spec table `_SPECS`, which gives either the tuples it is checked on and
+its test of one, or, where the antecedent reads only relations between
+corpus menus (nontriviality, transitivity, unambiguous transitivity,
+favorable mixing monotonicity), just the candidates whose antecedent fires,
+decided once per audit on bitsets over the corpus, at their positions in
+the plain enumeration; the report, counts and truncation point stay those
+of that enumeration.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -329,19 +330,22 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 # ---------------------------------------------------------------------------
 
 class _Spec(NamedTuple):
-    """One axiom: the menu tuples ``tuples(corpus, inst)``, each tried with
-    every ``(alpha, betas)`` of ``weights(config)``, and ``test(cmp, menus,
-    alpha, betas)``: `_VACUOUS` when the antecedent does not fire, else
-    whether the consequent holds.
+    """One axiom, given one of two ways.
 
-    An axiom whose antecedent reads only relations between corpus menus
-    also has ``fired(cmp, corpus, weights)``: the number of candidates, and
-    the candidates whose antecedent fires as `_scan` takes them, decided on
-    the corpus relations as bitsets.  Where a consequent is not decided
-    there, ``consequent(cmp, menus, alpha, betas)`` decides it."""
+    Either the menu tuples ``tuples(corpus, inst)``, each tried with every
+    ``(alpha, betas)`` of ``weights(config)``, and ``test(cmp, menus, alpha,
+    betas)``: `_VACUOUS` when the antecedent does not fire, else whether the
+    consequent holds.
 
-    tuples: Callable[[Sequence[Menu], Instance], Iterable[tuple[Menu, ...]]]
-    test: Callable[..., Optional[bool]]
+    Or, where the antecedent reads only relations between corpus menus,
+    ``fired(cmp, corpus, weights)``: the number of candidates, and the
+    candidates whose antecedent fires as `_scan` takes them, decided on the
+    corpus relations as bitsets.  Where a consequent is not decided there,
+    ``consequent(cmp, menus, alpha, betas)`` decides it.  Such an axiom
+    keeps a ``test`` only where a failure is shrunk with it."""
+
+    tuples: Optional[Callable[[Sequence[Menu], Instance], Iterable[tuple[Menu, ...]]]] = None
+    test: Optional[Callable[..., Optional[bool]]] = None
     weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
     fired: Optional[Callable[..., tuple[int, Iterable[tuple]]]] = None
     consequent: Optional[Callable[..., bool]] = None
@@ -368,13 +372,9 @@ def _with_singletons(corpus: Sequence[Menu], inst: Instance):
     return itertools.product(corpus, [inst._intern(Menu((act,))) for act in acts])
 
 
-def _nontriviality(cmp, menus, alpha, betas):
-    # `audit` reads a "violation", a strictly ranked pair, as the witness.
-    return _VIOLATED if cmp.strictly_prefers(*menus) else _VACUOUS
-
-
 def _strictly_ranked(cmp, corpus, weights):
-    """Nontriviality's fired pairs: the strictly ranked ones, each a witness."""
+    """Nontriviality's fired pairs: the strictly ranked ones, each yielded as
+    a "violation", which `audit` reads as the witness."""
     n = len(corpus)
 
     def fired():
@@ -507,24 +507,16 @@ def _strict_pairs_of_pairs(cmp, corpus, weights):
 
 #: The one definition of each selectable axiom, in `Axiom` order.
 _SPECS: dict[Axiom, _Spec] = {
-    Axiom.NONTRIVIALITY: _Spec(
-        lambda corpus, inst: itertools.permutations(corpus, 2),
-        _nontriviality,
-        fired=_strictly_ranked,
-    ),
+    Axiom.NONTRIVIALITY: _Spec(fired=_strictly_ranked),
     Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(
         lambda corpus, inst: itertools.combinations(corpus, 2), _completeness_for_lotteries
     ),
     Axiom.COMPLETENESS: _Spec(
         lambda corpus, inst: itertools.combinations(corpus, 2), _completeness
     ),
-    Axiom.TRANSITIVITY: _Spec(
-        lambda corpus, inst: itertools.product(corpus, repeat=3), _transitivity, fired=_chains
-    ),
+    Axiom.TRANSITIVITY: _Spec(test=_transitivity, fired=_chains),
     Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(
-        lambda corpus, inst: itertools.product(corpus, repeat=3),
-        _unambiguous_transitivity,
-        fired=_unambiguous_chains,
+        test=_unambiguous_transitivity, fired=_unambiguous_chains
     ),
     Axiom.REFLEXIVITY: _Spec(lambda corpus, inst: zip(corpus), _reflexivity),
     Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(
@@ -542,13 +534,10 @@ _SPECS: dict[Axiom, _Spec] = {
         lambda corpus, inst: zip(corpus), _ex_post_randomization, _randomizations
     ),
     Axiom.FAVORABLE_MIXING_MONOTONICITY: _Spec(
-        lambda corpus, inst: (
-            p + q for p, q in itertools.product(itertools.permutations(corpus, 2), repeat=2)
-        ),
-        _favorable_mixing_monotonicity,
-        _grid,
-        _strict_pairs_of_pairs,
-        _mixing_keeps_strict,
+        test=_favorable_mixing_monotonicity,
+        weights=_grid,
+        fired=_strict_pairs_of_pairs,
+        consequent=_mixing_keeps_strict,
     ),
 }
 
@@ -620,9 +609,10 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
             total, candidates = None, _each(spec.candidates(corpus, config, cmp.instance))
         else:
             total, candidates = spec.fired(cmp, corpus, spec.weights(config))
+        test = spec.consequent or spec.test
         status, witness, checked, fired = _scan(
             candidates,
-            partial(spec.consequent or spec.test, cmp),
+            partial(test, cmp) if test else None,
             total,
             None if existence else config.max_tuples,
         )

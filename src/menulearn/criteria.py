@@ -70,7 +70,10 @@ class Criterion:
     cannot be evaluated at one of them raises even where another member
     would already decide the verdict.  An engine that needs the verdict
     between every pair of a corpus asks `_relation` once instead, which
-    reads the same rows and keeps nothing.
+    reads the same rows and keeps nothing.  The comparative checks and the
+    audits decide corpus relations that way, from the rows, never through
+    `weakly_prefers`: a subclass that overrides `weakly_prefers` must
+    override `_relation` to match.
     """
 
     instance: Instance
