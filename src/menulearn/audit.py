@@ -215,25 +215,25 @@ class AuditReport:
 # ---------------------------------------------------------------------------
 
 
-def _random_distribution(rng: random.Random, labels: Sequence[str]) -> dict[str, Fraction]:
-    """Random exact distribution with small integer weights (never all zero)."""
+def _random_distribution(rng: random.Random, kind: type, labels: Sequence[str]):
+    """Random exact *kind* distribution with small integer weights (never all zero),
+    each label's weight over their total handed to the measure rule's integer core."""
     weights = [rng.randint(0, 4) for _ in labels]
     if not any(weights):
         weights[rng.randrange(len(labels))] = 1
-    total = sum(weights)
-    return {label: Fraction(w, total) for label, w in zip(labels, weights) if w}
+    return kind._of_numerators(dict(zip(labels, weights)), sum(weights))
 
 
 def random_lottery(rng: random.Random, inst: Instance) -> Lottery:
     if rng.random() < 0.4:
         return Lottery.degenerate(rng.choice(inst.prizes))
-    return Lottery(_random_distribution(rng, inst.prizes))
+    return _random_distribution(rng, Lottery, inst.prizes)
 
 
 def random_posterior(rng: random.Random, inst: Instance) -> Posterior:
     if rng.random() < 0.3:
         return Posterior.degenerate(rng.choice(inst.states))
-    return Posterior(_random_distribution(rng, inst.states))
+    return _random_distribution(rng, Posterior, inst.states)
 
 
 def random_act(rng: random.Random, inst: Instance) -> Act:
@@ -545,24 +545,28 @@ _SPECS: dict[Axiom, _Spec] = {
 def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     """``mix_menus(F, G, alpha)``, memoized and interned on the instance.
 
-    Each act mixture ``mix_acts(f, g, alpha)`` is also built once per
-    instance, in the same table (Act and Menu keys never compare equal).
-    The mixed menu is always built and evaluated: the mixing axioms must
-    not be decided through the linearity of the benefit in the menu, which
-    is what they test.
+    The instance keeps one mixture table per weight, so *alpha* is hashed
+    once per call: ``(F, G)`` maps to the mixed menu and ``(f, g)`` to each
+    act mixture ``mix_acts(f, g, alpha)``, built once per instance (Act and
+    Menu keys never compare equal).  Every act built is interned like the
+    menu, so the memos meet each mixed act as one object per value.  The
+    mixed menu is always built and evaluated: the mixing axioms must not be
+    decided through the linearity of the benefit in the menu, which is what
+    they test.
     """
-    table = inst._mixtures
-    menu = table.get((F, G, alpha))
+    table = inst._mixtures.get(alpha)
+    if table is None:
+        table = inst._mixtures[alpha] = {}
+    menu = table.get((F, G))
     if menu is None:
         acts = []
         for f in F:
             for g in G:
-                key = (f, g, alpha)
-                act = table.get(key)
+                act = table.get((f, g))
                 if act is None:
-                    act = table[key] = mix_acts(f, g, alpha)
+                    act = table[f, g] = inst._intern_act(mix_acts(f, g, alpha))
                 acts.append(act)
-        menu = table[F, G, alpha] = inst._intern(Menu(tuple(acts)))
+        menu = table[F, G] = inst._intern(Menu(tuple(acts)))
     return menu
 
 

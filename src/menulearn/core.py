@@ -5,8 +5,11 @@ Everything is exact: probabilities, weights, and utilities are
 preference verdicts never hinge on floating-point ties.  All types are
 immutable and hashable after construction and canonicalize their contents,
 which makes structural equality order-insensitive: `Lottery`, `Posterior`
-and `InfoStructure` are finite probability measures in the one form
-`_measure` gives them (repeated labels summed, zeros dropped, pairs sorted),
+and `InfoStructure` are finite probability measures in the one form the
+measure rule gives them (repeated labels summed, zeros dropped, pairs
+sorted), read from rationals by `_measure` or, for a `Lottery` or
+`Posterior` built from integer weights over one denominator, by its integer
+core `_Distribution._of_numerators`;
 `Act` and `Menu` sort their contents, and `CredalSet` and `Collection` drop
 exact duplicates in first-seen order (`_distinct`).
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, is_not
 from typing import ClassVar, Union
 
 from .errors import (
@@ -143,39 +146,64 @@ def _pairs(entries: Mapping | Iterable[tuple]) -> Iterable[tuple]:
 
 
 def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, key=None):
-    """A finite probability measure as sorted (label, Fraction) pairs; the one measure rule.
+    """A finite probability measure as sorted (label, Fraction) pairs; the front end of
+    the one measure rule, whose integer core is `_Distribution._of_numerators`.
 
     Labels must be *label_type*s.  A negative entry is rejected before
     repeated labels are summed; zeros are dropped and the total must be
-    exactly 1.  The total is checked on integers, as `Instance._lottery_numerator`
-    computes expected utility: the numerators rescaled to the lcm of the
-    denominators must sum to that lcm.  *what* names the entries in
-    messages; *key* orders the pairs.
+    exactly 1.  The total is checked on integers by `_settled`, as
+    `Instance._lottery_numerator` computes expected utility: the numerators
+    rescaled to the lcm of the denominators must sum to that lcm.  *what*
+    names the entries in messages; *key* orders the pairs.
     """
     merged: dict = {}
     for label, raw in _pairs(entries):
         if not isinstance(label, label_type):
-            raise TypeError(f"{what} must be keyed by {label_type.__name__}, got {label!r}")
+            raise _label_error(what, label_type, label)
         prob = raw if type(raw) is Fraction else as_fraction(raw)
         if prob.numerator < 0:
-            raise BadProbabilityError(f"{what} must be nonnegative, got {prob} for {label!r}")
+            raise _negative_error(what, prob, label)
         # Not `merged.get(label, 0) + prob`: int + Fraction runs the slower `__radd__`.
         merged[label] = merged[label] + prob if label in merged else prob
     probs = merged.values()
     common = lcm(*[prob.denominator for prob in probs])
-    if sum([prob.numerator * (common // prob.denominator) for prob in probs]) != common:
-        total = sum(probs, Fraction(0))
-        raise BadProbabilityError(f"{what} sum to {total}, expected exactly 1")
-    return tuple(sorted(((label, p) for label, p in merged.items() if p), key=key))
+    mass = sum([prob.numerator * (common // prob.denominator) for prob in probs])
+    return _settled(((label, p) for label, p in merged.items() if p), mass, common, what, key)
 
 
-def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:
-    """The *items*, each a *item_type*, in first-seen order with exact duplicates removed."""
+def _settled(pairs: Iterable[tuple], mass: int, total: int, what: str, key=None) -> tuple:
+    """The one total check and canonical order of the measure rule.
+
+    *mass* is the sum of the numerators over the denominator *total*; it
+    must equal *total*.  *pairs* (label, nonzero Fraction) are then sorted
+    by *key*, and are read only if the check passes.
+    """
+    if mass != total:
+        raise BadProbabilityError(f"{what} sum to {Fraction(mass, total)}, expected exactly 1")
+    return tuple(sorted(pairs, key=key))
+
+
+def _label_error(what: str, label_type: type, label) -> TypeError:
+    return TypeError(f"{what} must be keyed by {label_type.__name__}, got {label!r}")
+
+
+def _negative_error(what: str, prob: Fraction, label) -> BadProbabilityError:
+    return BadProbabilityError(f"{what} must be nonnegative, got {prob} for {label!r}")
+
+
+def _members(items: Iterable, item_type: type) -> tuple:
+    """The *items* as a tuple, each checked to be a *item_type*."""
     items = tuple(items)
     for item in items:
         if not isinstance(item, item_type):
             article = "an" if item_type.__name__[0] in "AEIOU" else "a"
             raise TypeError(f"expected {article} {item_type.__name__}, got {item!r}")
+    return items
+
+
+def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:
+    """The *items*, each a *item_type*, in first-seen order with exact duplicates removed."""
+    items = _members(items, item_type)
     if not items:
         raise ValidationError(empty_message)
     return tuple(dict.fromkeys(items))
@@ -205,9 +233,30 @@ class _Distribution(_HashOnce):
         object.__setattr__(self, "probs", _measure(self.probs, self._what, str))
 
     @classmethod
+    def _of_numerators(cls, numerators: dict[str, int], total: int):
+        """The distribution giving each label ``numerators[label] / total``: the
+        integer core of the measure rule, used in place of `__post_init__`.
+
+        The same rule as `_measure`, with the same messages, decided on the
+        ints: each label a string, each numerator nonnegative, their sum
+        exactly *total*.  Zeros are dropped and each remaining probability is
+        built as one reduced Fraction, the only one made for it.
+        """
+        what = cls._what
+        for label, num in numerators.items():
+            if not isinstance(label, str):
+                raise _label_error(what, str, label)
+            if num < 0:
+                raise _negative_error(what, Fraction(num, total), label)
+        pairs = ((label, Fraction(num, total)) for label, num in numerators.items() if num)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "probs", _settled(pairs, sum(numerators.values()), total, what))
+        return dist
+
+    @classmethod
     def degenerate(cls, label: str):
         """The point mass on a single label."""
-        return cls({label: Fraction(1)})
+        return cls._of_numerators({label: 1}, 1)
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -288,7 +337,7 @@ class Menu(_HashOnce):
     __hash__ = _hash_of("acts")
 
     def __post_init__(self) -> None:
-        unique = sorted(set(self.acts), key=_act_sort_key)
+        unique = sorted(set(_members(self.acts, Act)), key=_act_sort_key)
         if not unique:
             raise ValidationError("menu must contain at least one act")
         object.__setattr__(self, "acts", tuple(unique))
@@ -454,15 +503,16 @@ class Instance(_HashOnce):
     # an act's utilities and ``(D_p, (m_p[s] for s in states))`` for a
     # posterior's masses (Act and Posterior keys never compare equal);
     # (menu, structure) -> benefit of information, one exact Fraction;
-    # (F, G, strict) -> dominance verdict; the audit's mixtures
-    # ((f, g, alpha) -> mixed act and (F, G, alpha) -> mixed menu in one
-    # table: Act and Menu keys never compare equal); and the menu intern
-    # table (see `_intern`).
+    # (F, G, strict) -> dominance verdict; the audit's mixtures, one table
+    # per weight, alpha -> {(f, g) -> mixed act, (F, G) -> mixed menu}
+    # (Act and Menu keys never compare equal); and the menu and act intern
+    # tables (see `_intern`).
     _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _dominance: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _menus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __hash__ = _hash_of("states", "prizes", "utility")
 
     def __reduce__(self):
@@ -485,11 +535,24 @@ class Instance(_HashOnce):
     def _intern(self, menu: Menu) -> Menu:
         """The one menu object this instance holds for *menu*'s value.
 
-        Memo keys compare by identity before value, so a menu that reaches
-        the memos through this table finds its entries without comparing
+        Each act of the held menu is likewise the one act object the
+        instance holds for its value (`_intern_act`); a first-seen menu with
+        other act objects is held as an equal menu of the held acts.  Memo
+        keys compare by identity before value, so a menu or act that reaches
+        the memos through these tables finds its entries without comparing
         acts, lotteries and Fractions one by one.
         """
-        return self._menus.setdefault(menu, menu)
+        held = self._menus.get(menu)
+        if held is None:
+            acts = tuple(map(self._intern_act, menu.acts))
+            if any(map(is_not, acts, menu.acts)):
+                menu = Menu(acts)
+            held = self._menus[menu] = menu
+        return held
+
+    def _intern_act(self, act: Act) -> Act:
+        """The one act object this instance holds for *act*'s value."""
+        return self._acts.setdefault(act, act)
 
     def utility_of(self, prize: str) -> Fraction:
         for label, value in self.utility:

@@ -113,9 +113,20 @@ def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:
 
 
 def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction) -> Lottery:
-    """`mix_lotteries` for an *alpha* the caller has already checked."""
-    beta = 1 - alpha
-    return Lottery([(z, alpha * p) for z, p in x.probs] + [(z, beta * p) for z, p in y.probs])
+    """`mix_lotteries` for an *alpha* the caller has already checked.
+
+    With ``alpha = a / b`` and ``L`` the lcm of both lotteries' denominators,
+    each prize gets the integer numerator ``a x(z) L + (b - a) y(z) L`` over
+    ``b L``, and the measure rule's integer core builds the result.
+    """
+    a, b = alpha.numerator, alpha.denominator
+    common = lcm(*[p.denominator for _, p in x.probs], *[p.denominator for _, p in y.probs])
+    numerators = {z: a * p.numerator * (common // p.denominator) for z, p in x.probs}
+    rest = b - a
+    for z, p in y.probs:
+        num = rest * p.numerator * (common // p.denominator)
+        numerators[z] = numerators[z] + num if z in numerators else num
+    return Lottery._of_numerators(numerators, b * common)
 
 
 def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:

@@ -5,8 +5,9 @@ on every call and summing Fractions.  `menulearn.evaluation` memoizes per
 instance and evaluates on integer numerators (one denominator per act, one
 per posterior); the differential tests require it to agree with these
 functions exactly.  The mixtures (`mix_lotteries`,
-`mean_posterior`, `combine_structures`) accumulate each weighted sum in a
-dict, where `menulearn` lists weighted pairs for the one measure rule.
+`mean_posterior`, `combine_structures`) accumulate each weighted sum of
+Fractions in a dict, where `menulearn` mixes lotteries on integer
+numerators over one denominator and lists weighted pairs for the others.
 """
 
 from __future__ import annotations

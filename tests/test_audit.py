@@ -1,5 +1,6 @@
 """The axiom-audit harness: corpora, verdict matrices, counterexamples."""
 
+import importlib
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -28,15 +29,70 @@ from menulearn import (
     dominates,
     generate_corpus,
 )
+from menulearn import Lottery
 from menulearn.audit import (
     random_collection,
     random_credal_set,
     random_instance,
+    random_lottery,
+    random_posterior,
     random_structure,
 )
 
 from conftest import menu_of
 from reference_audit import reference_audit
+
+
+# The module, not the `audit` function the package exports under its name.
+audit_module = importlib.import_module("menulearn.audit")
+
+
+def public_distribution(rng, kind, labels):
+    """The random draws' distribution built through the public constructor:
+    one ``Fraction(w, total)`` per label, as the measure rule's front end reads it."""
+    weights = [rng.randint(0, 4) for _ in labels]
+    if not any(weights):
+        weights[rng.randrange(len(labels))] = 1
+    total = sum(weights)
+    return kind({label: Fraction(w, total) for label, w in zip(labels, weights) if w})
+
+
+def public_lottery(rng, inst):
+    if rng.random() < 0.4:
+        return Lottery({rng.choice(inst.prizes): Fraction(1)})
+    return public_distribution(rng, Lottery, inst.prizes)
+
+
+def public_posterior(rng, inst):
+    if rng.random() < 0.3:
+        return Posterior({rng.choice(inst.states): Fraction(1)})
+    return public_distribution(rng, Posterior, inst.states)
+
+
+class TestRandomDraws:
+    """Draws built on the measure rule's integer core equal the public constructors'."""
+
+    @pytest.mark.parametrize(
+        "draw, public", [(random_lottery, public_lottery), (random_posterior, public_posterior)]
+    )
+    def test_draws_equal_the_public_construction(self, draw, public):
+        for seed in range(40):
+            inst = random_instance(random.Random(seed), max_states=4, max_prizes=5)
+            rng, twin = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                value, expected = draw(rng, inst), public(twin, inst)
+                assert value == expected
+                assert (repr(value), hash(value)) == (repr(expected), hash(expected))
+            assert rng.getstate() == twin.getstate()
+
+    def test_corpus_equals_the_public_construction(self, monkeypatch):
+        for seed in range(40):
+            config = AuditConfig(corpus_size=8, seed=seed)
+            corpus = generate_corpus(random_instance(random.Random(seed)), config)
+            with monkeypatch.context() as patched:
+                patched.setattr(audit_module, "random_lottery", public_lottery)
+                expected = generate_corpus(random_instance(random.Random(seed)), config)
+            assert corpus == expected and repr(corpus) == repr(expected)
 
 
 class TestGenerateCorpus:

@@ -374,3 +374,34 @@ class TestInputRules:
         for posterior in (Posterior({"w3": 1}), {"w1": 1, "w3": 0}):
             with pytest.raises(DimensionMismatchError, match=r"over unknown states \['w3'\]"):
                 validate_posterior(posterior, two_state_instance)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Menu((1, 2)), "expected an Act, got 1"),
+            (lambda: Menu((Lottery.degenerate("z"),)), "expected an Act, got Lottery("),
+            (lambda: CredalSet((Posterior.degenerate("w1"),)), "expected an InfoStructure, got"),
+            (lambda: Collection(("x",)), "expected a CredalSet, got 'x'"),
+        ],
+        ids=["menu_of_ints", "menu_of_a_lottery", "credal_set", "collection"],
+    )
+    def test_container_member_of_the_wrong_type(self, build, message):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value).startswith(message)
+
+    @pytest.mark.parametrize("kind", [Lottery, Posterior])
+    @pytest.mark.parametrize(
+        "numerators",
+        [{"a": 4, "b": -1}, {"a": 1, "b": 1}, {"a": 1, 7: 2}, {}],
+        ids=["negative", "short_total", "label_type", "empty"],
+    )
+    def test_integer_core_states_the_rule_as_the_public_constructor(self, kind, numerators):
+        # `_of_numerators` decides on integers what `_measure` decides on
+        # Fractions: the same error type and message for the same measure.
+        total = 3
+        with pytest.raises((TypeError, ValidationError)) as public:
+            kind({label: Fraction(num, total) for label, num in numerators.items()})
+        with pytest.raises((TypeError, ValidationError)) as core:
+            kind._of_numerators(numerators, total)
+        assert (type(core.value), str(core.value)) == (type(public.value), str(public.value))

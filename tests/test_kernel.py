@@ -8,8 +8,9 @@ and pair verdicts; these tests check that the kernel agrees exactly with
 coprime, large and negative denominators and by ties that only show after
 cross-multiplying, that each memo keeps apart the questions it must
 (strict from weak dominance), that the audit's mixtures and randomizations
-equal the public mixers' and its menus are interned without changing any
-report, that the corpus relations decided at once as bitsets (weak
+equal the public mixers' (lottery mixtures also over large coprime
+denominators) and its menus and their acts are interned without changing
+any report, that the corpus relations decided at once as bitsets (weak
 preference, dominance) agree with the pair-by-pair predicates, that vectors
 follow the instance's state order, that malformed acts and posteriors raise
 typed errors, and that every table is freed with its owner.
@@ -386,8 +387,29 @@ class TestIntegerKernel:
                     )
 
 
+#: Distinct primes up to 2^31 - 1.
+PRIMES = (2, 3, 7, 65_521, 65_537, 999_983, 1_000_003, 2_147_483_629, 2_147_483_647)
+
+
+def supports(labels):
+    return st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def prime_lotteries(draw, labels, primes):
+    """A lottery on *labels*: each but the last gets ``n / q`` for its own prime
+    ``q``, at most ``1 / len(labels)``, and the last the remaining mass."""
+    probs = {
+        label: Fraction(draw(st.integers(0, q // len(labels))), q)
+        for label, q in zip(labels[:-1], primes)
+    }
+    probs[labels[-1]] = 1 - sum(probs.values())
+    return Lottery(probs)
+
+
 class TestMixturesAgainstReference:
-    """The mixtures list weighted pairs; the reference accumulates them in a dict."""
+    """Lottery mixtures are built on integer numerators and the structure mixtures
+    list weighted pairs; the reference accumulates Fractions in a dict."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), alpha=st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1]))
@@ -407,6 +429,31 @@ class TestMixturesAgainstReference:
         for pi in (*parts, combined):
             prior, expected = mean_posterior(pi), ref.mean_posterior(pi)
             assert prior == expected and repr(prior) == repr(expected)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        alpha=st.one_of(
+            st.sampled_from([0, 1]),
+            st.integers(2**31, 2**64).flatmap(
+                lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))
+            ),
+        ),
+    )
+    def test_mixing_over_large_coprime_denominators(self, data, alpha):
+        # Each probability but a support's last has its own prime denominator
+        # (up to 2^31 - 1, none shared between the two lotteries), so the
+        # integer mixer's common denominator is a product of large primes.
+        primes = data.draw(st.permutations(PRIMES))
+        disjoint = data.draw(st.booleans())
+        x_labels = data.draw(supports("abcdef"))
+        y_labels = data.draw(supports([z for z in "abcdefgh" if not disjoint or z not in x_labels]))
+        x = data.draw(prime_lotteries(x_labels, primes[:3]))
+        y = data.draw(prime_lotteries(y_labels, primes[3:6]))
+        mixed, expected = mix_lotteries(x, y, alpha), ref.mix_lotteries(x, y, alpha)
+        assert all(type(p) is Fraction for _, p in mixed.probs)
+        assert mixed == expected
+        assert (repr(mixed), hash(mixed)) == (repr(expected), hash(expected))
 
 
 class TestDerivedMemos:
@@ -439,7 +486,7 @@ class TestDerivedMemos:
                         assert mixed == mix_menus(F, G, alpha) == ref.mix_menus(F, G, alpha)
                         for f in F:
                             for g in G:
-                                act = inst._mixtures[f, g, alpha]
+                                act = inst._mixtures[alpha][f, g]
                                 assert act == mix_acts(f, g, alpha)
                                 assert act in mixed
 
@@ -517,6 +564,23 @@ class TestInterning:
             for F in corpus:
                 if len(F) == 1:
                     assert any(singleton is F for singleton in singletons)
+
+    def test_acts_of_interned_menus_are_the_held_acts(self):
+        # The corpus repeats act values across menus (the best prize's
+        # constant act is built twice), and mixing repeats them again.
+        for seed in range(6):
+            inst = random_instance(random.Random(seed))
+            assert cross_audit(inst, seed=seed).all_passed
+            assert inst._menus and inst._acts and inst._mixtures
+            for menu in inst._menus.values():
+                assert inst._menus[menu] is menu
+                assert all(inst._acts[act] is act for act in menu)
+            for table in inst._mixtures.values():
+                mixed_acts = [value for value in table.values() if isinstance(value, Act)]
+                assert mixed_acts and all(inst._acts[act] is act for act in mixed_acts)
+            # A twin of an interned menu comes back as the held menu.
+            for menu in list(inst._menus.values()):
+                assert inst._intern(twin_menu(menu)) is menu
 
     def test_shrunk_witness_menus_are_interned(self, example2):
         # Shrinking the padded middle menu builds a new two-act menu; it

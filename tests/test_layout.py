@@ -9,7 +9,8 @@ and in no other module.  Memos are tables on the `Instance` or the
 module-level function cache.  A held `Criterion` is the only way to rank
 menus, each selectable axiom is defined by one entry of the audit's spec
 table, the test oracles `tests/reference_*.py` import no private name of
-the package, and the README's library example runs as written.
+the package, the README's library example runs as written, and every
+snippet of the mutation catalog `tests/mutants.py` still occurs once.
 """
 
 import ast
@@ -21,6 +22,8 @@ import pytest
 import menulearn
 from menulearn import ALL_AXIOMS, Axiom, Verdict, criteria, errors
 from menulearn.audit import _SPECS
+
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "menulearn"
@@ -103,3 +106,10 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["verdict"] is Verdict.INDIFFERENT
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
+def test_each_mutant_snippet_occurs_once(mutant):
+    # `tests/mutants.py` plants each fault by replacing this snippet.
+    assert (SRC / mutant.file).read_text().count(mutant.old) == 1
+    assert all((ROOT / test.split("::")[0]).is_file() for test in mutant.tests)
