@@ -545,18 +545,21 @@ _SPECS: dict[Axiom, _Spec] = {
 def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     """``mix_menus(F, G, alpha)``, memoized and interned on the instance.
 
-    The instance keeps one mixture table per weight, so *alpha* is hashed
-    once per call: ``(F, G)`` maps to the mixed menu and ``(f, g)`` to each
-    act mixture ``mix_acts(f, g, alpha)``, built once per instance (Act and
-    Menu keys never compare equal).  Every act built is interned like the
+    The instance keeps one mixture table per weight, found by the weight's
+    integer pair ``(a, b)`` for ``alpha = a / b``, which hashes and compares
+    in C however many Fraction objects carry the same weight; so *alpha* is
+    looked up once per call.  In it ``(F, G)`` maps to the mixed menu and
+    ``(f, g)`` to each act mixture ``mix_acts(f, g, alpha)``, built once per
+    instance (Act and Menu keys never compare equal).  Every act built is interned like the
     menu, so the memos meet each mixed act as one object per value.  The
     mixed menu is always built and evaluated: the mixing axioms must not be
     decided through the linearity of the benefit in the menu, which is what
     they test.
     """
-    table = inst._mixtures.get(alpha)
+    weight = (alpha.numerator, alpha.denominator)
+    table = inst._mixtures.get(weight)
     if table is None:
-        table = inst._mixtures[alpha] = {}
+        table = inst._mixtures[weight] = {}
     menu = table.get((F, G))
     if menu is None:
         acts = []

@@ -504,9 +504,9 @@ class Instance(_HashOnce):
     # posterior's masses (Act and Posterior keys never compare equal);
     # (menu, structure) -> benefit of information, one exact Fraction;
     # (F, G, strict) -> dominance verdict; the audit's mixtures, one table
-    # per weight, alpha -> {(f, g) -> mixed act, (F, G) -> mixed menu}
-    # (Act and Menu keys never compare equal); and the menu and act intern
-    # tables (see `_intern`).
+    # per weight alpha = a / b, (a, b) -> {(f, g) -> mixed act, (F, G) ->
+    # mixed menu} (Act and Menu keys never compare equal); and the menu and
+    # act intern tables (see `_intern`).
     _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _dominance: dict = field(default_factory=dict, init=False, repr=False, compare=False)

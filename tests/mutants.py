@@ -49,12 +49,8 @@ MUTANTS = (
     Mutant(
         "one mixture table shared by every weight",
         "audit.py",
-        "    table = inst._mixtures.get(alpha)\n"
-        "    if table is None:\n"
-        "        table = inst._mixtures[alpha] = {}\n",
-        "    table = inst._mixtures.get(None)\n"
-        "    if table is None:\n"
-        "        table = inst._mixtures[None] = {}\n",
+        "    weight = (alpha.numerator, alpha.denominator)\n",
+        "    weight = None\n",
         ("tests/test_kernel.py::TestDerivedMemos::test_mixed_acts_and_menus_equal_the_public_mixers",),
     ),
     Mutant(

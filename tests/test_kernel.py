@@ -486,7 +486,7 @@ class TestDerivedMemos:
                         assert mixed == mix_menus(F, G, alpha) == ref.mix_menus(F, G, alpha)
                         for f in F:
                             for g in G:
-                                act = inst._mixtures[alpha][f, g]
+                                act = inst._mixtures[alpha.numerator, alpha.denominator][f, g]
                                 assert act == mix_acts(f, g, alpha)
                                 assert act in mixed
 
