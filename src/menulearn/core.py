@@ -537,8 +537,7 @@ class Instance(_HashOnce):
 
         Each act of the held menu is likewise the one act object the
         instance holds for its value (`_intern_act`); a first-seen menu with
-        other act objects is held as an equal menu of the held acts, which
-        keep its canonical order, so they are not sorted again.  Memo keys
+        other act objects is held as an equal menu of the held acts.  Memo keys
         compare by identity before value, so a menu or act that reaches the
         memos through these tables finds its entries without comparing acts,
         lotteries and Fractions one by one.
@@ -547,8 +546,7 @@ class Instance(_HashOnce):
         if held is None:
             acts = tuple(map(self._intern_act, menu.acts))
             if any(map(is_not, acts, menu.acts)):
-                menu = object.__new__(Menu)
-                object.__setattr__(menu, "acts", acts)
+                menu = Menu(acts)
             held = self._menus[menu] = menu
         return held
 
