@@ -9,10 +9,10 @@ reproduces the failure.  Each axiom is defined in one place, its entry in
 the spec table `_SPECS`, which gives either the tuples it is checked on and
 its test of one, or, where the antecedent reads only relations between
 corpus menus (nontriviality, transitivity, unambiguous transitivity,
-favorable mixing monotonicity), just the candidates whose antecedent fires,
-decided once per audit on bitsets over the corpus, at their positions in
-the plain enumeration; the report, counts and truncation point stay those
-of that enumeration.
+dominance, favorable mixing monotonicity), just the candidates whose
+antecedent fires, decided once per audit on bitsets over the corpus, at
+their positions in the plain enumeration; the report, counts and truncation
+point stay those of that enumeration.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -120,11 +120,11 @@ class AuditConfig:
     weight, each an exact rational (see `as_fraction`) strictly inside
     (0, 1); gridded axioms (independence, favorable mixing monotonicity) are
     only checked at those mixture weights, each once (a repeated weight
-    keeps its first place).
-    ``max_tuples`` (at least 1) is a safety valve for pathological
-    configurations; at the default corpus sizes every axiom is enumerated
-    exhaustively.  An axiom that stops at the cap without a failure is
-    reported "truncated", never "pass".
+    keeps its first place).  ``corpus_size``, ``seed`` and ``max_tuples``
+    are ints, not bools.  ``max_tuples`` (at least 1) is a safety valve for
+    pathological configurations; at the default corpus sizes every axiom is
+    enumerated exhaustively.  An axiom that stops at the cap without a
+    failure is reported "truncated", never "pass".
     """
 
     axioms: frozenset[Axiom] = ALL_AXIOMS
@@ -148,6 +148,9 @@ class AuditConfig:
             raise BadWeightError("alpha grid needs at least one weight")
         if any(not 0 < a < 1 for a in self.alpha_grid):
             raise BadWeightError("alpha grid entries must lie strictly between 0 and 1")
+        for name in ("corpus_size", "seed", "max_tuples"):
+            if not isinstance(value := getattr(self, name), int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.corpus_size < 1:
             raise ValidationError("corpus size must be positive")
         if self.max_tuples < 1:
@@ -366,12 +369,6 @@ def _randomizations(config: AuditConfig) -> list[tuple]:
     return [(None, (a, 1 - a)) for a in config.alpha_grid] + [(None, (Fraction(1, 3),) * 3)]
 
 
-def _with_singletons(corpus: Sequence[Menu], inst: Instance):
-    # The singletons are built here, so they are interned like the corpus.
-    acts = dict.fromkeys(act for menu in corpus for act in menu)
-    return itertools.product(corpus, [inst._intern(Menu((act,))) for act in acts])
-
-
 def _strictly_ranked(cmp, corpus, weights):
     """Nontriviality's fired pairs: the strictly ranked ones, each yielded as
     a "violation", which `audit` reads as the witness."""
@@ -453,11 +450,31 @@ def _preference_for_flexibility(cmp, menus, alpha, betas):
 
 
 def _dominance(cmp, menus, alpha, betas):
+    # Shrinking keeps the second menu the singleton the fired pair named.
+    fired = dominates(*menus, cmp.instance)
+    return _indifferent_to_union(cmp, menus, alpha, betas) if fired else _VACUOUS
+
+
+def _indifferent_to_union(cmp, menus, alpha, betas):
     F, g_menu = menus
+    return cmp.compare(F, cmp.instance._intern(F.union(g_menu))) is Verdict.INDIFFERENT
+
+
+def _dominated_singletons(cmp, corpus, weights):
+    """Dominance's fired pairs ``(F, {g})``, F a corpus menu that dominates the act g, at
+    their positions among all such pairs; one interned singleton per act, in first-seen order."""
     inst = cmp.instance
-    if len(g_menu) != 1 or not dominates(F, g_menu, inst):
-        return _VACUOUS
-    return cmp.compare(F, inst._intern(F.union(g_menu))) is Verdict.INDIFFERENT
+    acts = dict.fromkeys(act for menu in corpus for act in menu)
+    singletons = [inst._intern(Menu((act,))) for act in acts]
+    n, s = len(corpus), len(singletons)
+
+    def fired():
+        dom = _dominance_relation([*corpus, *singletons], inst, False)
+        for i, F in enumerate(corpus):
+            for k in _bits(dom[i] >> n):
+                yield i * s + k, ((F, singletons[k]), None, None), None
+
+    return n * s, fired()
 
 
 def _independence(cmp, menus, alpha, betas):
@@ -522,7 +539,9 @@ _SPECS: dict[Axiom, _Spec] = {
     Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(
         lambda corpus, inst: itertools.permutations(corpus, 2), _preference_for_flexibility
     ),
-    Axiom.DOMINANCE: _Spec(_with_singletons, _dominance),
+    Axiom.DOMINANCE: _Spec(
+        test=_dominance, fired=_dominated_singletons, consequent=_indifferent_to_union
+    ),
     Axiom.INDEPENDENCE: _Spec(
         lambda corpus, inst: (
             pair + (H,) for pair in itertools.combinations(corpus, 2) for H in corpus

@@ -502,14 +502,12 @@ class Instance(_HashOnce):
     # `states` with one denominator, ``(d_f, (n_f[s] for s in states))`` for
     # an act's utilities and ``(D_p, (m_p[s] for s in states))`` for a
     # posterior's masses (Act and Posterior keys never compare equal);
-    # (menu, structure) -> benefit of information, one exact Fraction;
-    # (F, G, strict) -> dominance verdict; the audit's mixtures, one table
-    # per weight alpha = a / b, (a, b) -> {(f, g) -> mixed act, (F, G) ->
-    # mixed menu} (Act and Menu keys never compare equal); and the menu and
-    # act intern tables (see `_intern`).
+    # (menu, structure) -> benefit of information, one exact Fraction; the
+    # audit's mixtures, one table per weight alpha = a / b, (a, b) ->
+    # {(f, g) -> mixed act, (F, G) -> mixed menu} (Act and Menu keys never
+    # compare equal); and the menu and act intern tables (see `_intern`).
     _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _dominance: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _menus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)

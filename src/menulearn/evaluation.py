@@ -7,13 +7,13 @@ pure in its inputs and returns exact Fractions.  The arithmetic runs on
 Python ints: each act and each posterior is one integer vector over the
 instance's states ``inst.states`` with one denominator (``n_f[s] / d_f`` and
 ``m_p[s] / D_p``), so a menu's value under a posterior is an integer dot
-product per act and a max taken by cross-multiplication.  Three memos live
+product per act and a max taken by cross-multiplication.  Two memos live
 on the `Instance` and are freed with it: those vectors
-(`Instance._numerators`), each ``(menu, structure)`` benefit
-(`Instance._benefits`, one exact `Fraction` per entry) and each
-``(F, G, strict)`` dominance verdict (`Instance._dominance`).  An engine
-that needs dominance between every pair of a corpus asks `_dominance_relation`
-once instead, for the whole relation as one bitset per menu.
+(`Instance._numerators`) and each ``(menu, structure)`` benefit
+(`Instance._benefits`, one exact `Fraction` per entry).  Statewise
+dominance has one rule, `_dominance_relation`, which decides it between
+every pair of a sequence of menus at once, as one bitset per menu;
+`dominates` is its two-menu case.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import groupby
 from math import lcm
-from operator import and_, ge, gt, mul, or_
+from operator import and_, mul, or_
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -190,28 +190,10 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     True when every act of *G* is covered by some act of *F* that is at
     least as good (``strict=True``: strictly better) in every single state.
     Dominance is decided on utilities, which is the outcome order once
-    lotteries are ranked completely.  Each ``(F, G, strict)`` verdict is
-    decided once per instance and kept in its dominance memo.
+    lotteries are ranked completely.  This is `_dominance_relation` over the
+    two menus ``(F, G)``: bit 1 of *F*'s entry.
     """
-    key = (F, G, strict)
-    verdict = inst._dominance.get(key)
-    if verdict is None:
-        verdict = inst._dominance[key] = _dominates(F, G, inst, strict)
-    return verdict
-
-
-def _dominates(F: Menu, G: Menu, inst: Instance, strict: bool) -> bool:
-    """Each ``n_f[s] / d_f >= n_g[s] / d_g`` is decided as ``n_f[s] d_g >= n_g[s] d_f``."""
-    better = gt if strict else ge
-    f_vectors = [_vector(f, inst) for f in F]
-    for g in G:
-        g_den, g_utils = _vector(g, inst)
-        if not any(
-            all(map(better, [fv * g_den for fv in f_utils], [gv * f_den for gv in g_utils]))
-            for f_den, f_utils in f_vectors
-        ):
-            return False
-    return True
+    return bool(_dominance_relation((F, G), inst, strict)[0] & 2)
 
 
 def _at_most(values: Sequence, strict: bool = False) -> list[int]:
@@ -231,7 +213,7 @@ def _at_most(values: Sequence, strict: bool = False) -> list[int]:
 
 
 def _dominance_relation(menus: Sequence[Menu], inst: Instance, strict: bool) -> list[int]:
-    """`dominates` between every ordered pair of *menus*, as one bitset per position:
+    """Statewise dominance between every ordered pair of *menus*, as one bitset per position:
     bit j of entry i is set iff ``dominates(menus[i], menus[j], inst, strict=strict)``.
 
     The distinct acts are numbered once.  In each state, one sort of their

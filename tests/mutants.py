@@ -67,6 +67,48 @@ MUTANTS = (
         '        object.__setattr__(dist, "probs", tuple(sorted(pairs)))\n',
         ("tests/test_core.py::TestInputRules::test_integer_core_states_the_rule_as_the_public_constructor",),
     ),
+    Mutant(
+        "act vectors without the rescale to their common denominator",
+        "evaluation.py",
+        "        entry = table[key] = (common, tuple([num * (common // den) for num, den in parts]))\n",
+        "        entry = table[key] = (common, tuple([num for num, den in parts]))\n",
+        ("tests/test_kernel.py::TestIntegerKernel::test_coprime_denominators_match_reference",),
+    ),
+    Mutant(
+        "act vectors in outcomes order, not the instance's state order",
+        "evaluation.py",
+        "            parts = [inst._lottery_numerator(key.lottery(state)) for state in inst.states]\n",
+        "            parts = [inst._lottery_numerator(lottery) for _, lottery in key.outcomes]\n",
+        ("tests/test_kernel.py::TestIntegerKernel::test_vectors_follow_the_instance_state_order",),
+    ),
+    Mutant(
+        "best act taken without cross-multiplying",
+        "evaluation.py",
+        "        if best is None or value * best_den > best * den:\n",
+        "        if best is None or value > best:\n",
+        ("tests/test_kernel.py::TestIntegerKernel::test_equal_utilities_over_different_denominators",),
+    ),
+    Mutant(
+        "dominance relation ignores strict",
+        "evaluation.py",
+        "        beaten = list(map(and_, beaten, _at_most(keys, strict)))\n",
+        "        beaten = list(map(and_, beaten, _at_most(keys)))\n",
+        ("tests/test_kernel.py::TestDerivedMemos::test_weak_and_strict_dominance_are_separate_entries",),
+    ),
+    Mutant(
+        "fired dominance pairs one position late",
+        "audit.py",
+        "                yield i * s + k, ((F, singletons[k]), None, None), None\n",
+        "                yield i * s + k + 1, ((F, singletons[k]), None, None), None\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_dominance_at_every_cap",),
+    ),
+    Mutant(
+        "weak-preference verdict stored under the swapped pair",
+        "criteria.py",
+        "            verdict = verdicts[G] = any(\n",
+        "            verdict = self._pairs.setdefault(G, {})[F] = any(\n",
+        ("tests/test_criteria.py::TestAgainstReference::test_pair_table_is_ordered_and_owned_by_its_criterion",),
+    ),
 )
 
 

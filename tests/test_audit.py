@@ -124,6 +124,20 @@ class TestGenerateCorpus:
             AuditConfig(alpha_grid=(Fraction(0),))
         with pytest.raises(ValidationError):
             AuditConfig(axioms=frozenset({Axiom.CONTINUITY}))
+        # A size, cap or seed that is not an int would fail later with a bare
+        # TypeError, build a one-menu corpus (True) or draw an unseeded one (None).
+        for name, value in (
+            ("corpus_size", 2.5),
+            ("corpus_size", "5"),
+            ("corpus_size", True),
+            ("max_tuples", "9"),
+            ("max_tuples", 10.0),
+            ("seed", None),
+            ("seed", False),
+            ("seed", 1.5),
+        ):
+            with pytest.raises(ValidationError, match=f"^{name} must be an int, got "):
+                AuditConfig(**{name: value})
 
     @pytest.mark.parametrize("alpha", [0, 1, 2, Fraction(-1, 2)])
     def test_grid_weight_outside_the_open_interval_is_a_bad_weight(self, alpha):
@@ -383,6 +397,22 @@ class TestReferenceAudit:
                         report = assert_matches_reference(cmp, ordered, config)
                         truncated += len(report.truncations)
         assert truncated > 0
+
+    def test_dominance_at_every_cap(self):
+        # Dominance visits only its fired (menu, singleton) pairs, so each
+        # cap from 1 to every pair pins their positions in the enumeration.
+        config = AuditConfig(axioms=frozenset({Axiom.DOMINANCE}), corpus_size=6)
+        fired = 0
+        for seed in range(2):
+            inst, (_, bml, _, _) = seeded_criteria(seed)
+            corpus = generate_corpus(inst, replace(config, seed=seed))
+            singletons = len({act for menu in corpus for act in menu})
+            for ordered in (corpus, corpus[::-1]):
+                for cap in range(1, len(corpus) * singletons + 1):
+                    capped = replace(config, seed=seed, max_tuples=cap)
+                    report = assert_matches_reference(bml, ordered, capped)
+                    fired += report.result_for(Axiom.DOMINANCE).antecedents
+        assert fired > 0
 
     def test_example2_jml_cycle(self, example2):
         cmp = JmlComparator(example2.instance, example2.credal_set("both"))
