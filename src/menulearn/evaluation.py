@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import groupby
 from math import lcm
 from operator import and_, mul, or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Act,
@@ -64,12 +64,14 @@ def _vector(key: Act | Posterior, inst: Instance) -> tuple[int, tuple[int, ...]]
     return entry
 
 
-def _best(acts: Iterable[Act], p: Posterior, inst: Instance) -> tuple[int, int]:
-    """``(v, d)``: the best of *acts* is worth ``v / d`` under *p*; the max is cross-multiplied."""
-    scale, masses = _vector(p, inst)
+def _best(
+    acts: Sequence[tuple[int, tuple[int, ...]]], p: tuple[int, tuple[int, ...]]
+) -> tuple[int, int]:
+    """``(v, d)``: the best of the act vectors *acts* is worth ``v / d`` under the
+    posterior vector *p* (each a `_vector`); the max is cross-multiplied."""
+    scale, masses = p
     best, best_den = None, 1
-    for f in acts:
-        den, utils = _vector(f, inst)
+    for den, utils in acts:
         value = sum(map(mul, masses, utils))
         if best is None or value * best_den > best * den:
             best, best_den = value, den
@@ -78,12 +80,14 @@ def _best(acts: Iterable[Act], p: Posterior, inst: Instance) -> tuple[int, int]:
 
 def act_value(f: Act, p: Posterior, inst: Instance) -> Value:
     """Expected utility of act *f* under posterior *p*."""
-    return Fraction(*_best((f,), p, inst))
+    masses = _vector(p, inst)
+    return Fraction(*_best([_vector(f, inst)], masses))
 
 
 def support_value(menu: Menu, p: Posterior, inst: Instance) -> Value:
     """Value of the menu once posterior *p* is known: the best act's expected utility."""
-    return Fraction(*_best(menu, p, inst))
+    masses = _vector(p, inst)
+    return Fraction(*_best([_vector(f, inst) for f in menu], masses))
 
 
 def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -91,15 +95,19 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
     Averages the post-learning menu value over the posteriors that *pi*
     anticipates.  A singleton menu yields the expected utility of its act
-    under the implied prior; a larger menu can only do better.  The sum is
-    kept as one unreduced integer pair and reduced once into the memo.
+    under the implied prior; a larger menu can only do better.  Each
+    posterior's and each act's vector is read once, the posteriors' first,
+    so a bad posterior is reported before a bad act.  The sum is kept as one
+    unreduced integer pair and reduced once into the memo.
     """
     key = (menu, pi)
     total = inst._benefits.get(key)
     if total is None:
+        support = [(_vector(posterior, inst), weight) for posterior, weight in pi.support]
+        acts = [_vector(f, inst) for f in menu]
         num, den = 0, 1
-        for posterior, weight in pi.support:
-            value, term_den = _best(menu, posterior, inst)
+        for masses, weight in support:
+            value, term_den = _best(acts, masses)
             term_den *= weight.denominator
             num = num * term_den + weight.numerator * value * den
             den *= term_den

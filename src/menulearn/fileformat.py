@@ -31,6 +31,12 @@ Nothing else is a rational: no whitespace, ``_`` separators, exponents
 (``"1e3"``), bare points (``".5"``, ``"1."``) or non-ASCII digits.
 Collection members may name a credal set or inline a list of
 information-structure names.
+
+Loading reads each distinct rational string of a document once, and builds
+each distinct lottery object of a document once: lottery objects with the
+same labels and the same rational strings, in the same order, share one
+`Lottery`, so equal acts compare their lotteries by identity.  Both tables
+live for one `load_document` call only.
 """
 
 from __future__ import annotations
@@ -143,17 +149,36 @@ def _rationals(
         ]
 
 
-def _parse_act(data: object, instance: Instance, where: str, parsed: _Parsed) -> Act:
+def _parse_act(
+    data: object, instance: Instance, where: str, parsed: _Parsed, built: dict
+) -> Act:
+    """The act at *where*; *built* is the document's table of lotteries already built.
+
+    A lottery object whose values are all strings is built once per
+    document: *built* maps its items to ``(lottery, had_zero_entries)``,
+    so an equal object later in the document reuses that `Lottery`.  Only
+    all-string objects are keys, so ``1`` or ``true`` never find ``"1"``'s
+    entry, and a lottery that fails to build is never stored.
+    """
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
     outcomes, with_zeros = {}, []
     for state, lottery_data in data.items():
-        pairs = _rationals(lottery_data, where, state, parsed)
-        try:
-            outcomes[state] = lottery = Lottery(pairs)
-        except MenuLearnError as exc:
-            raise ParseError(f"{where}.{state}: {exc}") from None
-        if len(lottery.probs) < len(pairs):
+        key = entry = None
+        if type(lottery_data) is dict and all(type(raw) is str for raw in lottery_data.values()):
+            key = tuple(lottery_data.items())
+            entry = built.get(key)
+        if entry is None:
+            pairs = _rationals(lottery_data, where, state, parsed)
+            try:
+                lottery = Lottery(pairs)
+            except MenuLearnError as exc:
+                raise ParseError(f"{where}.{state}: {exc}") from None
+            entry = (lottery, len(lottery.probs) < len(pairs))
+            if key is not None:
+                built[key] = entry
+        outcomes[state], had_zeros = entry
+        if had_zeros:
             with_zeros.append(lottery_data)
     act = _wrap(Act, outcomes, where=where)
     _wrap(validate_act, act, instance, where=where)
@@ -190,13 +215,13 @@ def load_document(data: object) -> Workspace:
         raise ParseError(f"invalid instance: {exc}") from None
 
     workspace = Workspace(instance=instance)
-    parsed = _Parsed()
+    parsed, built = _Parsed(), {}
 
     for name, acts_data in _expect_object(data.get("menus", {}), "menus").items():
         if not isinstance(acts_data, list):
             raise ParseError(f"menus.{name}: expected a list of acts")
         acts = [
-            _parse_act(act_data, instance, f"menus.{name}[{i}]", parsed)
+            _parse_act(act_data, instance, f"menus.{name}[{i}]", parsed, built)
             for i, act_data in enumerate(acts_data)
         ]
         workspace.menus[name] = _wrap(Menu, tuple(acts), where=f"menus.{name}")

@@ -23,6 +23,7 @@ from .core import (
     Menu,
     RationalLike,
     Value,
+    _members,
     constant_menu,
     unit_weight,
 )
@@ -116,8 +117,16 @@ class AlphaPolicy:
         return cls(lambda menu, band: unit_weight(chooser(menu), "policy weight"))
 
     def blend(self, menu: Menu, band: ScenarioBand) -> Value:
-        """The menu's score: its weight on the maxmin aggregate, the rest on minmax."""
+        """The menu's score: its weight on the maxmin aggregate, the rest on minmax.
+
+        A weight of exactly 1 or 0 (always so under `cautious` and
+        `optimistic`) selects one aggregate, with no arithmetic.
+        """
         alpha = self.weight_for(menu, band)
+        if alpha == 1:
+            return band.maxmin
+        if alpha == 0:
+            return band.minmax
         return alpha * band.maxmin + (1 - alpha) * band.minmax
 
 
@@ -159,13 +168,22 @@ def rank_menus(
     inst: Instance,
     names: Optional[Sequence[str]] = None,
 ) -> list[RankEntry]:
-    """Rank menus by rationalized value, descending; equal values share a rank."""
+    """Rank menus by rationalized value, descending; equal values share a rank.
+
+    Each entry of *corpus* must be a `Menu` and each of *names* distinct.
+    """
+    corpus = _members(corpus, Menu)
     if not corpus:
         raise ValidationError("ranking needs at least one menu")
     if names is None:
         names = [f"menu{i + 1}" for i in range(len(corpus))]
     if len(names) != len(corpus):
         raise ValidationError("need exactly one name per menu")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValidationError(f"duplicate menu name {name!r}")
+        seen.add(name)
     scored = []
     for name, menu in zip(names, corpus):
         band = scenario_band(menu, coll, inst)
@@ -189,6 +207,8 @@ def utility_grid_lotteries(inst: Instance, steps: int = 8) -> list[Lottery]:
     grid spans from the worst to the best prize utility in ``steps`` equal
     increments.
     """
+    if not isinstance(steps, int) or isinstance(steps, bool):
+        raise ValidationError(f"steps must be an int, got {steps!r}")
     if steps < 1:
         raise ValidationError("need at least one grid step")
     worst = Lottery.degenerate(inst.worst_prize())

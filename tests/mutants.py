@@ -109,6 +109,27 @@ MUTANTS = (
         "            verdict = self._pairs.setdefault(G, {})[F] = any(\n",
         ("tests/test_criteria.py::TestAgainstReference::test_pair_table_is_ordered_and_owned_by_its_criterion",),
     ),
+    Mutant(
+        "lottery table keyed without the string-only guard",
+        "fileformat.py",
+        "        if type(lottery_data) is dict and all(type(raw) is str for raw in lottery_data.values()):\n",
+        "        if type(lottery_data) is dict:\n",
+        ("tests/test_fileformat.py::TestSharedLotteries::test_json_true_after_1_is_rejected_at_its_act",),
+    ),
+    Mutant(
+        "hoisted act vectors read from the first act only",
+        "evaluation.py",
+        "        acts = [_vector(f, inst) for f in menu]\n",
+        "        acts = [_vector(menu.acts[0], inst)]\n",
+        ("tests/test_kernel.py::TestIntegerKernel::test_small_menus_and_structures_match_reference",),
+    ),
+    Mutant(
+        "weight-1 blend returns minmax",
+        "rationalize.py",
+        "        if alpha == 1:\n            return band.maxmin\n",
+        "        if alpha == 1:\n            return band.minmax\n",
+        ("tests/test_rationalize.py::TestRationalizedValue::test_full_weight_on_maxmin",),
+    ),
 )
 
 

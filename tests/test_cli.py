@@ -330,6 +330,13 @@ class TestRationalize:
         assert code == EXIT_BAD_KIND
         assert capsys.readouterr().err == "invalid request: missing states ['w2']\n"
 
+    def test_duplicate_menu_name_is_one_error_line(self, capsys):
+        code = main(["rationalize", EXAMPLE1, "f", "f", "--collection", "split"])
+        assert code == EXIT_BAD_KIND
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invalid request: duplicate menu name 'f'\n"
+
     def test_document_without_menus_is_one_error_line(self, tmp_path, capsys):
         document = json.loads((DATA_DIR / "example1.json").read_text())
         del document["menus"]

@@ -1,11 +1,21 @@
 """Instance documents: parsing, validation errors, round trips."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from menulearn import ParseError, UnknownNameError, dump_document, load_document, loads
+from menulearn import (
+    ParseError,
+    UnknownNameError,
+    Workspace,
+    dump_document,
+    dumps,
+    load_document,
+    loads,
+)
+from menulearn.audit import random_instance, random_menu, random_structure
 from menulearn.fileformat import parse_fraction
 
 
@@ -176,3 +186,54 @@ class TestRoundTrip:
             example1.menu("missing")
         with pytest.raises(UnknownNameError):
             example1.collection("missing")
+
+
+def random_document(seed: int, menus: int = 60) -> str:
+    """A document shaped like the rationalize benchmark's: many small random
+    menus and a few structures on a small random instance."""
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    workspace = Workspace(
+        instance=inst,
+        menus={f"m{k:02d}": random_menu(rng, inst) for k in range(1, menus + 1)},
+        info_structures={f"pi{k}": random_structure(rng, inst) for k in range(1, 4)},
+    )
+    return dumps(workspace)
+
+
+def lotteries_of(workspace):
+    return [lottery for menu in workspace.menus.values() for act in menu
+            for _, lottery in act.outcomes]
+
+
+class TestSharedLotteries:
+    """Equal lottery objects of one document are built once and shared."""
+
+    def test_json_true_after_1_is_rejected_at_its_act(self):
+        # {"win": 1} and {"win": true} have equal items, but only all-string
+        # lottery objects are looked up, so the second is parsed and rejected.
+        bad = doc(prizes=["win", "lose"], utility={"win": "1", "lose": "0"},
+                  menus={"m": [{"w1": {"win": 1, "lose": 0}}, {"w1": {"win": True, "lose": 0}}]})
+        with pytest.raises(ParseError) as info:
+            load_document(bad)
+        assert str(info.value) == (
+            "menus.m[1].w1.win: expected a rational string like '3/4', got True"
+        )
+
+    @pytest.mark.parametrize("source", ["example1", "example2", "random"])
+    def test_equal_lotteries_are_one_object(self, request, source):
+        if source == "random":
+            workspace = loads(random_document(seed=5))
+        else:
+            workspace = request.getfixturevalue(source)
+        lotteries = lotteries_of(workspace)
+        held = {}
+        for lottery in lotteries:
+            assert held.setdefault(lottery, lottery) is lottery
+        assert len(held) < len(lotteries)
+
+    def test_each_load_builds_its_own_lotteries(self):
+        text = random_document(seed=6)
+        first, second = loads(text), loads(text)
+        assert first.menus == second.menus
+        assert {id(x) for x in lotteries_of(first)}.isdisjoint(map(id, lotteries_of(second)))

@@ -65,9 +65,11 @@ from menulearn import (
 from menulearn.audit import (
     _SPECS,
     _mixed,
+    random_act,
     random_collection,
     random_credal_set,
     random_instance,
+    random_structure,
 )
 from menulearn.core import validate_act
 from menulearn.evaluation import _dominance_relation, _randomize
@@ -346,6 +348,19 @@ class TestIntegerKernel:
         # 3/5 is (3, 3) over 5: the larger numerators belong to the worse act.
         poorer = Lottery({"win": Fraction(1, 5), "lose": Fraction(4, 5)})
         assert support_value(Menu((sure, Act({"w1": poorer, "w2": poorer}))), p, inst) == 1
+
+    def test_small_menus_and_structures_match_reference(self):
+        # Every menu of 1-3 acts under every structure of 1-3 posteriors: a
+        # benefit that read fewer act vectors than the menu has acts, or
+        # fewer posteriors than the structure has, would miss a best act.
+        rng = random.Random(29)
+        for _ in range(30):
+            inst = random_instance(rng)
+            menus_ = [Menu(tuple(random_act(rng, inst) for _ in range(k))) for k in (1, 2, 3)]
+            structures_ = [random_structure(rng, inst) for _ in range(4)]
+            for menu in menus_:
+                for pi in structures_:
+                    assert benefit_of_information(menu, pi, inst) == ref.benefit(menu, pi, inst)
 
     def test_vectors_follow_the_instance_state_order(self):
         # States listed against label order: a reader that indexed by sorted
@@ -653,6 +668,19 @@ class TestTypedErrors:
             support_value(Menu((f,)), p, inst)
         with pytest.raises(DimensionMismatchError, match=r"unknown states \['w3'\]"):
             benefit_of_information(Menu((f,)), InfoStructure.point_mass(p), inst)
+
+    def test_bad_posterior_is_reported_before_a_bad_act(self, two_state_instance):
+        # The act lacks w2 and a posterior names w3: every posterior of the
+        # structure is read before any act, wherever the bad one stands.
+        inst = two_state_instance
+        menu = Menu((Act({"w1": Lottery.degenerate("win")}),))
+        good, bad = Posterior.degenerate("w1"), Posterior({"w3": 1})
+        half = Fraction(1, 2)
+        for pi in (InfoStructure.point_mass(bad), InfoStructure(((good, half), (bad, half)))):
+            with pytest.raises(DimensionMismatchError) as info:
+                benefit_of_information(menu, pi, inst)
+            assert str(info.value) == "posterior over unknown states ['w3']"
+            assert (menu, pi) not in inst._benefits
 
     def test_act_on_a_state_outside_the_instance(self, two_state_instance):
         # The posterior lies on the instance's states, so only the act's

@@ -210,8 +210,22 @@ class TestRankMenus:
             rank_menus([], split_collection, policy, inst)
         with pytest.raises(ValidationError, match="one name per menu"):
             rank_menus([f], split_collection, policy, inst, names=["f", "g"])
+        with pytest.raises(ValidationError) as info:
+            rank_menus([f, f], split_collection, policy, inst, names=["f", "f"])
+        assert str(info.value) == "duplicate menu name 'f'"
         with pytest.raises(ValidationError, match="at least one grid step"):
             utility_grid_lotteries(inst, steps=0)
+        for steps in (2.5, "3", True):
+            with pytest.raises(ValidationError) as info:
+                utility_grid_lotteries(inst, steps=steps)
+            assert str(info.value) == f"steps must be an int, got {steps!r}"
+
+    @pytest.mark.parametrize("stray", ["x", 3])
+    def test_corpus_entries_must_be_menus(self, example1, split_collection, stray):
+        corpus = [example1.menu("f"), stray]
+        with pytest.raises(TypeError) as info:
+            rank_menus(corpus, split_collection, AlphaPolicy.cautious(), example1.instance)
+        assert str(info.value) == f"expected a Menu, got {stray!r}"
 
     def test_ties_share_rank(self, two_state_instance):
         inst = two_state_instance
