@@ -157,8 +157,8 @@ def _parse_act(
     A lottery object whose values are all strings is built once per
     document: *built* maps its items to ``(lottery, had_zero_entries)``,
     so an equal object later in the document reuses that `Lottery`.  Only
-    all-string objects are keys, so ``1`` or ``true`` never find ``"1"``'s
-    entry, and a lottery that fails to build is never stored.
+    all-string objects are keys, so JSON ``1`` and ``true``, which compare
+    equal, never share an entry; a lottery that fails to build is never stored.
     """
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
