@@ -2,17 +2,15 @@
 
 Generates seeded menu corpora, checks each selected axiom exhaustively over
 tuples of the axiom's arity (mixtures drawn from a rational grid), and
-reports pass / fail / vacuous per axiom, or truncated when the tuple cap
-cut the enumeration short.  Failures carry a replayable, shrunken
+reports pass / fail / vacuous per axiom, or truncated when the cap on fired
+tuples stopped the check.  Failures carry a replayable, shrunken
 counterexample: rerunning the audit on the counterexample menus alone
 reproduces the failure.  Each axiom is defined in one place, its entry in
-the spec table `_SPECS`, which gives either the tuples it is checked on and
-its test of one, or, where the antecedent reads only relations between
-corpus menus (nontriviality, transitivity, unambiguous transitivity,
-dominance, favorable mixing monotonicity), just the candidates whose
-antecedent fires, decided once per audit on bitsets over the corpus, at
-their positions in the plain enumeration; the report, counts and truncation
-point stay those of that enumeration.
+the spec table `_SPECS`, and decided on bitset relations over the corpus,
+so only the tuples where its antecedent fires are visited, at their
+positions in the plain enumeration, whose counts the report keeps.  The
+mixing axioms read one relation per weight over the menus mixed from the
+corpus; dominance and ex-post randomization compare two menus per tuple.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -29,6 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from operator import xor
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -44,7 +43,7 @@ from .core import (
     as_fraction,
     constant_menu,
 )
-from .comparative import _VACUOUS, _VIOLATED, _bits, _each, _pair_position, _scan, _strict
+from .comparative import _VACUOUS, _VIOLATED, _bits, _pair_position, _scan, _strict
 from .comparative import STATUS_FAIL, STATUS_PASS, STATUS_TRUNCATED, STATUS_VACUOUS
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
@@ -122,9 +121,9 @@ class AuditConfig:
     only checked at those mixture weights, each once (a repeated weight
     keeps its first place).  ``corpus_size``, ``seed`` and ``max_tuples``
     are ints, not bools.  ``max_tuples`` (at least 1) is a safety valve for
-    pathological configurations; at the default corpus sizes every axiom is
-    enumerated exhaustively.  An axiom that stops at the cap without a
-    failure is reported "truncated", never "pass".
+    pathological configurations: it bounds the fired tuples an axiom
+    decides (the rest are vacuous, decided on exact bitsets).  An axiom
+    with a fired tuple past the cap is reported "truncated", never "pass".
     """
 
     axioms: frozenset[Axiom] = ALL_AXIOMS
@@ -203,7 +202,7 @@ class AuditReport:
 
     @property
     def passed(self) -> bool:
-        """No axiom failed and every axiom was enumerated to the end."""
+        """No axiom failed and every axiom was checked to the end."""
         return not self.failures and not self.truncations
 
     def result_for(self, axiom: Axiom) -> Optional[AxiomResult]:
@@ -333,32 +332,16 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 # ---------------------------------------------------------------------------
 
 class _Spec(NamedTuple):
-    """One axiom, given one of two ways.
+    """One axiom.  ``fired(cmp, corpus, weights)`` gives the number of
+    candidates, each menu tuple with each ``(alpha, betas)`` of
+    ``weights(config)``, and the candidates whose antecedent fires, decided
+    on bitset relations, with their positions and consequents as `_scan`
+    takes them.  ``test(cmp, menus, alpha, betas)`` decides one tuple on its
+    own (`_VACUOUS` when the antecedent does not fire) to shrink a failure."""
 
-    Either the menu tuples ``tuples(corpus, inst)``, each tried with every
-    ``(alpha, betas)`` of ``weights(config)``, and ``test(cmp, menus, alpha,
-    betas)``: `_VACUOUS` when the antecedent does not fire, else whether the
-    consequent holds.
-
-    Or, where the antecedent reads only relations between corpus menus,
-    ``fired(cmp, corpus, weights)``: the number of candidates, and the
-    candidates whose antecedent fires as `_scan` takes them, decided on the
-    corpus relations as bitsets.  Where a consequent is not decided there,
-    ``consequent(cmp, menus, alpha, betas)`` decides it.  Such an axiom
-    keeps a ``test`` only where a failure is shrunk with it."""
-
-    tuples: Optional[Callable[[Sequence[Menu], Instance], Iterable[tuple[Menu, ...]]]] = None
-    test: Optional[Callable[..., Optional[bool]]] = None
+    fired: Callable[..., tuple[int, Iterable[tuple]]]
+    test: Optional[Callable[..., Optional[bool]]]
     weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
-    fired: Optional[Callable[..., tuple[int, Iterable[tuple]]]] = None
-    consequent: Optional[Callable[..., bool]] = None
-
-    def candidates(self, corpus: Sequence[Menu], config: AuditConfig, inst: Instance):
-        """Every ``(menus, alpha, betas)`` in deterministic order, weights varying fastest."""
-        weights = self.weights(config)
-        for menus in self.tuples(corpus, inst):
-            for alpha, betas in weights:
-                yield menus, alpha, betas
 
 
 def _grid(config: AuditConfig) -> list[tuple]:
@@ -372,24 +355,29 @@ def _randomizations(config: AuditConfig) -> list[tuple]:
 def _strictly_ranked(cmp, corpus, weights):
     """Nontriviality's fired pairs: the strictly ranked ones, each yielded as
     a "violation", which `audit` reads as the witness."""
-    n = len(corpus)
-
-    def fired():
-        strict = _strict(cmp, corpus)
-        for i, F in enumerate(corpus):
-            for j in _bits(strict[i]):
-                yield _pair_position(i, j, n), ((F, corpus[j]), None, None), _VIOLATED
-
-    return n * (n - 1), fired()
-
-
-def _completeness_for_lotteries(cmp, menus, alpha, betas):
-    lotteries = all(len(menu) == 1 and menu.acts[0].is_constant() for menu in menus)
-    return _completeness(cmp, menus, alpha, betas) if lotteries else _VACUOUS
+    n, strict = len(corpus), _strict(cmp, corpus)
+    return n * (n - 1), (
+        (_pair_position(i, j, n), ((F, corpus[j]), None, None), _VIOLATED)
+        for i, F in enumerate(corpus)
+        for j in _bits(strict[i])
+    )
 
 
 def _completeness(cmp, menus, alpha, betas):
     return cmp.compare(*menus) is not Verdict.INCOMPARABLE
+
+
+def _ranked_pairs(only_lotteries, cmp, corpus, weights):
+    """Completeness's candidates, the unordered pairs (of one-act constant menus, which
+    a shrink leaves as they are, with *only_lotteries*): each holds iff ranked either way."""
+    up = cmp._relation(corpus)
+    fires = [not only_lotteries or len(m) == 1 and m.acts[0].is_constant() for m in corpus]
+    pairs = enumerate(itertools.combinations(range(len(corpus)), 2))
+    return len(corpus) * (len(corpus) - 1) // 2, (
+        (p, ((corpus[i], corpus[j]), None, None), (up[i] >> j | up[j] >> i) & 1)
+        for p, (i, j) in pairs
+        if fires[i] and fires[j]
+    )
 
 
 def _transitivity(cmp, menus, alpha, betas):
@@ -401,17 +389,13 @@ def _transitivity(cmp, menus, alpha, betas):
 
 def _chains(cmp, corpus, weights):
     """Transitivity's fired triples: G after F and H after G in the weak relation."""
-    n = len(corpus)
-
-    def fired():
-        up = cmp._relation(corpus)
-        for i, F in enumerate(corpus):
-            for j in _bits(up[i]):
-                G = corpus[j]
-                for k in _bits(up[j]):
-                    yield (i * n + j) * n + k, ((F, G, corpus[k]), None, None), up[i] >> k & 1
-
-    return n**3, fired()
+    n, up = len(corpus), cmp._relation(corpus)
+    return n**3, (
+        ((i * n + j) * n + k, ((corpus[i], corpus[j], corpus[k]), None, None), up[i] >> k & 1)
+        for i in range(n)
+        for j in _bits(up[i])
+        for k in _bits(up[j])
+    )
 
 
 def _unambiguous_transitivity(cmp, menus, alpha, betas):
@@ -425,18 +409,14 @@ def _unambiguous_transitivity(cmp, menus, alpha, betas):
 
 def _unambiguous_chains(cmp, corpus, weights):
     """Unambiguous transitivity's fired triples: one link is dominance, the other preference."""
-    n = len(corpus)
-
-    def fired():
-        dom = _dominance_relation(corpus, cmp.instance, False)
-        up = cmp._relation(corpus)
-        for i, F in enumerate(corpus):
-            for j, G in enumerate(corpus):
-                after = (up[j] if dom[i] >> j & 1 else 0) | (dom[j] if up[i] >> j & 1 else 0)
-                for k in _bits(after):
-                    yield (i * n + j) * n + k, ((F, G, corpus[k]), None, None), up[i] >> k & 1
-
-    return n**3, fired()
+    n, dom = len(corpus), _dominance_relation(corpus, cmp.instance, False)
+    up = cmp._relation(corpus)
+    return n**3, (
+        ((i * n + j) * n + k, ((corpus[i], corpus[j], corpus[k]), None, None), up[i] >> k & 1)
+        for i in range(n)
+        for j in range(n)
+        for k in _bits((up[j] if dom[i] >> j & 1 else 0) | (dom[j] if up[i] >> j & 1 else 0))
+    )
 
 
 def _reflexivity(cmp, menus, alpha, betas):
@@ -444,19 +424,35 @@ def _reflexivity(cmp, menus, alpha, betas):
     return cmp.weakly_prefers(F, F)
 
 
+def _diagonal(cmp, corpus, weights):
+    """Reflexivity's candidates, every corpus menu: each holds iff weakly preferred to itself."""
+    up = cmp._relation(corpus)
+    return len(corpus), ((i, ((F,), None, None), up[i] >> i & 1) for i, F in enumerate(corpus))
+
+
 def _preference_for_flexibility(cmp, menus, alpha, betas):
     F, G = menus
     return cmp.weakly_prefers(F, G) if G.issubset(F) else _VACUOUS
 
 
+def _subsets(cmp, corpus, weights):
+    """Preference for flexibility's fired pairs, G a subset of F: F must be weakly preferred."""
+    n, up = len(corpus), cmp._relation(corpus)
+    return n * (n - 1), (
+        (_pair_position(i, j, n), ((F, G), None, None), up[i] >> j & 1)
+        for i, F in enumerate(corpus)
+        for j, G in enumerate(corpus)
+        if j != i and G.issubset(F)
+    )
+
+
 def _dominance(cmp, menus, alpha, betas):
     # Shrinking keeps the second menu the singleton the fired pair named.
     fired = dominates(*menus, cmp.instance)
-    return _indifferent_to_union(cmp, menus, alpha, betas) if fired else _VACUOUS
+    return _union_indifferent(cmp, *menus) if fired else _VACUOUS
 
 
-def _indifferent_to_union(cmp, menus, alpha, betas):
-    F, g_menu = menus
+def _union_indifferent(cmp, F, g_menu):
     return cmp.compare(F, cmp.instance._intern(F.union(g_menu))) is Verdict.INDIFFERENT
 
 
@@ -467,14 +463,12 @@ def _dominated_singletons(cmp, corpus, weights):
     acts = dict.fromkeys(act for menu in corpus for act in menu)
     singletons = [inst._intern(Menu((act,))) for act in acts]
     n, s = len(corpus), len(singletons)
-
-    def fired():
-        dom = _dominance_relation([*corpus, *singletons], inst, False)
-        for i, F in enumerate(corpus):
-            for k in _bits(dom[i] >> n):
-                yield i * s + k, ((F, singletons[k]), None, None), None
-
-    return n * s, fired()
+    dom = _dominance_relation([*corpus, *singletons], inst, False)
+    return n * s, (
+        (i * s + k, ((F, singletons[k]), None, None), _union_indifferent(cmp, F, singletons[k]))
+        for i, F in enumerate(corpus)
+        for k in _bits(dom[i] >> n)
+    )
 
 
 def _independence(cmp, menus, alpha, betas):
@@ -483,80 +477,94 @@ def _independence(cmp, menus, alpha, betas):
     return cmp.compare(F, G) is cmp.compare(_mixed(inst, F, H, alpha), _mixed(inst, G, H, alpha))
 
 
+def _mixed_relations(cmp, corpus, weights):
+    """Independence's candidates, each unordered pair with each H and weight: it holds iff
+    the relation over the corpus mixed with H agrees with the corpus's both ways."""
+    inst, n, w = cmp.instance, len(corpus), len(weights)
+    up = cmp._relation(corpus)
+    changed = [
+        list(map(xor, up, cmp._relation([_mixed(inst, F, H, alpha) for F in corpus])))
+        for H in corpus
+        for alpha, _ in weights
+    ]
+
+    def fired():
+        tuples = itertools.product(itertools.combinations(range(n), 2), range(n), range(w))
+        for position, ((i, j), k, a) in enumerate(tuples):
+            d = changed[k * w + a]
+            holds = not (d[i] >> j | d[j] >> i) & 1
+            yield position, ((corpus[i], corpus[j], corpus[k]), *weights[a]), holds
+
+    return n * (n - 1) // 2 * n * w, fired()
+
+
 def _ex_post_randomization(cmp, menus, alpha, betas):
     (F,) = menus
     spread = _randomize(F, betas, partial(_mixed, cmp.instance))
     return cmp.compare(spread, F) is Verdict.INDIFFERENT
 
 
+def _randomized(cmp, corpus, weights):
+    """Ex-post randomization's candidates, every corpus menu with every weight list."""
+    tuples = enumerate(itertools.product(zip(corpus), weights))
+    return len(corpus) * len(weights), (
+        (p, (menus, *weight), _ex_post_randomization(cmp, menus, *weight))
+        for p, (menus, weight) in tuples
+    )
+
+
 def _favorable_mixing_monotonicity(cmp, menus, alpha, betas):
     F, G, H, H2 = menus
     if not (cmp.strictly_prefers(F, G) and cmp.strictly_prefers(H, H2)):
         return _VACUOUS
-    return _mixing_keeps_strict(cmp, menus, alpha, betas)
-
-
-def _mixing_keeps_strict(cmp, menus, alpha, betas):
-    F, G, H, H2 = menus
     inst = cmp.instance
     return cmp.strictly_prefers(_mixed(inst, F, H, alpha), _mixed(inst, G, H2, alpha))
 
 
 def _strict_pairs_of_pairs(cmp, corpus, weights):
-    """Favorable mixing monotonicity's fired candidates: two strictly ranked pairs, each weight."""
-    n, w = len(corpus), len(weights)
-    pairs = n * (n - 1)
+    """Favorable mixing monotonicity's fired candidates, two strictly ranked pairs (F, G)
+    and (H, H2) with each weight.  Per weight, one weak relation over the mixtures of two
+    better menus and of two worse ones decides mix(F, H) > mix(G, H2) by two bits."""
+    inst, n, w = cmp.instance, len(corpus), len(weights)
+    strict = _strict(cmp, corpus)
+    ranked = [(_pair_position(i, j, n), i, j) for i in range(n) for j in _bits(strict[i])]
+    better = {i: x for x, i in enumerate(dict.fromkeys(i for _, i, _ in ranked))}
+    worse = {j: x for x, j in enumerate(dict.fromkeys(j for _, _, j in ranked))}
+    pairs, nb, nw = n * (n - 1), len(better), len(worse)
+    weak = [
+        cmp._relation(
+            [_mixed(inst, corpus[i], corpus[k], alpha) for i in better for k in better]
+            + [_mixed(inst, corpus[j], corpus[m], alpha) for j in worse for m in worse]
+        )
+        for alpha, _ in weights
+    ]
 
     def fired():
-        strict = _strict(cmp, corpus)
-        ranked = [
-            (_pair_position(i, j, n), F, corpus[j])
-            for i, F in enumerate(corpus)
-            for j in _bits(strict[i])
-        ]
-        for p, F, G in ranked:
-            for q, H, H2 in ranked:
-                for a, (alpha, betas) in enumerate(weights):
-                    yield (p * pairs + q) * w + a, ((F, G, H, H2), alpha, betas), None
+        for p, i, j in ranked:
+            for q, k, m in ranked:
+                menus = (corpus[i], corpus[j], corpus[k], corpus[m])
+                left, right = better[i] * nb + better[k], nb * nb + worse[j] * nw + worse[m]
+                for a, up in enumerate(weak):
+                    holds = up[left] >> right & 1 and not up[right] >> left & 1
+                    yield (p * pairs + q) * w + a, (menus, *weights[a]), holds
 
     return pairs * pairs * w, fired()
 
 
 #: The one definition of each selectable axiom, in `Axiom` order.
 _SPECS: dict[Axiom, _Spec] = {
-    Axiom.NONTRIVIALITY: _Spec(fired=_strictly_ranked),
-    Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(
-        lambda corpus, inst: itertools.combinations(corpus, 2), _completeness_for_lotteries
-    ),
-    Axiom.COMPLETENESS: _Spec(
-        lambda corpus, inst: itertools.combinations(corpus, 2), _completeness
-    ),
-    Axiom.TRANSITIVITY: _Spec(test=_transitivity, fired=_chains),
-    Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(
-        test=_unambiguous_transitivity, fired=_unambiguous_chains
-    ),
-    Axiom.REFLEXIVITY: _Spec(lambda corpus, inst: zip(corpus), _reflexivity),
-    Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(
-        lambda corpus, inst: itertools.permutations(corpus, 2), _preference_for_flexibility
-    ),
-    Axiom.DOMINANCE: _Spec(
-        test=_dominance, fired=_dominated_singletons, consequent=_indifferent_to_union
-    ),
-    Axiom.INDEPENDENCE: _Spec(
-        lambda corpus, inst: (
-            pair + (H,) for pair in itertools.combinations(corpus, 2) for H in corpus
-        ),
-        _independence,
-        _grid,
-    ),
-    Axiom.EX_POST_RANDOMIZATION: _Spec(
-        lambda corpus, inst: zip(corpus), _ex_post_randomization, _randomizations
-    ),
+    Axiom.NONTRIVIALITY: _Spec(_strictly_ranked, None),
+    Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(partial(_ranked_pairs, True), _completeness),
+    Axiom.COMPLETENESS: _Spec(partial(_ranked_pairs, False), _completeness),
+    Axiom.TRANSITIVITY: _Spec(_chains, _transitivity),
+    Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(_unambiguous_chains, _unambiguous_transitivity),
+    Axiom.REFLEXIVITY: _Spec(_diagonal, _reflexivity),
+    Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(_subsets, _preference_for_flexibility),
+    Axiom.DOMINANCE: _Spec(_dominated_singletons, _dominance),
+    Axiom.INDEPENDENCE: _Spec(_mixed_relations, _independence, weights=_grid),
+    Axiom.EX_POST_RANDOMIZATION: _Spec(_randomized, _ex_post_randomization, _randomizations),
     Axiom.FAVORABLE_MIXING_MONOTONICITY: _Spec(
-        test=_favorable_mixing_monotonicity,
-        weights=_grid,
-        fired=_strict_pairs_of_pairs,
-        consequent=_mixing_keeps_strict,
+        _strict_pairs_of_pairs, _favorable_mixing_monotonicity, weights=_grid
     ),
 }
 
@@ -618,12 +626,12 @@ def _shrink_counterexample(
 def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditReport:
     """Check every selected axiom against the criterion over the corpus.
 
-    Tuple enumeration is exhaustive up to ``config.max_tuples`` per axiom;
-    an axiom with tuples left over and no failure among those checked is
-    reported "truncated".  Gridded axioms report "pass-on-grid" rather than
-    "pass".  Nontriviality is scanned to the end whatever the cap: its
-    first strictly ranked pair makes it pass, and with none it is vacuous.
-    A trailing entry records that continuity is not audited.
+    Each axiom decides at most ``config.max_tuples`` fired tuples; one
+    with a fired tuple left over and no failure among those decided is
+    reported "truncated".  Gridded axioms report "pass-on-grid" rather
+    than "pass".  Nontriviality is scanned to the end whatever the cap:
+    its first strictly ranked pair makes it pass, and with none it is
+    vacuous.  A trailing entry records that continuity is not audited.
     """
     corpus = list(corpus)
     results: list[AxiomResult] = []
@@ -631,17 +639,9 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
         if axiom not in config.axioms:
             continue
         existence = axiom is Axiom.NONTRIVIALITY
-        if spec.fired is None:
-            total, candidates = None, _each(spec.candidates(corpus, config, cmp.instance))
-        else:
-            total, candidates = spec.fired(cmp, corpus, spec.weights(config))
-        test = spec.consequent or spec.test
-        status, witness, checked, fired = _scan(
-            candidates,
-            partial(test, cmp) if test else None,
-            total,
-            None if existence else config.max_tuples,
-        )
+        total, candidates = spec.fired(cmp, corpus, spec.weights(config))
+        cap = None if existence else config.max_tuples
+        status, witness, checked, fired = _scan(candidates, None, total, cap)
         shrunk = alpha = betas = None
         if existence:
             status = STATUS_PASS if status == STATUS_FAIL else STATUS_VACUOUS

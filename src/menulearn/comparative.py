@@ -204,25 +204,23 @@ def _scan(
     *fired* yields all of them (see `_each`).  Returns ``(status, witness,
     tuples_checked, antecedents)``: status "fail" with the violating item as
     witness and the tuples up to it checked; "truncated" when *max_tuples*
-    tuples were checked and more were left; otherwise "pass", or "vacuous"
-    when nothing fired.
+    antecedents were decided and another fired, with the tuples before that
+    one checked; otherwise "pass", or "vacuous" when nothing fired.
     """
     antecedents = 0
     position = -1
     for position, item, holds in fired:
-        if max_tuples is not None and position >= max_tuples:
-            return STATUS_TRUNCATED, None, max_tuples, antecedents
         if holds is None:
             holds = test(*item)
             if holds is _VACUOUS:
                 continue
+        if antecedents == max_tuples:
+            return STATUS_TRUNCATED, None, position, antecedents
         antecedents += 1
         if not holds:
             return STATUS_FAIL, item, position + 1, antecedents
     if total is None:
         total = position + 1
-    if max_tuples is not None and total > max_tuples:
-        return STATUS_TRUNCATED, None, max_tuples, antecedents
     return (STATUS_PASS if antecedents else STATUS_VACUOUS), None, total, antecedents
 
 

@@ -650,14 +650,19 @@ def validate_act(act: Act, inst: Instance) -> None:
     A state outside the instance or a missing one is a DimensionMismatchError,
     as in the evaluation kernel; an unknown prize is a ValidationError.
     """
+    _validate_states(act, inst)
+    for _, lottery in act.outcomes:
+        validate_lottery(lottery, inst)
+
+
+def _validate_states(act: Act, inst: Instance) -> None:
+    """`validate_act`'s state checks alone, for a caller whose lotteries are checked already."""
     states, covered = set(inst.states), set(act.states)
     if not covered <= states:
         raise DimensionMismatchError(_unknown_states(act, inst))
     missing = states - covered
     if missing:
         raise DimensionMismatchError(f"missing states {sorted(missing)}")
-    for _, lottery in act.outcomes:
-        validate_lottery(lottery, inst)
 
 
 def _unknown_states(act: Act, inst: Instance) -> str:

@@ -6,7 +6,7 @@ sub-groups, one credal set each: menu F is weakly preferred to G when some
 sub-group prefers it unanimously, i.e. the gap is nonnegative at every
 structure of that sub-group's credal set.  `Criterion` implements this rule
 over any `Collection` and is the only way to rank menus; hold one while
-ranking so its tables serve every pair.  The other criteria are the same
+ranking so its row table serves every pair.  The other criteria are the same
 rule over special collections, built by three constructors:
 
 * SL  (subjective learning, `SlComparator`): one singleton group; a single
@@ -62,24 +62,22 @@ class Criterion:
     ``b_F >= b_G``.  Each menu is read through its row: ``b_F`` at every
     generator of every member, in collection order.  A row is built once
     per menu through the instance's benefit memo and kept in the row table
-    ``_rows``; a weak-preference verdict compares two rows once per ordered
-    pair and is kept in the pair table ``_pairs[F][G]``, one inner table per
-    left menu.  The criterion owns both tables, so they are freed with it,
-    and neither is pickled or copied: a criterion rebuilds from its instance
-    and collection.  Since a row evaluates every generator, a menu that
-    cannot be evaluated at one of them raises even where another member
-    would already decide the verdict.  An engine that needs the verdict
-    between every pair of a corpus asks `_relation` once instead, which
-    reads the same rows and keeps nothing.  The comparative checks and the
-    audits decide corpus relations that way, from the rows, never through
-    `weakly_prefers`: a subclass that overrides `weakly_prefers` must
-    override `_relation` to match.
+    ``_rows``, which the criterion owns and frees, and which is neither
+    pickled nor copied.  `weakly_prefers` compares two rows and keeps
+    nothing.  Since a row evaluates every generator, a menu that cannot be
+    evaluated at one of them raises even where another member would
+    already decide the verdict.  An engine that needs the verdict between
+    every pair of a menu sequence asks `_relation` once instead, which
+    reads the same rows.  The comparative checks and the audit decide
+    their relations that way, over the corpus or the menus mixed from it;
+    only the audit's dominance and ex-post randomization consequents and
+    its shrinks call `weakly_prefers`.  A subclass that overrides
+    `weakly_prefers` must override `_relation` to match.
     """
 
     instance: Instance
     collection: Collection
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __reduce__(self):
         return (Criterion, (self.instance, self.collection))
@@ -95,15 +93,7 @@ class Criterion:
         return row
 
     def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        verdicts = self._pairs.get(F)
-        if verdicts is None:
-            verdicts = self._pairs[F] = {}
-        verdict = verdicts.get(G)
-        if verdict is None:
-            verdict = verdicts[G] = any(
-                all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G))
-            )
-        return verdict
+        return any(all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G)))
 
     def _relation(self, menus: Sequence[Menu]) -> list[int]:
         """`weakly_prefers` between every ordered pair of *menus*, as one bitset per

@@ -56,7 +56,7 @@ from .core import (
     Menu,
     Posterior,
     _rational,
-    validate_act,
+    _validate_states,
     validate_lottery,
     validate_posterior,
 )
@@ -155,36 +155,40 @@ def _parse_act(
     """The act at *where*; *built* is the document's table of lotteries already built.
 
     A lottery object whose values are all strings is built once per
-    document: *built* maps its items to ``(lottery, had_zero_entries)``,
-    so an equal object later in the document reuses that `Lottery`.  Only
-    all-string objects are keys, so JSON ``1`` and ``true``, which compare
-    equal, never share an entry; a lottery that fails to build is never stored.
+    document: *built* maps its items to the `Lottery`, so an equal object
+    later in the document reuses it.  Only all-string objects are keys, so
+    JSON ``1`` and ``true``, which compare equal, never share an entry; a
+    lottery that fails to build is never stored.  A lottery's prizes are
+    checked in the act that builds it: one found in *built* passed that
+    check in an earlier act, or the load failed there.
     """
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
-    outcomes, with_zeros = {}, []
+    outcomes, fresh, with_zeros = {}, set(), []
     for state, lottery_data in data.items():
-        key = entry = None
+        key = lottery = None
         if type(lottery_data) is dict and all(type(raw) is str for raw in lottery_data.values()):
             key = tuple(lottery_data.items())
-            entry = built.get(key)
-        if entry is None:
+            lottery = built.get(key)
+        if lottery is None:
             pairs = _rationals(lottery_data, where, state, parsed)
             try:
                 lottery = Lottery(pairs)
             except MenuLearnError as exc:
                 raise ParseError(f"{where}.{state}: {exc}") from None
-            entry = (lottery, len(lottery.probs) < len(pairs))
             if key is not None:
-                built[key] = entry
-        outcomes[state], had_zeros = entry
-        if had_zeros:
-            with_zeros.append(lottery_data)
+                built[key] = lottery
+            fresh.add(id(lottery))
+            if len(lottery.probs) < len(pairs):
+                with_zeros.append(lottery_data)
+        outcomes[state] = lottery
     act = _wrap(Act, outcomes, where=where)
-    _wrap(validate_act, act, instance, where=where)
-    for lottery_data in with_zeros:
-        # The lottery dropped the zero entries; an unknown prize among them is still a fault.
-        _wrap(validate_lottery, lottery_data, instance, where=where)
+    _wrap(_validate_states, act, instance, where=where)
+    # The new lotteries in state order, as `validate_act` takes them; one that dropped
+    # zero entries is checked on its labels too, as an unknown prize among them is a fault.
+    checks = [lottery for _, lottery in act.outcomes if id(lottery) in fresh] + with_zeros
+    for labels in checks:
+        _wrap(validate_lottery, labels, instance, where=where)
     return act
 
 

@@ -98,16 +98,30 @@ MUTANTS = (
     Mutant(
         "fired dominance pairs one position late",
         "audit.py",
-        "                yield i * s + k, ((F, singletons[k]), None, None), None\n",
-        "                yield i * s + k + 1, ((F, singletons[k]), None, None), None\n",
+        "        (i * s + k, ((F, singletons[k]), None, None), _union_indifferent(cmp, F, singletons[k]))\n",
+        "        (i * s + k + 1, ((F, singletons[k]), None, None), _union_indifferent(cmp, F, singletons[k]))\n",
         ("tests/test_audit.py::TestReferenceAudit::test_dominance_at_every_cap",),
     ),
     Mutant(
-        "weak-preference verdict stored under the swapped pair",
-        "criteria.py",
-        "            verdict = verdicts[G] = any(\n",
-        "            verdict = self._pairs.setdefault(G, {})[F] = any(\n",
-        ("tests/test_criteria.py::TestAgainstReference::test_pair_table_is_ordered_and_owned_by_its_criterion",),
+        "independence compares only the forward bit",
+        "audit.py",
+        "            holds = not (d[i] >> j | d[j] >> i) & 1\n",
+        "            holds = not d[i] >> j & 1\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_independence_reads_the_mixtures_at_each_weight",),
+    ),
+    Mutant(
+        "independence reads the first weight's mixed relation for every weight",
+        "audit.py",
+        "            d = changed[k * w + a]\n",
+        "            d = changed[k * w]\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_independence_reads_the_mixtures_at_each_weight",),
+    ),
+    Mutant(
+        "FMM consequent reads weak, not strict, preference",
+        "audit.py",
+        "                    holds = up[left] >> right & 1 and not up[right] >> left & 1\n",
+        "                    holds = up[left] >> right & 1\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",),
     ),
     Mutant(
         "lottery table keyed without the string-only guard",

@@ -166,16 +166,19 @@ def _shrink(axiom, cmp, menus, alpha, betas):
 
 def _audit_axiom(axiom: Axiom, cmp: Criterion, corpus, config: AuditConfig) -> AxiomResult:
     # Nontriviality is an existence claim, scanned to the end: a strictly
-    # ranked pair makes it pass and it never fails.
+    # ranked pair makes it pass and it never fails.  Otherwise the cap bounds
+    # the tuples whose antecedent fires: the audit stops, truncated, at the
+    # first one past it, with the tuples before that one checked.
     cap = None if axiom is Axiom.NONTRIVIALITY else config.max_tuples
     checked = fired = 0
     for menus, alpha, betas in _axiom_tuples(axiom, corpus, config):
-        if cap is not None and checked >= cap:
-            return AxiomResult(axiom, "truncated", tuples_checked=checked, antecedents=fired)
-        checked += 1
         outcome = _test_axiom(axiom, cmp, menus, alpha, betas)
         if outcome == VACUOUS:
+            checked += 1
             continue
+        if fired == cap:
+            return AxiomResult(axiom, "truncated", tuples_checked=checked, antecedents=fired)
+        checked += 1
         fired += 1
         if outcome == VIOLATED:
             if axiom is Axiom.NONTRIVIALITY:

@@ -28,6 +28,7 @@ from menulearn import (
     cross_audit,
     dominates,
     generate_corpus,
+    mix_menus,
 )
 from menulearn import Lottery
 from menulearn.audit import (
@@ -270,7 +271,10 @@ class TestAuditVerdicts:
         )
         report = audit(cmp, generate_corpus(inst, config), config)
         result = report.result_for(Axiom.TRANSITIVITY)
-        assert result.status == "truncated" and result.tuples_checked == 10
+        # The cap counts fired triples: ten decided, and the eleventh, the
+        # thirteenth triple enumerated, is where the audit stopped.
+        assert result.status == "truncated"
+        assert (result.antecedents, result.tuples_checked) == (10, 12)
         assert not report.passed and report.truncations == (result,)
         exact = AuditConfig(
             axioms=frozenset({Axiom.TRANSITIVITY}), corpus_size=2, seed=2, max_tuples=8
@@ -306,6 +310,15 @@ class TestCrossAudit:
             report = cross_audit(inst, seed=seed)
             assert report.all_passed, report.to_records()
 
+    def test_default_cap_never_truncates_a_corpus_of_20(self):
+        # The cap counts fired candidates: JML's favorable mixing
+        # monotonicity enumerates 144,400 tuples here, but fires on far fewer.
+        for seed in range(5):
+            inst = random_instance(random.Random(seed))
+            config = AuditConfig(corpus_size=20, seed=seed)
+            records = cross_audit(inst, seed=seed, config=config).to_records()
+            assert [r for r in records if r["status"] == "truncated"] == []
+
     def test_required_axiom_sets(self):
         assert Axiom.TRANSITIVITY in REQUIRED_AXIOMS["bml"]
         assert Axiom.TRANSITIVITY not in REQUIRED_AXIOMS["jml"]
@@ -340,7 +353,8 @@ class FlippedCriterion(Criterion):
 
     def _relation(self, menus):
         # The corpus relation read from the corrupted predicate, pair by pair,
-        # so the audit's bitset path sees the same flips as its pair path.
+        # so the audit's relations see the same flips as its per-tuple
+        # consequents and shrinks.
         return [
             sum(1 << j for j, G in enumerate(menus) if self.weakly_prefers(F, G)) for F in menus
         ]
@@ -400,7 +414,8 @@ class TestReferenceAudit:
 
     def test_dominance_at_every_cap(self):
         # Dominance visits only its fired (menu, singleton) pairs, so each
-        # cap from 1 to every pair pins their positions in the enumeration.
+        # cap, which stops the audit at the first fired pair past it, pins
+        # their positions in the enumeration.
         config = AuditConfig(axioms=frozenset({Axiom.DOMINANCE}), corpus_size=6)
         fired = 0
         for seed in range(2):
@@ -425,6 +440,41 @@ class TestReferenceAudit:
                 config = AuditConfig(corpus_size=len(corpus), alpha_grid=grid)
                 report = assert_matches_reference(cmp, corpus, config)
                 assert report.result_for(Axiom.TRANSITIVITY).failed
+
+    def test_independence_reads_the_mixtures_at_each_weight(self):
+        # Weak preference flipped only from a later menu's mixture to an
+        # earlier one's, at the grid's second weight, breaks independence in
+        # the backward direction and at that weight alone, which neither a
+        # forward-only comparison nor the first weight's relation shows.
+        inst, criteria = seeded_criteria(0)
+        grid = GRIDS[1]
+        config = AuditConfig(
+            axioms=frozenset({Axiom.INDEPENDENCE}), corpus_size=6, alpha_grid=grid
+        )
+        corpus = generate_corpus(inst, config)
+        flipped = frozenset(
+            (mix_menus(G, corpus[0], grid[1]), mix_menus(F, corpus[0], grid[1]))
+            for F, G in itertools.combinations(corpus, 2)
+        )
+        for cmp in criteria:
+            broken = FlippedCriterion(inst, cmp.collection, flipped)
+            report = assert_matches_reference(broken, corpus, config)
+            assert report.result_for(Axiom.INDEPENDENCE).failed
+
+    def test_mixing_must_keep_the_ranking_strict(self, two_state_instance):
+        # G adds to F an act F's act dominates, and H2 does so to H, so each
+        # pair is indifferent until the flips rank F over G and H over H2
+        # strictly; every mixture of F and H is then indifferent to the same
+        # mixture of G and H2, which favorable mixing monotonicity forbids.
+        inst = two_state_instance
+        F, G = menu_of(inst, (3, 0)), menu_of(inst, (3, 0), (2, 0))
+        H, H2 = menu_of(inst, (0, 3)), menu_of(inst, (0, 3), (0, 1))
+        uniform = Posterior({"w1": Fraction(1, 2), "w2": Fraction(1, 2)})
+        cmp = BmlComparator(inst, CredalSet.singleton(InfoStructure.point_mass(uniform)))
+        broken = FlippedCriterion(inst, cmp.collection, frozenset({(G, F), (H2, H)}))
+        config = AuditConfig(axioms=frozenset({Axiom.FAVORABLE_MIXING_MONOTONICITY}))
+        report = assert_matches_reference(broken, [F, G, H, H2], config)
+        assert report.result_for(Axiom.FAVORABLE_MIXING_MONOTONICITY).failed
 
     def test_flipped_criterion_fails_every_axiom(self):
         # Negating weak preference on corpus pairs breaks every axiom with a

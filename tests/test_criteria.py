@@ -33,7 +33,7 @@ from menulearn import (
     generate_corpus,
     mix_menus,
 )
-from menulearn.audit import random_act, random_credal_set, random_instance
+from menulearn.audit import random_act, random_collection, random_credal_set, random_instance
 
 from conftest import (
     collections,
@@ -371,14 +371,12 @@ class TestAgainstReference:
                         assert criterion.compare(F, G) is verdict
                         assert criterion.weakly_prefers(F, G) is weak
             assert len(criterion._rows) == len(set(drawn))
-            assert len(criterion._pairs) == len(set(drawn))
-            assert sum(map(len, criterion._pairs.values())) == len(set(drawn)) ** 2
 
-    def test_pair_table_is_ordered_and_owned_by_its_criterion(self, example1):
-        # SL at delta_p ranks f strictly above gh, so a table that stored
-        # (G, F) would answer the reverse question wrongly; BML on "both"
-        # leaves (f, gh) unranked while JML ranks it, so a table shared
-        # between criteria would hand JML the BML verdict.
+    def test_verdicts_are_ordered_and_per_criterion(self, example1):
+        # SL at delta_p ranks f strictly above gh, so a verdict read from
+        # the swapped pair would be wrong; BML on "both" leaves (f, gh)
+        # unranked while JML ranks it, so rows or verdicts shared between
+        # criteria would hand JML the BML verdict.
         inst = twin_instance(example1.instance)
         f, gh = example1.menu("f"), example1.menu("gh")
         sl = SlComparator(inst, example1.info_structure("delta_p"))
@@ -396,7 +394,28 @@ class TestAgainstReference:
                     expected = ref.CRITERIA[kind][1](F, G, both, inst) >= 0
                     assert criterion.weakly_prefers(F, G) is expected
         assert not bml.weakly_prefers(f, gh) and jml.weakly_prefers(f, gh)
-        assert bml._pairs is not jml._pairs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weak_preference_is_the_relation_bit(self, seed):
+        # The audit decides its axioms on `_relation`, over the corpus and
+        # over the menus mixed from it, and the per-candidate consequents
+        # and shrinks through `weakly_prefers`; the two must agree.
+        rng = random.Random(seed)
+        inst = random_instance(rng)
+        credal = random_credal_set(rng, inst)
+        corpus = generate_corpus(inst, AuditConfig(corpus_size=6, seed=seed))
+        drawn = corpus + [twin_menu(corpus[-1])]
+        for alpha in (Fraction(1, 3), Fraction(1, 2)):
+            drawn += [mix_menus(F, G, alpha) for F in corpus[::2] for G in corpus[1::2]]
+        for criterion in (
+            BmlComparator(inst, credal),
+            JmlComparator(inst, credal),
+            HmlComparator(inst, random_collection(rng, inst)),
+        ):
+            relation = criterion._relation(drawn)
+            assert [[bool(up >> j & 1) for j in range(len(drawn))] for up in relation] == [
+                [criterion.weakly_prefers(F, G) for G in drawn] for F in drawn
+            ]
 
 
 class TestCopies:
@@ -410,13 +429,13 @@ class TestCopies:
         corpus = generate_corpus(inst, config)
         audited = BmlComparator(inst, credal)
         audit(audited, corpus, config)
-        assert audited._rows and audited._pairs and all(audited._pairs.values())
+        assert audited._rows
         assert inst._numerators and inst._benefits
         fresh = BmlComparator(twin_instance(inst), twin_credal_set(credal))
         assert len(pickle.dumps(audited)) == len(pickle.dumps(fresh))
         for copied in (pickle.loads(pickle.dumps(audited)), copy.deepcopy(audited)):
             assert copied == audited and hash(copied) == hash(audited)
-            assert copied._rows == {} and copied._pairs == {}
+            assert copied._rows == {}
             assert copied.instance._numerators == {} and copied.instance._benefits == {}
             for F in corpus:
                 for G in corpus:
