@@ -3,14 +3,15 @@
 Generates seeded menu corpora, checks each selected axiom exhaustively over
 tuples of the axiom's arity (mixtures drawn from a rational grid), and
 reports pass / fail / vacuous per axiom, or truncated when the cap on fired
-tuples stopped the check.  Failures carry a replayable, shrunken
-counterexample: rerunning the audit on the counterexample menus alone
-reproduces the failure.  Each axiom is defined in one place, its entry in
-the spec table `_SPECS`, and decided on bitset relations over the corpus,
-so only the tuples where its antecedent fires are visited, at their
-positions in the plain enumeration, whose counts the report keeps.  The
-mixing axioms read one relation per weight over the menus mixed from the
-corpus; dominance and ex-post randomization compare two menus per tuple.
+tuples stopped the check.  Each axiom is defined once, by the fired rule of
+its entry in the spec table `_SPECS`, and decided on bitset relations over
+the corpus, so only the tuples where its antecedent fires are visited, at
+their positions in the plain enumeration, whose counts the report keeps.
+The mixing axioms read one relation per weight over the menus mixed from
+the corpus; dominance and ex-post randomization compare two menus per
+tuple.  Failures carry a shrunken counterexample, shrunk by the same rule
+run over the witness menus alone, so it replays: rerunning the audit on the
+counterexample menus alone reproduces the failure.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -40,17 +41,17 @@ from .core import (
     Menu,
     Posterior,
     Verdict,
+    _members,
     as_fraction,
     constant_menu,
 )
-from .comparative import _VACUOUS, _VIOLATED, _bits, _pair_position, _scan, _strict
+from .comparative import _bits, _pair_position, _scan, _strict
 from .comparative import STATUS_FAIL, STATUS_PASS, STATUS_TRUNCATED, STATUS_VACUOUS
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
 from .evaluation import (
     _dominance_relation,
     _randomize,
-    dominates,
     mix_acts,
     mix_lotteries,
     mix_menus,
@@ -332,15 +333,14 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 # ---------------------------------------------------------------------------
 
 class _Spec(NamedTuple):
-    """One axiom.  ``fired(cmp, corpus, weights)`` gives the number of
-    candidates, each menu tuple with each ``(alpha, betas)`` of
+    """One axiom, defined once by its ``fired(cmp, corpus, weights)``: the
+    number of candidates, each menu tuple with each ``(alpha, betas)`` of
     ``weights(config)``, and the candidates whose antecedent fires, decided
-    on bitset relations, with their positions and consequents as `_scan`
-    takes them.  ``test(cmp, menus, alpha, betas)`` decides one tuple on its
-    own (`_VACUOUS` when the antecedent does not fire) to shrink a failure."""
+    on bitset relations, as ``(position, (menus, alpha, betas), holds)``
+    triples for `_scan`.  The same rule, run over a failure's menus alone,
+    shrinks it (see `_shrink_counterexample`)."""
 
     fired: Callable[..., tuple[int, Iterable[tuple]]]
-    test: Optional[Callable[..., Optional[bool]]]
     weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
 
 
@@ -357,14 +357,10 @@ def _strictly_ranked(cmp, corpus, weights):
     a "violation", which `audit` reads as the witness."""
     n, strict = len(corpus), _strict(cmp, corpus)
     return n * (n - 1), (
-        (_pair_position(i, j, n), ((F, corpus[j]), None, None), _VIOLATED)
+        (_pair_position(i, j, n), ((F, corpus[j]), None, None), False)
         for i, F in enumerate(corpus)
         for j in _bits(strict[i])
     )
-
-
-def _completeness(cmp, menus, alpha, betas):
-    return cmp.compare(*menus) is not Verdict.INCOMPARABLE
 
 
 def _ranked_pairs(only_lotteries, cmp, corpus, weights):
@@ -380,13 +376,6 @@ def _ranked_pairs(only_lotteries, cmp, corpus, weights):
     )
 
 
-def _transitivity(cmp, menus, alpha, betas):
-    F, G, H = menus
-    if cmp.weakly_prefers(F, G) and cmp.weakly_prefers(G, H):
-        return cmp.weakly_prefers(F, H)
-    return _VACUOUS
-
-
 def _chains(cmp, corpus, weights):
     """Transitivity's fired triples: G after F and H after G in the weak relation."""
     n, up = len(corpus), cmp._relation(corpus)
@@ -396,15 +385,6 @@ def _chains(cmp, corpus, weights):
         for j in _bits(up[i])
         for k in _bits(up[j])
     )
-
-
-def _unambiguous_transitivity(cmp, menus, alpha, betas):
-    F, G, H = menus
-    if (dominates(F, G, cmp.instance) and cmp.weakly_prefers(G, H)) or (
-        cmp.weakly_prefers(F, G) and dominates(G, H, cmp.instance)
-    ):
-        return cmp.weakly_prefers(F, H)
-    return _VACUOUS
 
 
 def _unambiguous_chains(cmp, corpus, weights):
@@ -419,20 +399,10 @@ def _unambiguous_chains(cmp, corpus, weights):
     )
 
 
-def _reflexivity(cmp, menus, alpha, betas):
-    (F,) = menus
-    return cmp.weakly_prefers(F, F)
-
-
 def _diagonal(cmp, corpus, weights):
     """Reflexivity's candidates, every corpus menu: each holds iff weakly preferred to itself."""
     up = cmp._relation(corpus)
     return len(corpus), ((i, ((F,), None, None), up[i] >> i & 1) for i, F in enumerate(corpus))
-
-
-def _preference_for_flexibility(cmp, menus, alpha, betas):
-    F, G = menus
-    return cmp.weakly_prefers(F, G) if G.issubset(F) else _VACUOUS
 
 
 def _subsets(cmp, corpus, weights):
@@ -444,12 +414,6 @@ def _subsets(cmp, corpus, weights):
         for j, G in enumerate(corpus)
         if j != i and G.issubset(F)
     )
-
-
-def _dominance(cmp, menus, alpha, betas):
-    # Shrinking keeps the second menu the singleton the fired pair named.
-    fired = dominates(*menus, cmp.instance)
-    return _union_indifferent(cmp, *menus) if fired else _VACUOUS
 
 
 def _union_indifferent(cmp, F, g_menu):
@@ -469,12 +433,6 @@ def _dominated_singletons(cmp, corpus, weights):
         for i, F in enumerate(corpus)
         for k in _bits(dom[i] >> n)
     )
-
-
-def _independence(cmp, menus, alpha, betas):
-    F, G, H = menus
-    inst = cmp.instance
-    return cmp.compare(F, G) is cmp.compare(_mixed(inst, F, H, alpha), _mixed(inst, G, H, alpha))
 
 
 def _mixed_relations(cmp, corpus, weights):
@@ -513,14 +471,6 @@ def _randomized(cmp, corpus, weights):
     )
 
 
-def _favorable_mixing_monotonicity(cmp, menus, alpha, betas):
-    F, G, H, H2 = menus
-    if not (cmp.strictly_prefers(F, G) and cmp.strictly_prefers(H, H2)):
-        return _VACUOUS
-    inst = cmp.instance
-    return cmp.strictly_prefers(_mixed(inst, F, H, alpha), _mixed(inst, G, H2, alpha))
-
-
 def _strict_pairs_of_pairs(cmp, corpus, weights):
     """Favorable mixing monotonicity's fired candidates, two strictly ranked pairs (F, G)
     and (H, H2) with each weight.  Per weight, one weak relation over the mixtures of two
@@ -553,19 +503,17 @@ def _strict_pairs_of_pairs(cmp, corpus, weights):
 
 #: The one definition of each selectable axiom, in `Axiom` order.
 _SPECS: dict[Axiom, _Spec] = {
-    Axiom.NONTRIVIALITY: _Spec(_strictly_ranked, None),
-    Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(partial(_ranked_pairs, True), _completeness),
-    Axiom.COMPLETENESS: _Spec(partial(_ranked_pairs, False), _completeness),
-    Axiom.TRANSITIVITY: _Spec(_chains, _transitivity),
-    Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(_unambiguous_chains, _unambiguous_transitivity),
-    Axiom.REFLEXIVITY: _Spec(_diagonal, _reflexivity),
-    Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(_subsets, _preference_for_flexibility),
-    Axiom.DOMINANCE: _Spec(_dominated_singletons, _dominance),
-    Axiom.INDEPENDENCE: _Spec(_mixed_relations, _independence, weights=_grid),
-    Axiom.EX_POST_RANDOMIZATION: _Spec(_randomized, _ex_post_randomization, _randomizations),
-    Axiom.FAVORABLE_MIXING_MONOTONICITY: _Spec(
-        _strict_pairs_of_pairs, _favorable_mixing_monotonicity, weights=_grid
-    ),
+    Axiom.NONTRIVIALITY: _Spec(_strictly_ranked),
+    Axiom.COMPLETENESS_FOR_LOTTERIES: _Spec(partial(_ranked_pairs, True)),
+    Axiom.COMPLETENESS: _Spec(partial(_ranked_pairs, False)),
+    Axiom.TRANSITIVITY: _Spec(_chains),
+    Axiom.UNAMBIGUOUS_TRANSITIVITY: _Spec(_unambiguous_chains),
+    Axiom.REFLEXIVITY: _Spec(_diagonal),
+    Axiom.PREFERENCE_FOR_FLEXIBILITY: _Spec(_subsets),
+    Axiom.DOMINANCE: _Spec(_dominated_singletons),
+    Axiom.INDEPENDENCE: _Spec(_mixed_relations, _grid),
+    Axiom.EX_POST_RANDOMIZATION: _Spec(_randomized, _randomizations),
+    Axiom.FAVORABLE_MIXING_MONOTONICITY: _Spec(_strict_pairs_of_pairs, _grid),
 }
 
 
@@ -601,15 +549,23 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
 
 
 def _shrink_counterexample(
-    test: Callable[..., Optional[bool]],
+    fired: Callable[..., tuple[int, Iterable[tuple]]],
     cmp: Criterion,
     menus: tuple[Menu, ...],
     alpha: Optional[Fraction],
     betas: Optional[tuple[Fraction, ...]],
 ) -> tuple[Menu, ...]:
-    """Greedily drop acts from the witness menus while *test* still finds a violation:
-    each round keeps the first violated tuple one act smaller, menu by menu, act by act."""
+    """Greedily drop acts from the witness menus while the axiom's own rule *fired*,
+    run with the smaller menus as the corpus and ``(alpha, betas)`` as the one weight,
+    still yields that tuple violated: each round keeps the first such tuple one act
+    smaller, menu by menu, act by act.  So the shrunk menus replay the failure."""
     intern = cmp.instance._intern
+
+    def still_violated(candidate: tuple[Menu, ...]) -> bool:
+        witness = (candidate, alpha, betas)
+        _, items = fired(cmp, candidate, [(alpha, betas)])
+        return any(item == witness and not holds for _, item, holds in items)
+
     while True:
         smaller = (
             menus[:i] + (intern(Menu(tuple(a for a in menu.acts if a != act))),) + menus[i + 1:]
@@ -617,7 +573,7 @@ def _shrink_counterexample(
             if len(menu) > 1
             for act in menu
         )
-        violated = next((c for c in smaller if test(cmp, c, alpha, betas) == _VIOLATED), None)
+        violated = next(filter(still_violated, smaller), None)
         if violated is None:
             return menus
         menus = violated
@@ -632,8 +588,9 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
     than "pass".  Nontriviality is scanned to the end whatever the cap:
     its first strictly ranked pair makes it pass, and with none it is
     vacuous.  A trailing entry records that continuity is not audited.
+    Each entry of *corpus* must be a `Menu`.
     """
-    corpus = list(corpus)
+    corpus = _members(corpus, Menu)
     results: list[AxiomResult] = []
     for axiom, spec in _SPECS.items():
         if axiom not in config.axioms:
@@ -641,13 +598,13 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
         existence = axiom is Axiom.NONTRIVIALITY
         total, candidates = spec.fired(cmp, corpus, spec.weights(config))
         cap = None if existence else config.max_tuples
-        status, witness, checked, fired = _scan(candidates, None, total, cap)
+        status, witness, checked, fired = _scan(candidates, total, cap)
         shrunk = alpha = betas = None
         if existence:
             status = STATUS_PASS if status == STATUS_FAIL else STATUS_VACUOUS
         elif status == STATUS_FAIL:
             menus, alpha, betas = witness
-            shrunk = _shrink_counterexample(spec.test, cmp, menus, alpha, betas)
+            shrunk = _shrink_counterexample(spec.fired, cmp, menus, alpha, betas)
         elif status == STATUS_PASS and any(a is not None for a, _ in spec.weights(config)):
             # The candidates carry an α, so the pass only covers the grid.
             status = STATUS_PASS_ON_GRID

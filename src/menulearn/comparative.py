@@ -19,7 +19,10 @@ one Python-int bitset per corpus position: weak preference from
 statewise dominance from `_dominance_relation`.  Only the tuples whose
 antecedent fires are visited, at their positions in the plain enumeration
 (ordered pairs, or dominance-filtered triples), and `_scan` reports the
-first witness and the counts that enumeration would.
+first witness and the counts that enumeration would.  `_scan` is the one
+scan of an implication over tuples: the audit's axioms and the consistency
+checks of `rationalize` run through it too.  A corpus entry that is not a
+`Menu` is a TypeError.
 """
 
 from __future__ import annotations
@@ -29,7 +32,17 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .core import CredalSet, Instance, InfoStructure, Menu, Posterior, validate_posterior
+from .core import (
+    CredalSet,
+    Instance,
+    InfoStructure,
+    Menu,
+    Posterior,
+    RationalLike,
+    _members,
+    as_fraction,
+    validate_posterior,
+)
 from .criteria import Criterion
 from .errors import DimensionMismatchError
 from .evaluation import _dominance_relation
@@ -41,15 +54,17 @@ from .evaluation import _dominance_relation
 
 
 def solve_convex_combination(
-    target: Sequence[Fraction],
-    generators: Sequence[Sequence[Fraction]],
+    target: Sequence[RationalLike],
+    generators: Sequence[Sequence[RationalLike]],
 ) -> Optional[tuple[Fraction, ...]]:
     """Exact weights expressing *target* as a convex combination of *generators*.
 
     Returns a tuple of nonnegative Fractions summing to one with
     ``sum_j w_j * generators[j] == target``, or None if no such weights
     exist.  Solved as a phase-one simplex (Bland's rule, so termination is
-    guaranteed) entirely in rational arithmetic.
+    guaranteed) entirely in rational arithmetic.  Every entry is read with
+    `as_fraction`: a float is a TypeError and a string outside the rational
+    grammar a ValidationError.
     """
     m = len(target)
     n = len(generators)
@@ -59,8 +74,8 @@ def solve_convex_combination(
         if len(gen) != m:
             raise DimensionMismatchError("generator vectors must match the target's length")
     # Equality system: one row per coordinate plus the weights-sum-to-one row.
-    rows = [[Fraction(gen[i]) for gen in generators] for i in range(m)]
-    rhs = [Fraction(t) for t in target]
+    rows = [[as_fraction(gen[i]) for gen in generators] for i in range(m)]
+    rhs = [as_fraction(t) for t in target]
     rows.append([Fraction(1)] * n)
     rhs.append(Fraction(1))
     solution = _phase_one(rows, rhs)
@@ -181,52 +196,36 @@ def credal_subset(
 # ---------------------------------------------------------------------------
 
 
-#: What a check's test returns for one tuple: the implication holds, its
-#: antecedent did not fire, or it is violated.
-_HOLDS, _VACUOUS, _VIOLATED = True, None, False
 #: What a scan reports; the audit and every check print these strings.
 STATUS_PASS, STATUS_FAIL, STATUS_TRUNCATED, STATUS_VACUOUS = "pass", "fail", "truncated", "vacuous"
 
 
 def _scan(
-    fired: Iterable[tuple[int, tuple, Optional[bool]]],
-    test: Optional[Callable[..., Optional[bool]]] = None,
-    total: Optional[int] = None,
+    fired: Iterable[tuple[int, tuple, bool]],
+    total: int,
     max_tuples: Optional[int] = None,
 ) -> tuple[str, Optional[tuple], int, int]:
-    """Test an implication over tuples in enumeration order, stopping at the first violation.
+    """Decide an implication over the *total* tuples of an enumeration, stopping at the
+    first violation.
 
-    *fired* yields ``(position, item, holds)`` in increasing position, where
-    the position counts every tuple of the enumeration.  *holds* says
-    whether the consequent holds at *item*, or is None to let ``test(*item)``
-    decide, which returns None in turn when the antecedent does not fire.
-    A tuple *fired* skips is vacuous.  *total* counts the tuples; None means
-    *fired* yields all of them (see `_each`).  Returns ``(status, witness,
-    tuples_checked, antecedents)``: status "fail" with the violating item as
-    witness and the tuples up to it checked; "truncated" when *max_tuples*
-    antecedents were decided and another fired, with the tuples before that
-    one checked; otherwise "pass", or "vacuous" when nothing fired.
+    *fired* yields ``(position, item, holds)`` for the tuples whose
+    antecedent fires, in increasing position, where the position counts
+    every tuple of the enumeration, and *holds* says whether the consequent
+    holds at *item*.  A tuple *fired* skips is vacuous.  Returns ``(status,
+    witness, tuples_checked, antecedents)``: status "fail" with the
+    violating item as witness and the tuples up to it checked; "truncated"
+    when *max_tuples* antecedents were decided and another fired, with the
+    tuples before that one checked; otherwise "pass", or "vacuous" when
+    nothing fired.
     """
     antecedents = 0
-    position = -1
     for position, item, holds in fired:
-        if holds is None:
-            holds = test(*item)
-            if holds is _VACUOUS:
-                continue
         if antecedents == max_tuples:
             return STATUS_TRUNCATED, None, position, antecedents
         antecedents += 1
         if not holds:
             return STATUS_FAIL, item, position + 1, antecedents
-    if total is None:
-        total = position + 1
     return (STATUS_PASS if antecedents else STATUS_VACUOUS), None, total, antecedents
-
-
-def _each(items: Iterable[tuple]) -> Iterator[tuple[int, tuple, None]]:
-    """Every item at its position, for `_scan`'s test to decide."""
-    return ((position, item, None) for position, item in enumerate(items))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -292,6 +291,7 @@ def _check_pairs(
 ) -> CheckReport:
     """*check* over the ordered pairs of distinct corpus positions: every pair
     in the relation ``antecedent(corpus)`` must be in ``consequent(corpus)``."""
+    corpus = _members(corpus, Menu)
     n = len(corpus)
 
     def fired():
@@ -334,6 +334,7 @@ def _check_triples(
     the bitset of G positions where it holds, from the criterion's weak
     relation *up* and its converse *down*.
     """
+    corpus = _members(corpus, Menu)
     n = len(corpus)
     dominating = [
         (h, f)

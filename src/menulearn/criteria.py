@@ -69,10 +69,10 @@ class Criterion:
     already decide the verdict.  An engine that needs the verdict between
     every pair of a menu sequence asks `_relation` once instead, which
     reads the same rows.  The comparative checks and the audit decide
-    their relations that way, over the corpus or the menus mixed from it;
-    only the audit's dominance and ex-post randomization consequents and
-    its shrinks call `weakly_prefers`.  A subclass that overrides
-    `weakly_prefers` must override `_relation` to match.
+    their relations that way, over the corpus or the menus mixed from it,
+    and so do the audit's shrinks; only its dominance and ex-post
+    randomization consequents call `weakly_prefers`.  A subclass that
+    overrides `weakly_prefers` must override `_relation` to match.
     """
 
     instance: Instance

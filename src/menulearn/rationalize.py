@@ -27,7 +27,7 @@ from .core import (
     constant_menu,
     unit_weight,
 )
-from .comparative import _VACUOUS, CheckReport, _each, _scan
+from .comparative import CheckReport, _scan
 from .criteria import Criterion, collection_maxmin_gap
 from .errors import BadWeightError, ValidationError
 from .evaluation import benefit_of_information, mix_lotteries
@@ -245,29 +245,31 @@ def check_consistency(
       strictly above G.
 
     The lottery grid is a sound partial check: it can miss separating
-    outcomes but never reports a spurious failure.
+    outcomes but never reports a spurious failure.  Each entry of *corpus*
+    must be a `Menu` and each of *lotteries* a `Lottery`.  The score is
+    read only on the pairs where a condition's antecedent fires.
     """
+    corpus, lotteries = _members(corpus, Menu), _members(lotteries, Lottery)
     inst = comparator.instance
     coll = comparator.collection
     constant_menus = [constant_menu(inst, x) for x in lotteries]
     utility = {xm: inst.lottery_utility(x) for xm, x in zip(constant_menus, lotteries)}
-
-    def lottery_test(xm: Menu, ym: Menu) -> Optional[bool]:
-        if utility[xm] < utility[ym]:
-            return _VACUOUS
-        return value_of(xm) >= value_of(ym)
-
-    def strict_test(F: Menu, G: Menu) -> Optional[bool]:
-        if not any(
+    pairs = list(itertools.permutations(constant_menus, 2))
+    distinct = [(F, G) for F in corpus for G in corpus if F != G]
+    ranked = (
+        (p, (xm, ym), value_of(xm) >= value_of(ym))
+        for p, (xm, ym) in enumerate(pairs)
+        if utility[xm] >= utility[ym]
+    )
+    separated = (
+        (p, (F, G), value_of(F) > value_of(G))
+        for p, (F, G) in enumerate(distinct)
+        if any(
             robust_strict(F, xm, coll, inst) and robust_strict(xm, G, coll, inst)
             for xm in constant_menus
-        ):
-            return _VACUOUS
-        return value_of(F) > value_of(G)
-
-    pairs = itertools.permutations(constant_menus, 2)
-    distinct = ((F, G) for F in corpus for G in corpus if F != G)
+        )
+    )
     return ConsistencyReport(
-        CheckReport("lottery_consistency", *_scan(_each(pairs), lottery_test)),
-        CheckReport("robust_strict_consistency", *_scan(_each(distinct), strict_test)),
+        CheckReport("lottery_consistency", *_scan(ranked, len(pairs))),
+        CheckReport("robust_strict_consistency", *_scan(separated, len(distinct))),
     )

@@ -124,6 +124,23 @@ MUTANTS = (
         ("tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",),
     ),
     Mutant(
+        "shrink accepts a violation at any tuple of the witness menus",
+        "audit.py",
+        "        return any(item == witness and not holds for _, item, holds in items)\n",
+        "        return any(not holds for _, item, holds in items)\n",
+        (
+            "tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",
+            "tests/test_audit.py::TestReferenceAudit::test_flipped_criterion_fails_every_axiom",
+        ),
+    ),
+    Mutant(
+        "lottery-consistency antecedent takes strict utility order",
+        "rationalize.py",
+        "        if utility[xm] >= utility[ym]\n",
+        "        if utility[xm] > utility[ym]\n",
+        ("tests/test_rationalize.py::TestConsistency::test_reports_match_reference",),
+    ),
+    Mutant(
         "lottery table keyed without the string-only guard",
         "fileformat.py",
         "        if type(lottery_data) is dict and all(type(raw) is str for raw in lottery_data.values()):\n",

@@ -1,10 +1,11 @@
-"""Reference comparative checks: the four nestedness checks as plain pair loops.
+"""Reference comparative checks: the four nestedness checks and the two
+consistency conditions of a ranking as plain pair loops.
 
-`reference_*` returns the `CheckReport` that the matching
-`menulearn.check_*` must return: status, witness menus, tuples checked and
-antecedents fired.  Each check enumerates its tuples with `itertools`, the
-dominance-filtered triples from the public `dominates`, and decides every
-tuple through the public `weakly_prefers` and `strictly_prefers`, with its
+`reference_*` returns the report that the matching `menulearn.check_*`
+must return: status, witness menus, tuples checked and antecedents fired.
+Each check enumerates its tuples with `itertools`, the dominance-filtered
+triples from the public `dominates`, and decides every tuple through the
+public `weakly_prefers`, `strictly_prefers` and `robust_strict`, with its
 own scan, so it shares no relation, enumeration or scan code with the
 checks it verifies.
 """
@@ -14,7 +15,18 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-from menulearn import CheckReport, Criterion, Instance, Menu, dominates
+from menulearn import (
+    CheckReport,
+    ConsistencyReport,
+    Criterion,
+    Instance,
+    Lottery,
+    Menu,
+    Value,
+    constant_menu,
+    dominates,
+    robust_strict,
+)
 
 
 def _scan(tuples: Iterable[tuple], test: Callable[..., Optional[bool]]):
@@ -82,3 +94,33 @@ def reference_less_inconsistent(cmp1: Criterion, cmp2: Criterion, corpus: Sequen
 
     triples = _dominance_filtered_triples(corpus, cmp1.instance)
     return CheckReport("less_inconsistent", *_scan(triples, test))
+
+
+def reference_check_consistency(
+    value_of: Callable[[Menu], Value],
+    comparator: Criterion,
+    corpus: Sequence[Menu],
+    lotteries: Sequence[Lottery],
+):
+    """Lottery consistency over the ordered pairs of constant menus the criterion
+    weakly ranks, and robustly strict consistency over the ordered pairs of
+    unequal corpus menus some constant menu separates robustly."""
+    inst, coll = comparator.instance, comparator.collection
+    constants = [constant_menu(inst, x) for x in lotteries]
+
+    def weakly_ranked(xm, ym):
+        return value_of(xm) >= value_of(ym) if comparator.weakly_prefers(xm, ym) else None
+
+    def separated(F, G):
+        for xm in constants:
+            if robust_strict(F, xm, coll, inst) and robust_strict(xm, G, coll, inst):
+                return value_of(F) > value_of(G)
+        return None
+
+    unequal = [(F, G) for F, G in itertools.permutations(corpus, 2) if F != G]
+    return ConsistencyReport(
+        CheckReport(
+            "lottery_consistency", *_scan(itertools.permutations(constants, 2), weakly_ranked)
+        ),
+        CheckReport("robust_strict_consistency", *_scan(unequal, separated)),
+    )

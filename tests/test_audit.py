@@ -229,6 +229,10 @@ class TestAuditVerdicts:
         assert set(result.counterexample) == set(pair)
 
     def test_failures_replay(self, example2):
+        # Auditing a failure's shrunk counterexample alone, for its axiom,
+        # fails again: the JML cycle of the worked example, then every
+        # failure of criteria whose weak preference is negated on some
+        # corpus pairs, which breaks every falsifiable axiom.
         inst = example2.instance
         cmp = JmlComparator(inst, example2.credal_set("both"))
         corpus = [example2.menu("fstar"), example2.menu("gh"), example2.menu("f")]
@@ -236,6 +240,25 @@ class TestAuditVerdicts:
         first = audit(cmp, corpus, config).result_for(Axiom.TRANSITIVITY)
         replay = audit(cmp, list(first.counterexample), config)
         assert replay.result_for(Axiom.TRANSITIVITY).status == "fail"
+        replayed = set()
+        for seed in range(12):
+            inst, criteria = seeded_criteria(seed)
+            for grid in GRIDS:
+                config = AuditConfig(corpus_size=6, seed=seed, alpha_grid=grid)
+                corpus = generate_corpus(inst, config)
+                flipped = frozenset(
+                    (corpus[i], corpus[j])
+                    for i, j in itertools.product(range(len(corpus)), repeat=2)
+                    if (2 * i + j) % 5 == 1
+                )
+                for cmp in criteria:
+                    broken = FlippedCriterion(inst, cmp.collection, flipped)
+                    for result in audit(broken, corpus, config).failures:
+                        again = AuditConfig(axioms={result.axiom}, alpha_grid=grid)
+                        replay = audit(broken, list(result.counterexample), again)
+                        assert replay.result_for(result.axiom).status == "fail", result
+                        replayed.add(result.axiom)
+        assert replayed == ALL_AXIOMS - {Axiom.NONTRIVIALITY}
 
     def test_vacuous_when_antecedent_never_fires(self, two_state_instance):
         # Two crossing singletons: no subset pair, so flexibility is vacuous.
@@ -353,8 +376,8 @@ class FlippedCriterion(Criterion):
 
     def _relation(self, menus):
         # The corpus relation read from the corrupted predicate, pair by pair,
-        # so the audit's relations see the same flips as its per-tuple
-        # consequents and shrinks.
+        # so the audit's relations, which its shrinks read too, see the same
+        # flips as its dominance and randomization consequents.
         return [
             sum(1 << j for j, G in enumerate(menus) if self.weakly_prefers(F, G)) for F in menus
         ]

@@ -3,23 +3,33 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from menulearn import (
+    AlphaPolicy,
     BmlComparator,
     CredalSet,
     DimensionMismatchError,
+    HmlComparator,
     InfoStructure,
     JmlComparator,
+    Lottery,
+    Menu,
     Posterior,
+    ValidationError,
+    audit,
+    check_consistency,
     check_less_inconsistent,
     check_less_negative_inconsistent,
     check_more_decisive,
     check_more_strict_decisive,
     combine_structures,
     credal_subset,
+    rationalized_value,
     solve_convex_combination,
+    utility_grid_lotteries,
 )
 from menulearn.audit import AuditConfig, generate_corpus, random_credal_set, random_instance
 
@@ -115,6 +125,19 @@ class TestConvexCombination:
         target = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
         weights = solve_convex_combination(target, gens)
         assert weights == (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+
+    def test_entries_are_exact_rationals(self):
+        # Read as binary floats, 0.1 and 0.9 do not sum to 1, so the target
+        # would silently fall outside the segment; a float is refused instead.
+        gens = [[0, 1], [1, 0]]
+        with pytest.raises(TypeError, match="exact rational"):
+            solve_convex_combination([0.1, 0.9], gens)
+        with pytest.raises(TypeError, match="exact rational"):
+            solve_convex_combination(["1/2", "1/2"], [[0, 1.0], [1, 0]])
+        for text in (" 1/2", "1e0", "1/2 "):
+            with pytest.raises(ValidationError, match="malformed rational"):
+                solve_convex_combination([text, "1/2"], gens)
+        assert solve_convex_combination(["1/10", "0.9"], gens) == (Fraction(9, 10), Fraction(1, 10))
 
 
 class TestCredalSubset:
@@ -373,3 +396,59 @@ class TestReferenceComparative:
         both = example1.credal_set("both")
         for report in assert_checks_match_reference(example1.instance, both, both, []):
             assert (report.status, report.tuples_checked, report.antecedents) == ("vacuous", 0, 0)
+
+
+def typed_engines(example):
+    """Each engine that reads a corpus of menus or a list of lotteries, by name:
+    the type its entries must have and a call running it on given entries."""
+    inst, both = example.instance, example.credal_set("both")
+    bml, jml = BmlComparator(inst, both), JmlComparator(inst, both)
+    hml = HmlComparator(inst, example.collection("split"))
+    value_of = partial(
+        rationalized_value, coll=hml.collection, policy=AlphaPolicy.cautious(), inst=inst
+    )
+    grid = utility_grid_lotteries(inst, steps=2)
+    return {
+        "audit": (Menu, lambda corpus: audit(bml, corpus, AuditConfig(corpus_size=2))),
+        "more_decisive": (Menu, lambda corpus: check_more_decisive(bml, bml, corpus)),
+        "more_strict_decisive": (Menu, lambda corpus: check_more_strict_decisive(jml, jml, corpus)),
+        "less_negative_inconsistent": (
+            Menu,
+            lambda corpus: check_less_negative_inconsistent(bml, bml, corpus),
+        ),
+        "less_inconsistent": (Menu, lambda corpus: check_less_inconsistent(jml, jml, corpus)),
+        "consistency_corpus": (Menu, lambda corpus: check_consistency(value_of, hml, corpus, grid)),
+        "consistency_lotteries": (
+            Lottery,
+            lambda lotteries: check_consistency(value_of, hml, [example.menu("f")], lotteries),
+        ),
+    }
+
+
+class TestTypedCorpora:
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            "audit",
+            "more_decisive",
+            "more_strict_decisive",
+            "less_negative_inconsistent",
+            "less_inconsistent",
+            "consistency_corpus",
+            "consistency_lotteries",
+        ],
+    )
+    @pytest.mark.parametrize("stray", ["x", 3])
+    def test_entries_must_have_the_engine_type(self, example1, engine, stray):
+        # A stray entry is named as such, not reported later as an unknown
+        # state or prize, or as a bare "not iterable".
+        kind, run = typed_engines(example1)[engine]
+        if kind is Menu:
+            valid = example1.menu("f")
+        else:
+            valid = Lottery.degenerate(example1.instance.best_prize())
+        for entries in ([stray], [valid, stray]):
+            with pytest.raises(TypeError) as info:
+                run(entries)
+            assert str(info.value) == f"expected a {kind.__name__}, got {stray!r}"
+        run([valid, valid])

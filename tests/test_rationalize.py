@@ -14,6 +14,7 @@ from menulearn import (
     Collection,
     CredalSet,
     HmlComparator,
+    Lottery,
     Menu,
     ValidationError,
     check_consistency,
@@ -26,9 +27,10 @@ from menulearn import (
     utility_grid_lotteries,
     Verdict,
 )
-from menulearn.audit import random_collection, random_instance, random_menu
+from menulearn.audit import random_collection, random_instance, random_lottery, random_menu
 
-from conftest import collections, instances, menu_of, menus, scenarios, utility_lottery
+from conftest import collections, instances, menu_of, menus, scenarios, twin_menu, utility_lottery
+from reference_comparative import reference_check_consistency
 
 
 @pytest.fixture()
@@ -250,7 +252,49 @@ class TestRankMenus:
                 assert (a.rank == b.rank) == (a.value == b.value)
 
 
+#: Scores a ranking's consistency is checked on, from the cautious rationalized value.
+SCORES = {
+    "correct": lambda value: value,
+    "negated": lambda value: lambda menu: -value(menu),
+    "constant": lambda value: lambda menu: Fraction(0),
+}
+
+
 class TestConsistency:
+    @pytest.mark.parametrize("score", sorted(SCORES))
+    def test_reports_match_reference(self, score):
+        # Whole reports, witness and counts included.  The lotteries repeat
+        # utilities (a grid end again as a prize, random draws), so ties in
+        # utility fire the lottery condition, and the corpus repeats a menu.
+        statuses = set()
+        for seed in range(30):
+            rng = random.Random(900 + seed)
+            inst = random_instance(rng)
+            coll = random_collection(rng, inst)
+            corpus = [random_menu(rng, inst) for _ in range(5)]
+            corpus.append(twin_menu(corpus[1]))
+            lotteries = utility_grid_lotteries(inst, steps=4)
+            lotteries += [Lottery.degenerate(prize) for prize in inst.prizes]
+            lotteries += [random_lottery(rng, inst) for _ in range(2)]
+            value_of = SCORES[score](
+                partial(rationalized_value, coll=coll, policy=AlphaPolicy.cautious(), inst=inst)
+            )
+            comparator = HmlComparator(inst, coll)
+            report = check_consistency(value_of, comparator, corpus, lotteries)
+            assert report == reference_check_consistency(value_of, comparator, corpus, lotteries)
+            statuses |= {
+                (check.check, check.status)
+                for check in (report.lottery_consistency, report.robust_strict_consistency)
+            }
+        expected = {
+            "correct": {("lottery_consistency", "pass"), ("robust_strict_consistency", "pass")},
+            "negated": {("lottery_consistency", "fail"), ("robust_strict_consistency", "fail")},
+            "constant": {("lottery_consistency", "pass"), ("robust_strict_consistency", "fail")},
+        }[score]
+        assert expected <= statuses
+        if score == "correct":
+            assert {status for _, status in statuses} <= {"pass", "vacuous"}
+
     def test_lottery_consistency_always_passes(self, example1, split_collection):
         inst = example1.instance
         comparator = HmlComparator(inst, split_collection)
