@@ -51,8 +51,9 @@ from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
 from .evaluation import (
     _dominance_relation,
+    _lottery_mixer,
+    _mix_acts,
     _randomize,
-    mix_acts,
     mix_lotteries,
     mix_menus,
 )
@@ -523,13 +524,18 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     The instance keeps one mixture table per weight, found by the weight's
     integer pair ``(a, b)`` for ``alpha = a / b``, which hashes and compares
     in C however many Fraction objects carry the same weight; so *alpha* is
-    looked up once per call.  In it ``(F, G)`` maps to the mixed menu and
-    ``(f, g)`` to each act mixture ``mix_acts(f, g, alpha)``, built once per
-    instance (Act and Menu keys never compare equal).  Every act built is interned like the
-    menu, so the memos meet each mixed act as one object per value.  The
-    mixed menu is always built and evaluated: the mixing axioms must not be
-    decided through the linearity of the benefit in the menu, which is what
-    they test.
+    looked up once per call.  In it ``(F, G)`` maps to the mixed menu,
+    ``(f, g)`` to each act mixture and ``(x, y)`` to each lottery mixture
+    ``mix_lotteries(x, y, alpha)``, each built once per instance (Lottery,
+    Act and Menu keys never compare equal).  Each act is built from its
+    parents' lotteries by the public mixers' `_mix_acts`, so it raises as
+    `mix_acts` does.  Each mixed lottery is the instance's one held lottery
+    for its value, carrying its one held Fraction per probability
+    (`Instance._held`), and every act built is interned like the menu, so
+    the memos and the menu sort meet each mixed act, lottery and probability
+    as one object per value.  The mixed menu is always built and evaluated:
+    the mixing axioms must not be decided through the linearity of the
+    benefit in the menu, which is what they test.
     """
     weight = (alpha.numerator, alpha.denominator)
     table = inst._mixtures.get(weight)
@@ -537,12 +543,13 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
         table = inst._mixtures[weight] = {}
     menu = table.get((F, G))
     if menu is None:
+        mix = _lottery_mixer(table, alpha, inst._held)
         acts = []
         for f in F:
             for g in G:
                 act = table.get((f, g))
                 if act is None:
-                    act = table[f, g] = inst._intern_act(mix_acts(f, g, alpha))
+                    act = table[f, g] = inst._intern_act(_mix_acts(f, g, mix))
                 acts.append(act)
         menu = table[F, G] = inst._intern(Menu(tuple(acts)))
     return menu

@@ -20,7 +20,8 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import gcd, lcm
 from operator import attrgetter, is_not
 from typing import ClassVar, Union
 
@@ -87,6 +88,9 @@ def _rational(text: str) -> Fraction:
         if denominator:
             return Fraction(numerator, denominator)
         raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+    # `Fraction` also reads whitespace, "_" and non-ASCII digits, so a text
+    # outside the grammar such as "0/0 " gets its zero-denominator message.
+    Fraction(text)
     raise ValueError(f"Invalid literal for Fraction: {text!r}")
 
 
@@ -209,6 +213,16 @@ def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:
     return tuple(dict.fromkeys(items))
 
 
+def _held_fraction(held: dict, num: int, den: int) -> Fraction:
+    """The one Fraction *held* keeps for ``num / den``, keyed by its reduced ``(num, den)``."""
+    divisor = gcd(num, den)
+    key = num // divisor, den // divisor
+    prob = held.get(key)
+    if prob is None:
+        prob = held[key] = Fraction(*key)
+    return prob
+
+
 @dataclass(frozen=True)
 class _Distribution(_HashOnce):
     """Base of `Lottery` and `Posterior`: an exact distribution over string labels.
@@ -233,14 +247,17 @@ class _Distribution(_HashOnce):
         object.__setattr__(self, "probs", _measure(self.probs, self._what, str))
 
     @classmethod
-    def _of_numerators(cls, numerators: dict[str, int], total: int):
+    def _of_numerators(cls, numerators: dict[str, int], total: int, held: dict | None = None):
         """The distribution giving each label ``numerators[label] / total``: the
         integer core of the measure rule, used in place of `__post_init__`.
 
         The same rule as `_measure`, with the same messages, decided on the
         ints: each label a string, each numerator nonnegative, their sum
         exactly *total*.  Zeros are dropped and each remaining probability is
-        built as one reduced Fraction, the only one made for it.
+        built as one reduced Fraction, the only one made for it.  With a
+        *held* table (`Instance._held`), each probability is instead the
+        table's one Fraction for its reduced ``(num, den)`` and the result is
+        the table's one distribution for its value.
         """
         what = cls._what
         for label, num in numerators.items():
@@ -248,10 +265,11 @@ class _Distribution(_HashOnce):
                 raise _label_error(what, str, label)
             if num < 0:
                 raise _negative_error(what, Fraction(num, total), label)
-        pairs = ((label, Fraction(num, total)) for label, num in numerators.items() if num)
+        prob = Fraction if held is None else partial(_held_fraction, held)
+        pairs = ((label, prob(num, total)) for label, num in numerators.items() if num)
         dist = object.__new__(cls)
         object.__setattr__(dist, "probs", _settled(pairs, sum(numerators.values()), total, what))
-        return dist
+        return dist if held is None else held.setdefault(dist, dist)
 
     @classmethod
     def degenerate(cls, label: str):
@@ -308,6 +326,19 @@ class Act(_HashOnce):
             raise ValidationError("act must assign an outcome to at least one state")
         object.__setattr__(self, "outcomes", tuple(sorted(canonical)))
 
+    @classmethod
+    def _of_outcomes(cls, outcomes: tuple[tuple[str, Lottery], ...]) -> "Act":
+        """The act with *outcomes*, already canonical, used in place of `__post_init__`.
+
+        The caller guarantees what `__post_init__` checks and sorts: at least
+        one pair, distinct string states in sorted order, each paying a
+        `Lottery`, as the state by state mixture of two acts over the same
+        states does (`evaluation._mix_acts`).
+        """
+        act = object.__new__(cls)
+        object.__setattr__(act, "outcomes", outcomes)
+        return act
+
     @property
     def states(self) -> tuple[str, ...]:
         return tuple(state for state, _ in self.outcomes)
@@ -352,6 +383,7 @@ class Menu(_HashOnce):
         return act in self.acts
 
     def issubset(self, other: "Menu") -> bool:
+        _members((other,), Menu)
         return set(self.acts) <= set(other.acts)
 
     def union(self, other: "Menu | Iterable[Act]") -> "Menu":
@@ -504,11 +536,15 @@ class Instance(_HashOnce):
     # posterior's masses (Act and Posterior keys never compare equal);
     # (menu, structure) -> benefit of information, one exact Fraction; the
     # audit's mixtures, one table per weight alpha = a / b, (a, b) ->
-    # {(f, g) -> mixed act, (F, G) -> mixed menu} (Act and Menu keys never
-    # compare equal); and the menu and act intern tables (see `_intern`).
+    # {(x, y) -> mixed lottery, (f, g) -> mixed act, (F, G) -> mixed menu}
+    # (Lottery, Act and Menu keys never compare equal); the mixed lotteries
+    # and their probabilities, each held once, lottery -> itself and reduced
+    # (num, den) -> Fraction(num, den) (see `_Distribution._of_numerators`);
+    # and the menu and act intern tables (see `_intern`).
     _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _menus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __hash__ = _hash_of("states", "prizes", "utility")
@@ -679,6 +715,7 @@ def validate_posterior(p: Posterior | Mapping[str, RationalLike], inst: Instance
 
 def constant_act(inst: Instance, x: Lottery) -> Act:
     """The act that pays the lottery *x* in every state."""
+    _members((x,), Lottery)
     validate_lottery(x, inst)
     return Act({state: x for state in inst.states})
 

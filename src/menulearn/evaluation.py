@@ -13,7 +13,10 @@ on the `Instance` and are freed with it: those vectors
 (`Instance._benefits`, one exact `Fraction` per entry).  Statewise
 dominance has one rule, `_dominance_relation`, which decides it between
 every pair of a sequence of menus at once, as one bitset per menu;
-`dominates` is its two-menu case.
+`dominates` is its two-menu case.  The mixers share one act mixer,
+`_mix_acts`, and one lottery mixer that builds each lottery pair once into
+a table: the public mixers' table lives for one call, the audit's
+(`audit._mixed`) on the instance.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .core import (
     Posterior,
     RationalLike,
     Value,
+    _members,
     _unknown_states,
     as_fraction,
     unit_weight,
@@ -117,15 +121,17 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
 def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:
     """The lottery ``alpha x + (1 - alpha) y``."""
+    _members((x, y), Lottery)
     return _mix_lotteries(x, y, unit_weight(alpha, "mixture weight"))
 
 
-def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction) -> Lottery:
+def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction, held: dict | None = None) -> Lottery:
     """`mix_lotteries` for an *alpha* the caller has already checked.
 
     With ``alpha = a / b`` and ``L`` the lcm of both lotteries' denominators,
     each prize gets the integer numerator ``a x(z) L + (b - a) y(z) L`` over
-    ``b L``, and the measure rule's integer core builds the result.
+    ``b L``, and the measure rule's integer core builds the result, from the
+    *held* table if one is given (see `_Distribution._of_numerators`).
     """
     a, b = alpha.numerator, alpha.denominator
     common = lcm(*[p.denominator for _, p in x.probs], *[p.denominator for _, p in y.probs])
@@ -134,23 +140,49 @@ def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction) -> Lottery:
     for z, p in y.probs:
         num = rest * p.numerator * (common // p.denominator)
         numerators[z] = numerators[z] + num if z in numerators else num
-    return Lottery._of_numerators(numerators, b * common)
+    return Lottery._of_numerators(numerators, b * common, held)
+
+
+def _lottery_mixer(
+    table: dict, alpha: Fraction, held: dict | None = None
+) -> Callable[[Lottery, Lottery], Lottery]:
+    """The lottery mixer at the checked weight *alpha* that builds each pair ``(x, y)``
+    once, by `_mix_lotteries` with *held*, and keeps it in *table* under ``(x, y)``."""
+
+    def mix(x: Lottery, y: Lottery) -> Lottery:
+        lottery = table.get((x, y))
+        if lottery is None:
+            lottery = table[x, y] = _mix_lotteries(x, y, alpha, held)
+        return lottery
+
+    return mix
 
 
 def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:
     """Statewise lottery mixture of two acts over the same states."""
-    if set(f.states) != set(g.states):
+    _members((f, g), Act)
+    return _mix_acts(f, g, _lottery_mixer({}, unit_weight(alpha, "mixture weight")))
+
+
+def _mix_acts(f: Act, g: Act, mix: Callable[[Lottery, Lottery], Lottery]) -> Act:
+    """The act paying ``mix(x, y)`` in each state where *f* pays ``x`` and *g* pays ``y``.
+
+    Both acts' outcomes are canonical, sorted by state, so the acts cover the
+    same states iff their state sequences are equal, one zip pairs their
+    lotteries state by state, and the mixed pairs are canonical as built.
+    """
+    if f.states != g.states:
         raise ValidationError("cannot mix acts defined over different state spaces")
-    alpha = unit_weight(alpha, "mixture weight")
-    return Act(
-        {state: _mix_lotteries(f.lottery(state), g.lottery(state), alpha) for state in f.states}
+    return Act._of_outcomes(
+        tuple([(state, mix(x, y)) for (state, x), (_, y) in zip(f.outcomes, g.outcomes)])
     )
 
 
 def mix_menus(F: Menu, G: Menu, alpha: RationalLike) -> Menu:
     """The menu ``alpha F + (1 - alpha) G``: all pairwise act mixtures, deduplicated."""
-    alpha = unit_weight(alpha, "mixture weight")
-    return Menu(tuple(mix_acts(f, g, alpha) for f in F for g in G))
+    _members((F, G), Menu)
+    mix = _lottery_mixer({}, unit_weight(alpha, "mixture weight"))
+    return Menu(tuple(_mix_acts(f, g, mix) for f in F for g in G))
 
 
 def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:
@@ -161,6 +193,7 @@ def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:
     maximize expected utility never need such randomizations, which is why
     criteria are expected to rank the result indifferent to *F*.
     """
+    _members((F,), Menu)
     return _randomize(F, betas, mix_menus)
 
 
@@ -201,7 +234,7 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     lotteries are ranked completely.  This is `_dominance_relation` over the
     two menus ``(F, G)``: bit 1 of *F*'s entry.
     """
-    return bool(_dominance_relation((F, G), inst, strict)[0] & 2)
+    return bool(_dominance_relation(_members((F, G), Menu), inst, strict)[0] & 2)
 
 
 def _at_most(values: Sequence, strict: bool = False) -> list[int]:

@@ -4,14 +4,16 @@ Each entry names a file under ``src/menulearn``, an exact snippet of it, the
 snippet that replaces it (the fault) and the test node ids that must fail
 once it is planted.  Run from anywhere, stdlib only::
 
-    python tests/mutants.py
+    python tests/mutants.py [SUBSTRING ...]
 
+With substrings given, only the mutants whose name contains one of them run
+(``python tests/mutants.py "swapped pair" numerator``); with none, all do.
 For each mutant the script copies ``src/`` to a temporary directory,
 replaces the snippet (which must occur exactly once), runs the node ids
 with ``pytest -x`` against the copy and counts the mutant killed when a test
-fails.  It first runs every node id against an unmutated copy, which must
-pass.  It prints one row per mutant and exits 1 unless every mutant is
-killed.  pytest does not collect this file; `tests/test_layout.py` checks
+fails.  It first runs every node id of the selected mutants against an
+unmutated copy, which must pass.  It prints one row per mutant and exits 1
+unless every selected mutant is killed, or when none is selected.  pytest does not collect this file; `tests/test_layout.py` checks
 that every snippet still occurs exactly once, so a refactor that moves the
 code updates or retires its mutants.
 """
@@ -45,6 +47,26 @@ MUTANTS = (
         "    rest = b - a\n",
         "    rest = a\n",
         ("tests/test_kernel.py::TestMixturesAgainstReference",),
+    ),
+    Mutant(
+        "lottery-mixture table read under the swapped pair (y, x)",
+        "evaluation.py",
+        "        lottery = table.get((x, y))\n",
+        "        lottery = table.get((y, x))\n",
+        ("tests/test_kernel.py::TestDerivedMemos::test_mixed_acts_and_menus_equal_the_public_mixers",),
+    ),
+    Mutant(
+        "probability table keyed by the numerator alone",
+        "core.py",
+        "    key = num // divisor, den // divisor\n"
+        "    prob = held.get(key)\n"
+        "    if prob is None:\n"
+        "        prob = held[key] = Fraction(*key)\n",
+        "    key = num // divisor\n"
+        "    prob = held.get(key)\n"
+        "    if prob is None:\n"
+        "        prob = held[key] = Fraction(num, den)\n",
+        ("tests/test_kernel.py::TestDerivedMemos::test_mixed_lotteries_and_probabilities_are_held_once",),
     ),
     Mutant(
         "one mixture table shared by every weight",
@@ -177,8 +199,12 @@ def _pytest(src: Path, tests) -> int:
     return _run(src, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests).returncode
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     started = time.perf_counter()
+    mutants = [m for m in MUTANTS if not names or any(name in m.name for name in names)]
+    if not mutants:
+        print(f"no mutant name contains any of {names}", file=sys.stderr)
+        return 1
     with tempfile.TemporaryDirectory(prefix="menulearn-mutants-") as scratch:
         src = Path(scratch) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -186,12 +212,12 @@ def main() -> int:
         if not Path(imported.strip()).is_relative_to(src):
             print(f"menulearn is imported from {imported.strip()}, not the copy", file=sys.stderr)
             return 1
-        every_test = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        every_test = sorted({test for mutant in mutants for test in mutant.tests})
         if _pytest(src, every_test) != 0:
             print("the catalog's tests fail on the unmutated sources", file=sys.stderr)
             return 1
         survivors = 0
-        for mutant in MUTANTS:
+        for mutant in mutants:
             target = src / "menulearn" / mutant.file
             original = target.read_text()
             if original.count(mutant.old) != 1:
@@ -207,9 +233,9 @@ def main() -> int:
             verdict = "killed" if killed else f"SURVIVED (pytest exit {code})"
             print(f"{verdict:<28} {mutant.file:<14} {mutant.name}")
     elapsed = time.perf_counter() - started
-    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} killed in {elapsed:.1f} s")
+    print(f"{len(mutants) - survivors}/{len(mutants)} killed in {elapsed:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,16 +9,20 @@ coprime, large and negative denominators and by ties that only show after
 cross-multiplying, that each memo keeps apart the questions it must
 (strict from weak dominance), that the audit's mixtures and randomizations
 equal the public mixers' (lottery mixtures also over large coprime
-denominators) and its menus and their acts are interned without changing
+denominators), its mixed lotteries and their probabilities are held once
+per instance, and its menus and their acts are interned without changing
 any report, that the corpus relations decided at once as bitsets (weak
 preference, dominance) agree with the pair-by-pair predicates, that vectors
-follow the instance's state order, that malformed acts and posteriors raise
-typed errors, and that every table is freed with its owner.
+follow the instance's state order, that malformed acts and posteriors and
+arguments of the wrong type at the public entry points raise typed errors,
+and that every table is freed with its owner and left out of its copies.
 """
 
+import copy
 import gc
 import pickle
 import random
+import re
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -52,6 +56,8 @@ from menulearn import (
     audit,
     benefit_of_information,
     combine_structures,
+    constant_act,
+    constant_menu,
     cross_audit,
     dominates,
     generate_corpus,
@@ -502,11 +508,50 @@ class TestDerivedMemos:
                     for G in corpus:
                         mixed = _mixed(inst, F, G, alpha)
                         assert mixed == mix_menus(F, G, alpha) == ref.mix_menus(F, G, alpha)
+                        table = inst._mixtures[alpha.numerator, alpha.denominator]
                         for f in F:
                             for g in G:
-                                act = inst._mixtures[alpha.numerator, alpha.denominator][f, g]
-                                assert act == mix_acts(f, g, alpha)
+                                act = table[f, g]
+                                assert act == mix_acts(f, g, alpha) == ref.mix_acts(f, g, alpha)
                                 assert act in mixed
+                                for (_, x), (_, y) in zip(f.outcomes, g.outcomes):
+                                    assert table[x, y] == mix_lotteries(x, y, alpha)
+
+    def test_mixed_lotteries_and_probabilities_are_held_once(self):
+        # A mixed act equal to a corpus act is interned as that act, which
+        # keeps the corpus's lotteries; `_mixed` builds every other one.
+        for seed in range(6):
+            inst = random_instance(random.Random(seed))
+            assert cross_audit(inst, seed=seed).all_passed
+            corpus = generate_corpus(inst, AuditConfig(corpus_size=5, seed=seed))
+            corpus_acts = {id(act) for menu in corpus for act in menu}
+            values = [value for table in inst._mixtures.values() for value in table.values()]
+            built = [v for v in values if isinstance(v, Act) and id(v) not in corpus_acts]
+            mixed = [v for v in values if isinstance(v, Lottery)]
+            assert built and mixed
+            lotteries = [x for act in built for _, x in act.outcomes] + mixed
+            assert all(inst._held[x] is x for x in lotteries)
+            probs = [p for x in inst._held.values() if isinstance(x, Lottery) for _, p in x.probs]
+            assert len({id(p) for p in probs}) == len(set(probs)) < len(probs)
+            assert all(inst._held[p.numerator, p.denominator] is p for p in probs)
+
+    def test_mixing_acts_over_different_states_raises_as_the_public_mixer(
+        self, two_state_instance
+    ):
+        inst = two_state_instance
+        win = Lottery.degenerate("win")
+        both = Menu((Act({"w1": win, "w2": win}),))
+        for other in ({"w1": win}, {"w1": win, "w3": win}):
+            G = Menu((Act(other),))
+            for F, H in ((both, G), (G, both)):
+                for mix in (partial(_mixed, inst), mix_menus):
+                    with pytest.raises(
+                        ValidationError,
+                        match="^cannot mix acts defined over different state spaces$",
+                    ):
+                        mix(F, H, Fraction(1, 3))
+                with pytest.raises(ValidationError, match="different state spaces"):
+                    mix_acts(F.acts[0], H.acts[0], Fraction(1, 3))
 
     def test_audit_randomization_equals_randomize(self):
         config = AuditConfig(
@@ -652,6 +697,24 @@ class TestInterning:
 
 
 class TestTypedErrors:
+    def test_public_entry_points_name_the_expected_type(self, two_state_instance):
+        inst = two_state_instance
+        x = Lottery.degenerate("win")
+        f = Act({"w1": x, "w2": x})
+        F, half = Menu((f,)), Fraction(1, 2)
+        for call, expected in (
+            (lambda: mix_lotteries(x, "y", half), "a Lottery, got 'y'"),
+            (lambda: mix_acts(f, 3, half), "an Act, got 3"),
+            (lambda: mix_menus(F, [f], half), "a Menu, got [Act("),
+            (lambda: randomize([f], [1]), "a Menu, got [Act("),
+            (lambda: constant_act(inst, "x"), "a Lottery, got 'x'"),
+            (lambda: constant_menu(inst, "x"), "a Lottery, got 'x'"),
+            (lambda: dominates(F, f, inst), "a Menu, got Act("),
+            (lambda: F.issubset([f]), "a Menu, got [Act("),
+        ):
+            with pytest.raises(TypeError, match="^expected " + re.escape(expected)):
+                call()
+
     def test_posterior_on_a_state_the_act_lacks(self, two_state_instance):
         partial = Act({"w1": Lottery.degenerate("win")})
         pi = InfoStructure.point_mass(Posterior({"w1": Fraction(1, 2), "w2": Fraction(1, 2)}))
@@ -803,20 +866,22 @@ class TestMemoLifetime:
         corpus = generate_corpus(inst, config)
         audit(criterion, corpus, config)
         assert criterion._rows
-        assert inst._menus and inst._benefits and inst._mixtures
-        # A mixed act is held by the instance's tables alone once the
-        # corpus is gone, so it outlives them only if they leak; a posterior
-        # is held by the criterion's structures and the integer table.
+        assert inst._menus and inst._benefits and inst._mixtures and inst._held
+        # A mixed act, its lotteries and their probabilities are held by the
+        # instance's tables alone once the corpus is gone, so they outlive
+        # them only if they leak; a posterior is held by the criterion's
+        # structures and the integer table.
         mixed = next(
             key
             for key in inst._numerators
             if isinstance(key, Act) and not any(key in menu for menu in corpus)
         )
+        lottery = next(value for value in inst._held.values() if isinstance(value, Lottery))
         posterior = next(key for key in inst._numerators if isinstance(key, Posterior))
-        alive = [weakref.ref(obj) for obj in (criterion, inst, mixed, posterior)]
-        del criterion, corpus, inst, mixed, posterior
+        alive = [weakref.ref(obj) for obj in (criterion, inst, mixed, lottery, posterior)]
+        del criterion, corpus, inst, mixed, lottery, posterior
         gc.collect()
-        assert [weak() for weak in alive] == [None] * 4
+        assert [weak() for weak in alive] == [None] * 5
 
     def test_integer_table_is_left_out_of_pickles(self):
         rng = random.Random(9)
@@ -833,3 +898,13 @@ class TestMemoLifetime:
         copied = pickle.loads(pickle.dumps(inst))
         assert copied == inst and copied._numerators == {} and copied._benefits == {}
         assert copied._prize_table == inst._prize_table
+
+    def test_mixture_tables_are_left_out_of_copies(self):
+        inst = random_instance(random.Random(4))
+        fresh = twin_instance(inst)
+        assert cross_audit(inst, seed=4).all_passed
+        assert inst._mixtures and inst._held
+        assert len(pickle.dumps(inst)) == len(pickle.dumps(fresh))
+        for copied in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert copied == inst and copied is not inst
+            assert copied._mixtures == {} and copied._held == {}
