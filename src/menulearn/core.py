@@ -90,7 +90,11 @@ def _rational(text: str) -> Fraction:
         raise ZeroDivisionError(f"Fraction({numerator}, 0)")
     # `Fraction` also reads whitespace, "_" and non-ASCII digits, so a text
     # outside the grammar such as "0/0 " gets its zero-denominator message.
-    Fraction(text)
+    # It is never shown an "e" or "E": it would expand an exponent to
+    # 10**exp, and it reads one only in a text without "/", which cannot
+    # have a zero denominator, so its message would be the one below.
+    if "e" not in text and "E" not in text:
+        Fraction(text)
     raise ValueError(f"Invalid literal for Fraction: {text!r}")
 
 

@@ -13,9 +13,10 @@ replaces the snippet (which must occur exactly once), runs the node ids
 with ``pytest -x`` against the copy and counts the mutant killed when a test
 fails.  It first runs every node id of the selected mutants against an
 unmutated copy, which must pass.  It prints one row per mutant and exits 1
-unless every selected mutant is killed, or when none is selected.  pytest does not collect this file; `tests/test_layout.py` checks
-that every snippet still occurs exactly once, so a refactor that moves the
-code updates or retires its mutants.
+unless every selected mutant is killed, or when none is selected.  pytest
+does not collect this file; `tests/test_layout.py` checks that every
+snippet still occurs exactly once, so a refactor that moves the code
+updates or retires its mutants.
 """
 
 from __future__ import annotations

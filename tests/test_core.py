@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,13 @@ from menulearn import (
     Instance,
     Lottery,
     Menu,
+    ParseError,
     Posterior,
     ValidationError,
     Verdict,
     combine_structures,
     constant_act,
+    loads,
     mean_posterior,
     mix_lotteries,
     mix_structures,
@@ -36,7 +40,7 @@ from menulearn import (
 )
 from menulearn.core import as_fraction, unit_weight, validate_act, validate_posterior
 
-from conftest import instances, lotteries, posteriors, structures
+from conftest import DATA_DIR, instances, lotteries, posteriors, structures
 
 
 class TestInstanceValidation:
@@ -351,6 +355,21 @@ class TestInputRules:
         Fraction(text)
         with pytest.raises(ValidationError, match=r"^malformed rational '"):
             as_fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e3000000", "-1.5E-3000000"])
+    def test_an_exponent_is_rejected_without_expanding_it(self, text):
+        # `Fraction(text)` spends seconds building 10**3000000 for these.
+        document = json.loads((DATA_DIR / "example1.json").read_text())
+        document["menus"]["f"][0]["w1"] = {"win": text, "lose": "1/3"}
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"^malformed rational '"):
+            as_fraction(text)
+        with pytest.raises(ParseError) as info:
+            loads(json.dumps(document))
+        assert time.perf_counter() - start < 0.5
+        assert str(info.value).endswith(
+            f"malformed rational {text!r} (Invalid literal for Fraction: {text!r})"
+        )
 
     def test_lottery_in_a_state_the_act_lacks(self):
         act = Act({"w1": Lottery.degenerate("x")})
