@@ -8,8 +8,8 @@ its entry in the spec table `_SPECS`, and decided on bitset relations over
 the corpus, so only the tuples where its antecedent fires are visited, at
 their positions in the plain enumeration, whose counts the report keeps.
 The mixing axioms read one relation per weight over the menus mixed from
-the corpus; dominance and ex-post randomization compare two menus per
-tuple.  Failures carry a shrunken counterexample, shrunk by the same rule
+the corpus; dominance and ex-post randomization read a two-menu relation
+per tuple.  Failures carry a shrunken counterexample, shrunk by the same rule
 run over the witness menus alone, so it replays: rerunning the audit on the
 counterexample menus alone reproduces the failure.
 
@@ -529,11 +529,9 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     ``mix_lotteries(x, y, alpha)``, each built once per instance (Lottery,
     Act and Menu keys never compare equal).  Each act is built from its
     parents' lotteries by the public mixers' `_mix_acts`, so it raises as
-    `mix_acts` does.  Each mixed lottery is the instance's one held lottery
-    for its value, carrying its one held Fraction per probability
-    (`Instance._held`), and every act built is interned like the menu, so
-    the memos and the menu sort meet each mixed act, lottery and probability
-    as one object per value.  The mixed menu is always built and evaluated:
+    `mix_acts` does.  Each act built, each mixed lottery and each of its
+    probabilities is held like the menu, one object per value
+    (`Instance._held`).  The mixed menu is always built and evaluated:
     the mixing axioms must not be decided through the linearity of the
     benefit in the menu, which is what they test.
     """

@@ -391,8 +391,8 @@ class Menu(_HashOnce):
         return set(self.acts) <= set(other.acts)
 
     def union(self, other: "Menu | Iterable[Act]") -> "Menu":
-        extra = other.acts if isinstance(other, Menu) else tuple(other)
-        return Menu(self.acts + tuple(extra))
+        # A non-iterable *other* is one stray member, which `Menu` names in its TypeError.
+        return Menu(self.acts + tuple(other if isinstance(other, Iterable) else (other,)))
 
 
 @dataclass(frozen=True)
@@ -533,24 +533,18 @@ class Instance(_HashOnce):
     # The prize utilities as integer numerators over one denominator U,
     # ``(U, {prize: u(prize) * U})``, set once in `__post_init__`.
     _prize_table: tuple = field(init=False, repr=False, compare=False)
-    # Evaluation memos (see `menulearn.evaluation`): owned by the instance so
-    # they are freed with it.  Act or posterior -> one integer vector over
-    # `states` with one denominator, ``(d_f, (n_f[s] for s in states))`` for
-    # an act's utilities and ``(D_p, (m_p[s] for s in states))`` for a
-    # posterior's masses (Act and Posterior keys never compare equal);
-    # (menu, structure) -> benefit of information, one exact Fraction; the
-    # audit's mixtures, one table per weight alpha = a / b, (a, b) ->
-    # {(x, y) -> mixed lottery, (f, g) -> mixed act, (F, G) -> mixed menu}
-    # (Lottery, Act and Menu keys never compare equal); the mixed lotteries
-    # and their probabilities, each held once, lottery -> itself and reduced
-    # (num, den) -> Fraction(num, den) (see `_Distribution._of_numerators`);
-    # and the menu and act intern tables (see `_intern`).
+    # Memos, owned by the instance so they are freed with it: act or
+    # posterior -> one integer vector over `states` (see `evaluation._vector`);
+    # (menu, structure) -> benefit of information; (a, b) -> the audit's
+    # mixtures at weight a / b, of lottery, act and menu pairs (see
+    # `audit._mixed`); and the held-value table, one object per value:
+    # interned menus and acts and mixed lotteries -> themselves, and each
+    # reduced (num, den) -> its one Fraction.  Within a table, keys of
+    # different types never compare equal.
     _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _menus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _acts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     __hash__ = _hash_of("states", "prizes", "utility")
 
     def __reduce__(self):
@@ -571,26 +565,22 @@ class Instance(_HashOnce):
         object.__setattr__(self, "_prize_table", (scale, units))
 
     def _intern(self, menu: Menu) -> Menu:
-        """The one menu object this instance holds for *menu*'s value.
-
-        Each act of the held menu is likewise the one act object the
-        instance holds for its value (`_intern_act`); a first-seen menu with
-        other act objects is held as an equal menu of the held acts.  Memo keys
-        compare by identity before value, so a menu or act that reaches the
-        memos through these tables finds its entries without comparing acts,
-        lotteries and Fractions one by one.
+        """The one menu object this instance holds for *menu*'s value, made of
+        the acts it holds (`_intern_act`).  Memo keys compare by identity
+        before value, so a held menu or act finds its memo entries without
+        comparing acts, lotteries and Fractions one by one.
         """
-        held = self._menus.get(menu)
+        held = self._held.get(menu)
         if held is None:
             acts = tuple(map(self._intern_act, menu.acts))
             if any(map(is_not, acts, menu.acts)):
                 menu = Menu(acts)
-            held = self._menus[menu] = menu
+            held = self._held[menu] = menu
         return held
 
     def _intern_act(self, act: Act) -> Act:
         """The one act object this instance holds for *act*'s value."""
-        return self._acts.setdefault(act, act)
+        return self._held.setdefault(act, act)
 
     def utility_of(self, prize: str) -> Fraction:
         for label, value in self.utility:
@@ -731,6 +721,7 @@ def constant_menu(inst: Instance, x: Lottery) -> Menu:
 
 def mean_posterior(pi: InfoStructure) -> Posterior:
     """The prior implied by an information structure: the weighted average posterior."""
+    _members((pi,), InfoStructure)
     return Posterior([(s, w * p) for posterior, w in pi.support for s, p in posterior.probs])
 
 
@@ -739,7 +730,7 @@ def combine_structures(
     weights: Iterable[RationalLike],
 ) -> InfoStructure:
     """The convex combination of information structures as measures over posteriors."""
-    structures = tuple(structures)
+    structures = _members(structures, InfoStructure)
     weights = tuple(as_fraction(w) for w in weights)
     if len(structures) != len(weights) or not structures:
         raise ValidationError("need one weight per structure and at least one structure")

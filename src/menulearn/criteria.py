@@ -5,9 +5,9 @@ Every criterion ranks menus through the benefit-of-information gap
 sub-groups, one credal set each: menu F is weakly preferred to G when some
 sub-group prefers it unanimously, i.e. the gap is nonnegative at every
 structure of that sub-group's credal set.  `Criterion` implements this rule
-over any `Collection` and is the only way to rank menus; hold one while
-ranking so its row table serves every pair.  The other criteria are the same
-rule over special collections, built by three constructors:
+over any `Collection`, in one place, and is the only way to rank menus;
+hold one while ranking so its row table serves every pair.  The other
+criteria are the same rule over special collections, built by three constructors:
 
 * SL  (subjective learning, `SlComparator`): one singleton group; a single
   structure decides.  Complete and transitive.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import lcm
-from operator import and_, ge, or_
+from operator import and_, or_
 from typing import Sequence
 
 from .core import (
@@ -39,6 +39,7 @@ from .core import (
     RationalLike,
     Value,
     Verdict,
+    _members,
     mix_structures,
 )
 from .evaluation import _at_most, benefit_of_information
@@ -60,43 +61,42 @@ class Criterion:
 
     F is weakly preferred to G iff some member's generators all give
     ``b_F >= b_G``.  Each menu is read through its row: ``b_F`` at every
-    generator of every member, in collection order.  A row is built once
-    per menu through the instance's benefit memo and kept in the row table
-    ``_rows``, which the criterion owns and frees, and which is neither
-    pickled nor copied.  `weakly_prefers` compares two rows and keeps
-    nothing.  Since a row evaluates every generator, a menu that cannot be
-    evaluated at one of them raises even where another member would
-    already decide the verdict.  An engine that needs the verdict between
-    every pair of a menu sequence asks `_relation` once instead, which
-    reads the same rows.  The comparative checks and the audit decide
-    their relations that way, over the corpus or the menus mixed from it,
-    and so do the audit's shrinks; only its dominance and ex-post
-    randomization consequents call `weakly_prefers`.  A subclass that
-    overrides `weakly_prefers` must override `_relation` to match.
+    generator of every member, in collection order, as an integer pair
+    ``(numerator, denominator)``.  A row is built once per menu through the
+    instance's benefit memo and kept in the row table ``_rows``, which the
+    criterion owns and frees, and which is neither pickled nor copied.
+    Weak preference has one rule, `_relation`, which decides it between
+    every pair of a menu sequence at once and keeps nothing;
+    `weakly_prefers`, `strictly_prefers` and `compare` are its two-menu
+    case.  Since a row evaluates every generator, a menu that cannot be
+    evaluated at one of them raises even where another member would already
+    decide the verdict.  A subclass changes the rule by overriding
+    `_relation` alone.
     """
 
     instance: Instance
     collection: Collection
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        _members((self.instance,), Instance)
+        _members((self.collection,), Collection)
+
     def __reduce__(self):
         return (Criterion, (self.instance, self.collection))
 
-    def _row(self, menu: Menu) -> tuple[tuple[Value, ...], ...]:
+    def _row(self, menu: Menu) -> tuple[tuple[tuple[int, int], ...], ...]:
         row = self._rows.get(menu)
         if row is None:
             inst = self.instance
             row = self._rows[menu] = tuple(
-                tuple(benefit_of_information(menu, pi, inst) for pi in member)
+                tuple(benefit_of_information(menu, pi, inst).as_integer_ratio() for pi in member)
                 for member in self.collection
             )
         return row
 
-    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
-        return any(all(map(ge, f, g)) for f, g in zip(self._row(F), self._row(G)))
-
     def _relation(self, menus: Sequence[Menu]) -> list[int]:
-        """`weakly_prefers` between every ordered pair of *menus*, as one bitset per
+        """Weak preference between every ordered pair of *menus*, as one bitset per
         position: bit j of entry i is set iff ``menus[i]`` is weakly preferred to ``menus[j]``.
 
         In each generator column, one sort of the benefits, as integers over
@@ -108,17 +108,22 @@ class Criterion:
         for member in zip(*[self._row(menu) for menu in menus]):
             agree = [-1] * len(menus)
             for column in zip(*member):
-                common = lcm(*[b.denominator for b in column])
-                scaled = [b.numerator * (common // b.denominator) for b in column]
+                common = lcm(*[den for _, den in column])
+                scaled = [num * (common // den) for num, den in column]
                 agree = list(map(and_, agree, _at_most(scaled)))
             relation = list(map(or_, relation, agree))
         return relation
 
+    def weakly_prefers(self, F: Menu, G: Menu) -> bool:
+        """`_relation` over ``(F, G)``: bit 1 of *F*'s entry."""
+        return bool(self._relation((F, G))[0] & 2)
+
     def strictly_prefers(self, F: Menu, G: Menu) -> bool:
-        return self.weakly_prefers(F, G) and not self.weakly_prefers(G, F)
+        return self.compare(F, G) is Verdict.STRICT_BETTER
 
     def compare(self, F: Menu, G: Menu) -> Verdict:
-        return Verdict.from_directions(self.weakly_prefers(F, G), self.weakly_prefers(G, F))
+        forward, backward = self._relation((F, G))
+        return Verdict.from_directions(forward & 2, backward & 1)
 
 
 def SlComparator(instance: Instance, structure: InfoStructure) -> Criterion:

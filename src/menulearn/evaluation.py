@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import groupby
 from math import lcm
 from operator import and_, mul, or_
 from typing import Callable, Sequence
@@ -83,13 +82,14 @@ def _best(
 
 
 def act_value(f: Act, p: Posterior, inst: Instance) -> Value:
-    """Expected utility of act *f* under posterior *p*."""
-    masses = _vector(p, inst)
-    return Fraction(*_best([_vector(f, inst)], masses))
+    """Expected utility of act *f* under posterior *p*: the value of the menu ``{f}``."""
+    return support_value(Menu((f,)), p, inst)
 
 
 def support_value(menu: Menu, p: Posterior, inst: Instance) -> Value:
     """Value of the menu once posterior *p* is known: the best act's expected utility."""
+    _members((menu,), Menu)
+    _members((p,), Posterior)
     masses = _vector(p, inst)
     return Fraction(*_best([_vector(f, inst) for f in menu], masses))
 
@@ -99,14 +99,19 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
     Averages the post-learning menu value over the posteriors that *pi*
     anticipates.  A singleton menu yields the expected utility of its act
-    under the implied prior; a larger menu can only do better.  Each
-    posterior's and each act's vector is read once, the posteriors' first,
-    so a bad posterior is reported before a bad act.  The sum is kept as one
-    unreduced integer pair and reduced once into the memo.
+    under the implied prior; a larger menu can only do better.  On a memo
+    miss (an unhashable key is one) the argument types are checked, then
+    each posterior's and each act's vector is read once, the posteriors'
+    first, and the sum is kept as one unreduced integer pair, reduced once.
     """
     key = (menu, pi)
-    total = inst._benefits.get(key)
+    try:
+        total = inst._benefits.get(key)
+    except TypeError:
+        total = None
     if total is None:
+        _members((menu,), Menu)
+        _members((pi,), InfoStructure)
         support = [(_vector(posterior, inst), weight) for posterior, weight in pi.support]
         acts = [_vector(f, inst) for f in menu]
         num, den = 0, 1
@@ -237,20 +242,20 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     return bool(_dominance_relation(_members((F, G), Menu), inst, strict)[0] & 2)
 
 
-def _at_most(values: Sequence, strict: bool = False) -> list[int]:
+def _at_most(values: Sequence[int], strict: bool = False) -> list[int]:
     """Bitsets over the positions of *values*: bit j of entry i is set iff
-    ``values[j] <= values[i]`` (``<`` when *strict*).  One sort; ties are
-    grouped, so the values need only be totally ordered."""
-    masks = [0] * len(values)
+    ``values[j] <= values[i]`` (``<`` when *strict*).  Equal values are
+    grouped into one bitset each, and one sort of the distinct values
+    accumulates them."""
+    groups: dict[int, int] = {}
+    for i, value in enumerate(values):
+        groups[value] = groups.get(value, 0) | 1 << i
     below = 0
-    key = values.__getitem__
-    for _, tied in groupby(sorted(range(len(values)), key=key), key):
-        tied = list(tied)
-        group = sum(1 << i for i in tied)
-        for i in tied:
-            masks[i] = below if strict else below | group
+    for value in sorted(groups):
+        group = groups[value]
+        groups[value] = below if strict else below | group
         below |= group
-    return masks
+    return [groups[value] for value in values]
 
 
 def _dominance_relation(menus: Sequence[Menu], inst: Instance, strict: bool) -> list[int]:

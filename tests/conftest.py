@@ -8,6 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from menulearn import (
@@ -24,6 +25,12 @@ from menulearn import (
 )
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "menulearn" / "data"
+
+# For `tests/mutants.py`: a planted fault only has to make a test fail, so
+# its runs skip shrinking the failing example and leave the example database alone.
+settings.register_profile(
+    "mutants", phases=[Phase.explicit, Phase.reuse, Phase.generate], database=None
+)
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,14 @@ With substrings given, only the mutants whose name contains one of them run
 (``python tests/mutants.py "swapped pair" numerator``); with none, all do.
 For each mutant the script copies ``src/`` to a temporary directory,
 replaces the snippet (which must occur exactly once), runs the node ids
-with ``pytest -x`` against the copy and counts the mutant killed when a test
-fails.  It first runs every node id of the selected mutants against an
-unmutated copy, which must pass.  It prints one row per mutant and exits 1
-unless every selected mutant is killed, or when none is selected.  pytest
-does not collect this file; `tests/test_layout.py` checks that every
-snippet still occurs exactly once, so a refactor that moves the code
-updates or retires its mutants.
+with ``pytest -x`` against the copy, under the hypothesis profile
+``mutants`` of ``conftest.py`` (no shrinking, no example database), and
+counts the mutant killed when a test fails.  It first runs every node id
+of the selected mutants against an unmutated copy, which must pass.  It
+prints one row per mutant and exits 1 unless every selected mutant is
+killed, or when none is selected.  pytest does not collect this file;
+`tests/test_layout.py` checks that every snippet still occurs exactly
+once, so a refactor that moves the code updates or retires its mutants.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ MUTANTS = (
     Mutant(
         "act interning returns the un-interned act",
         "core.py",
-        "        return self._acts.setdefault(act, act)\n",
-        "        return self._acts.setdefault(act, act) and act\n",
+        "        return self._held.setdefault(act, act)\n",
+        "        return self._held.setdefault(act, act) and act\n",
         ("tests/test_kernel.py::TestInterning::test_acts_of_interned_menus_are_the_held_acts",),
     ),
     Mutant(
@@ -117,6 +118,20 @@ MUTANTS = (
         "        beaten = list(map(and_, beaten, _at_most(keys, strict)))\n",
         "        beaten = list(map(and_, beaten, _at_most(keys)))\n",
         ("tests/test_kernel.py::TestDerivedMemos::test_weak_and_strict_dominance_are_separate_entries",),
+    ),
+    Mutant(
+        "compare reads its backward bit from the wrong entry",
+        "criteria.py",
+        "        return Verdict.from_directions(forward & 2, backward & 1)\n",
+        "        return Verdict.from_directions(forward & 2, forward & 1)\n",
+        ("tests/test_kernel.py::TestCorpusRelations::test_weak_preference_bits",),
+    ),
+    Mutant(
+        "weakly_prefers reads bit 0 instead of bit 1",
+        "criteria.py",
+        "        return bool(self._relation((F, G))[0] & 2)\n",
+        "        return bool(self._relation((F, G))[0] & 1)\n",
+        ("tests/test_kernel.py::TestCorpusRelations::test_weak_preference_bits",),
     ),
     Mutant(
         "fired dominance pairs one position late",
@@ -197,7 +212,8 @@ def _run(src: Path, *args: str) -> subprocess.CompletedProcess:
 
 def _pytest(src: Path, tests) -> int:
     """Run *tests* against the package under *src*; the pytest exit code."""
-    return _run(src, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests).returncode
+    args = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=mutants", *tests)
+    return _run(src, "-m", "pytest", *args).returncode
 
 
 def main(names: list[str]) -> int:

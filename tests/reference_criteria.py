@@ -6,8 +6,9 @@ of each member's minimum.  Every verdict is assembled from the full gaps in
 both directions, and the benefits come from the plain formulas of
 `reference_evaluation`.  `menulearn.criteria` builds all four criteria as
 the hierarchical rule over special collections and decides weak preference
-by short-circuit; the differential tests require it to agree with these
-functions exactly.
+by one sort of integer benefits per generator, between every pair of a
+menu sequence at once; the differential tests require that relation and
+its two-menu case to agree with these functions exactly.
 
 `singleton_reduction` is the static multiple-prior comparison of two single
 acts, an oracle for the criteria on singleton menus.

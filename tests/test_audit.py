@@ -371,15 +371,13 @@ class FlippedCriterion(Criterion):
 
     flipped: frozenset = frozenset()
 
-    def weakly_prefers(self, F, G):
-        return super().weakly_prefers(F, G) != ((F, G) in self.flipped)
-
     def _relation(self, menus):
-        # The corpus relation read from the corrupted predicate, pair by pair,
-        # so the audit's relations, which its shrinks read too, see the same
-        # flips as its dominance and randomization consequents.
+        # Weak preference has one rule, so flipping its bits here flips every
+        # verdict: the audit's relations, which its shrinks read too, and the
+        # pair methods its dominance and randomization consequents call.
         return [
-            sum(1 << j for j, G in enumerate(menus) if self.weakly_prefers(F, G)) for F in menus
+            up ^ sum(1 << j for j, G in enumerate(menus) if (F, G) in self.flipped)
+            for F, up in zip(menus, super()._relation(menus))
         ]
 
 

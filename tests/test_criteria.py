@@ -397,9 +397,9 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_weak_preference_is_the_relation_bit(self, seed):
-        # The audit decides its axioms on `_relation`, over the corpus and
-        # over the menus mixed from it, and the per-candidate consequents
-        # and shrinks through `weakly_prefers`; the two must agree.
+        # The audit decides its axioms on `_relation` over the corpus and
+        # over the menus mixed from it, and its per-candidate consequents on
+        # the two-menu relation; a bit must not depend on the other menus.
         rng = random.Random(seed)
         inst = random_instance(rng)
         credal = random_credal_set(rng, inst)

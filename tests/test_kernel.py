@@ -1,21 +1,21 @@
 """The memoized evaluation kernel against the plain reference definitions.
 
 `menulearn.evaluation` keeps its memos (one integer vector per act and per
-posterior, benefits, dominance verdicts), the audit's mixtures and its menu
-intern table on the `Instance`, and each `Criterion` keeps its benefit
-rows; these tests check that the kernel agrees exactly with
-`reference_evaluation`, also where the integer path is stressed by
-coprime, large and negative denominators and by ties that only show after
-cross-multiplying, that each memo keeps apart the questions it must
-(strict from weak dominance), that the audit's mixtures and randomizations
-equal the public mixers' (lottery mixtures also over large coprime
-denominators), its mixed lotteries and their probabilities are held once
-per instance, and its menus and their acts are interned without changing
-any report, that the corpus relations decided at once as bitsets (weak
-preference, dominance) agree with the pair-by-pair predicates, that vectors
-follow the instance's state order, that malformed acts and posteriors and
-arguments of the wrong type at the public entry points raise typed errors,
-and that every table is freed with its owner and left out of its copies.
+posterior, benefits), the audit's mixtures and its held-value table on
+the `Instance`, and each `Criterion` keeps its benefit rows; these tests
+check that the kernel agrees exactly with `reference_evaluation`, also
+where the integer path is stressed by coprime, large and negative
+denominators and by ties that only show after cross-multiplying, that
+strict and weak dominance stay apart, that the audit's mixtures and
+randomizations equal the public mixers' (lottery mixtures also over large
+coprime denominators), its mixed lotteries and their probabilities are
+held once per instance, and its menus and their acts are interned without
+changing any report, that the corpus relations decided at once as bitsets
+(weak preference, dominance) and their two-menu cases agree with the
+reference formulas, that vectors follow the instance's state order, that
+malformed acts and posteriors and arguments of the wrong type at the
+public entry points raise typed errors, and that every table is freed with
+its owner and left out of its copies.
 """
 
 import copy
@@ -27,11 +27,13 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference_criteria as ref_criteria
 import reference_evaluation as ref
 from menulearn import (
     ALL_AXIOMS,
@@ -42,6 +44,7 @@ from menulearn import (
     BmlComparator,
     Collection,
     CredalSet,
+    Criterion,
     DimensionMismatchError,
     HmlComparator,
     InfoStructure,
@@ -52,8 +55,10 @@ from menulearn import (
     Posterior,
     SlComparator,
     ValidationError,
+    Verdict,
     act_value,
     audit,
+    benefit_gap,
     benefit_of_information,
     combine_structures,
     constant_act,
@@ -65,6 +70,7 @@ from menulearn import (
     mix_acts,
     mix_lotteries,
     mix_menus,
+    mix_structures,
     randomize,
     support_value,
 )
@@ -203,27 +209,36 @@ def bit(relation, i, j):
 
 
 class TestCorpusRelations:
-    """`Criterion._relation` and `_dominance_relation` against the pair predicates."""
+    """`Criterion._relation` and `_dominance_relation`, and their two-menu cases,
+    against the reference gap and dominance formulas."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_weak_preference_bits(self, data):
+        # The pair methods are the relation's two-menu case, so the gap
+        # oracle is the independent check for the bits and for all three.
         inst = data.draw(instances())
         corpus = data.draw(tied_corpora(inst))
         credal = data.draw(credal_sets(inst))
         kinds = (
-            (SlComparator, credal.generators[0]),
-            (BmlComparator, credal),
-            (JmlComparator, credal),
-            (HmlComparator, data.draw(collections(inst))),
+            ("sl", SlComparator, credal.generators[0]),
+            ("bml", BmlComparator, credal),
+            ("jml", JmlComparator, credal),
+            ("hml", HmlComparator, data.draw(collections(inst))),
         )
-        for kind, param in kinds:
-            relation = kind(inst, param)._relation(corpus)
-            pairs = kind(inst, param)
+        for name, kind, param in kinds:
+            ref_compare, ref_gap = ref_criteria.CRITERIA[name]
+            criterion = kind(inst, param)
+            relation = criterion._relation(corpus)
             assert len(relation) == len(corpus)
             for i, F in enumerate(corpus):
                 for j, G in enumerate(corpus):
-                    assert bit(relation, i, j) == pairs.weakly_prefers(F, G)
+                    weak = ref_gap(F, G, param, inst) >= 0
+                    verdict = ref_compare(F, G, inst, param)
+                    assert bit(relation, i, j) == weak
+                    assert criterion.weakly_prefers(F, G) is weak
+                    assert criterion.strictly_prefers(F, G) is (verdict is Verdict.STRICT_BETTER)
+                    assert criterion.compare(F, G) is verdict
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -639,15 +654,16 @@ class TestInterning:
         for seed in range(6):
             inst = random_instance(random.Random(seed))
             assert cross_audit(inst, seed=seed).all_passed
-            assert inst._menus and inst._acts and inst._mixtures
-            for menu in inst._menus.values():
-                assert inst._menus[menu] is menu
-                assert all(inst._acts[act] is act for act in menu)
+            held_menus = [value for value in inst._held.values() if isinstance(value, Menu)]
+            assert held_menus and inst._mixtures
+            for menu in held_menus:
+                assert inst._held[menu] is menu
+                assert all(inst._held[act] is act for act in menu)
             for table in inst._mixtures.values():
                 mixed_acts = [value for value in table.values() if isinstance(value, Act)]
-                assert mixed_acts and all(inst._acts[act] is act for act in mixed_acts)
+                assert mixed_acts and all(inst._held[act] is act for act in mixed_acts)
             # A twin of an interned menu comes back as the held menu.
-            for menu in list(inst._menus.values()):
+            for menu in held_menus:
                 assert inst._intern(twin_menu(menu)) is menu
 
     def test_shrunk_witness_menus_are_interned(self, example2):
@@ -696,7 +712,48 @@ class TestInterning:
         assert witnesses > 0
 
 
+#: Entry points given a value of the wrong type, each with the start of the
+#: message that names the expected type; *k* holds well-typed arguments.
+WRONG_TYPES = {
+    "combine_structures": (
+        lambda k: combine_structures([k.pi, "b"], [k.half, k.half]),
+        "an InfoStructure, got 'b'",
+    ),
+    "mix_structures": (lambda k: mix_structures(k.pi, "b", k.half), "an InfoStructure, got 'b'"),
+    "mean_posterior": (lambda k: mean_posterior("x"), "an InfoStructure, got 'x'"),
+    "benefit of a str structure": (
+        lambda k: benefit_of_information(k.F, "pi", k.inst),
+        "an InfoStructure, got 'pi'",
+    ),
+    "benefit of an unhashable menu": (
+        lambda k: benefit_of_information([k.f], k.pi, k.inst),
+        "a Menu, got [Act(",
+    ),
+    "act_value": (lambda k: act_value(k.f, "p", k.inst), "a Posterior, got 'p'"),
+    "support_value": (lambda k: support_value(k.F, "p", k.inst), "a Posterior, got 'p'"),
+    "benefit_gap": (lambda k: benefit_gap(k.F, "G", k.pi, k.inst), "a Menu, got 'G'"),
+    "Menu.union": (lambda k: k.F.union(3), "an Act, got 3"),
+    "Criterion collection": (lambda k: Criterion(k.inst, "coll"), "a Collection, got 'coll'"),
+    "Criterion instance": (
+        lambda k: Criterion("inst", Collection.of_credal_set(CredalSet.singleton(k.pi))),
+        "an Instance, got 'inst'",
+    ),
+}
+
+
 class TestTypedErrors:
+    @pytest.mark.parametrize("case", WRONG_TYPES)
+    def test_wrong_type_is_named_at_entry(self, case, two_state_instance):
+        x = Lottery.degenerate("win")
+        f = Act({"w1": x, "w2": x})
+        pi = InfoStructure.point_mass(Posterior.degenerate("w1"))
+        kit = SimpleNamespace(
+            inst=two_state_instance, f=f, F=Menu((f,)), pi=pi, half=Fraction(1, 2)
+        )
+        call, expected = WRONG_TYPES[case]
+        with pytest.raises(TypeError, match="^expected " + re.escape(expected)):
+            call(kit)
+
     def test_public_entry_points_name_the_expected_type(self, two_state_instance):
         inst = two_state_instance
         x = Lottery.degenerate("win")
@@ -866,7 +923,7 @@ class TestMemoLifetime:
         corpus = generate_corpus(inst, config)
         audit(criterion, corpus, config)
         assert criterion._rows
-        assert inst._menus and inst._benefits and inst._mixtures and inst._held
+        assert inst._benefits and inst._mixtures and inst._held
         # A mixed act, its lotteries and their probabilities are held by the
         # instance's tables alone once the corpus is gone, so they outlive
         # them only if they leak; a posterior is held by the criterion's

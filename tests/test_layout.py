@@ -7,10 +7,12 @@ below is part of one rule's error message, so it may appear in `core.py`
 and in no other module.  Memos are tables on the `Instance` or the
 `Criterion` they serve, freed with it, so no module may keep a
 module-level function cache.  A held `Criterion` is the only way to rank
-menus, each selectable axiom is defined by one entry of the audit's spec
-table, the test oracles `tests/reference_*.py` import no private name of
-the package, the README's library example runs as written, and every
-snippet of the mutation catalog `tests/mutants.py` still occurs once.
+menus, and it compares benefit rows in one place, `Criterion._relation`,
+of which the pair methods are the two-menu case.  Each selectable axiom
+is defined by one entry of the audit's spec table, the test oracles
+`tests/reference_*.py` import no private name of the package, the README's
+library example runs as written, and every snippet of the mutation catalog
+`tests/mutants.py` still occurs once.
 """
 
 import ast
@@ -92,6 +94,30 @@ REMOVED_NAMES = (
 @pytest.mark.parametrize("module", [menulearn, criteria, errors], ids=lambda m: m.__name__)
 def test_removed_names_stay_removed(module):
     assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+
+
+def _readers(attr: str) -> list[str]:
+    """Each place the package reads the attribute *attr*, as ``module:Class.function``."""
+    readers = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, [*scope, child.name], module)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                readers.append(f"{module}:{'.'.join(scope)}")
+            visit(child, scope, module)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), [], path.name)
+    return readers
+
+
+def test_benefit_rows_are_compared_only_by_the_relation():
+    # Weak preference has one rule: a second reader of the rows would be a
+    # second comparison path beside `_relation`.
+    assert _readers("_row") == ["criteria.py:Criterion._relation"]
 
 
 def test_each_selectable_axiom_has_one_spec_in_declaration_order():
