@@ -305,6 +305,8 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
     grid.  The same seed always yields the same corpus, and its menus are
     interned on *inst*, so calls with one instance return the same objects.
     """
+    _members((inst,), Instance)
+    _members((config,), AuditConfig)
     rng = random.Random(config.seed)
     best = Lottery.degenerate(inst.best_prize())
     worst = Lottery.degenerate(inst.worst_prize())
@@ -529,11 +531,10 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
     ``mix_lotteries(x, y, alpha)``, each built once per instance (Lottery,
     Act and Menu keys never compare equal).  Each act is built from its
     parents' lotteries by the public mixers' `_mix_acts`, so it raises as
-    `mix_acts` does.  Each act built, each mixed lottery and each of its
-    probabilities is held like the menu, one object per value
-    (`Instance._held`).  The mixed menu is always built and evaluated:
-    the mixing axioms must not be decided through the linearity of the
-    benefit in the menu, which is what they test.
+    `mix_acts` does.  Each act built and each mixed lottery is held like
+    the menu (`Instance._held`).  The mixed menu is always built and
+    evaluated: the mixing axioms must not be decided through the
+    linearity of the benefit in the menu, which is what they test.
     """
     weight = (alpha.numerator, alpha.denominator)
     table = inst._mixtures.get(weight)
@@ -593,9 +594,11 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
     than "pass".  Nontriviality is scanned to the end whatever the cap:
     its first strictly ranked pair makes it pass, and with none it is
     vacuous.  A trailing entry records that continuity is not audited.
-    Each entry of *corpus* must be a `Menu`.
+    *cmp* must be a `Criterion`, *corpus* of `Menu`s and *config* an `AuditConfig`.
     """
+    _members((cmp,), Criterion)
     corpus = _members(corpus, Menu)
+    _members((config,), AuditConfig)
     results: list[AxiomResult] = []
     for axiom, spec in _SPECS.items():
         if axiom not in config.axioms:

@@ -6,12 +6,13 @@ preference verdicts never hinge on floating-point ties.  All types are
 immutable and hashable after construction and canonicalize their contents,
 which makes structural equality order-insensitive: `Lottery`, `Posterior`
 and `InfoStructure` are finite probability measures in the one form the
-measure rule gives them (repeated labels summed, zeros dropped, pairs
-sorted), read from rationals by `_measure` or, for a `Lottery` or
-`Posterior` built from integer weights over one denominator, by its integer
-core `_Distribution._of_numerators`;
-`Act` and `Menu` sort their contents, and `CredalSet` and `Collection` drop
-exact duplicates in first-seen order (`_distinct`).
+measure rule gives them (repeated labels summed, zeros dropped), read from
+rationals by `_measure` or by its integer core `_of_numerators`.  A
+`Lottery` or `Posterior` holds it on ints alone, one denominator and a
+numerator per label, and builds its ``probs`` Fractions on first read;
+`Act` and `Menu` sort their contents, acts by the integer key
+`_act_sort_key`, and `CredalSet` and `Collection` drop exact duplicates in
+first-seen order (`_distinct`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 from operator import attrgetter, is_not
 from typing import ClassVar, Union
@@ -122,14 +122,10 @@ class _HashOnce:
         return state
 
 
-def _hash_of(*canonical_fields: str, key=None):
-    """A ``__hash__`` over the given already-canonical fields, kept after first use.
-
-    Hashing a Fraction recomputes a modular inverse every time, and these
-    values are hashed on every memo lookup, so the hash is worth keeping.
-    *key*, if given, maps the value to what is hashed instead of the fields.
-    """
-    key = key or attrgetter(*canonical_fields)
+def _hash_of(*canonical_fields: str):
+    """A ``__hash__`` over the given already-canonical fields, kept after first use:
+    values are hashed on every memo lookup, and a Fraction in one hashes slowly."""
+    key = attrgetter(*canonical_fields)
 
     def __hash__(self) -> int:
         cached = self._hash
@@ -153,16 +149,12 @@ def _pairs(entries: Mapping | Iterable[tuple]) -> Iterable[tuple]:
     return entries.items()
 
 
-def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, key=None):
-    """A finite probability measure as sorted (label, Fraction) pairs; the front end of
-    the one measure rule, whose integer core is `_Distribution._of_numerators`.
-
-    Labels must be *label_type*s.  A negative entry is rejected before
-    repeated labels are summed; zeros are dropped and the total must be
-    exactly 1.  The total is checked on integers by `_settled`, as
-    `Instance._lottery_numerator` computes expected utility: the numerators
-    rescaled to the lcm of the denominators must sum to that lcm.  *what*
-    names the entries in messages; *key* orders the pairs.
+def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type) -> tuple[int, dict]:
+    """A finite probability measure as ``(L, {label: num})``, each label's summed
+    probability ``num / L`` with ``L`` the lcm of their reduced denominators: the
+    front end of the one measure rule, whose integer core is `_of_numerators`.
+    Labels must be *label_type*s, each entry nonnegative (checked before repeated
+    labels are summed) and the total exactly 1; *what* names the entries in messages.
     """
     merged: dict = {}
     for label, raw in _pairs(entries):
@@ -173,22 +165,16 @@ def _measure(entries: Mapping | Iterable[tuple], what: str, label_type: type, ke
             raise _negative_error(what, prob, label)
         # Not `merged.get(label, 0) + prob`: int + Fraction runs the slower `__radd__`.
         merged[label] = merged[label] + prob if label in merged else prob
-    probs = merged.values()
-    common = lcm(*[prob.denominator for prob in probs])
-    mass = sum([prob.numerator * (common // prob.denominator) for prob in probs])
-    return _settled(((label, p) for label, p in merged.items() if p), mass, common, what, key)
+    common = lcm(*[prob.denominator for prob in merged.values()])
+    numerators = {label: p.numerator * (common // p.denominator) for label, p in merged.items()}
+    _check_total(sum(numerators.values()), common, what)
+    return common, numerators
 
 
-def _settled(pairs: Iterable[tuple], mass: int, total: int, what: str, key=None) -> tuple:
-    """The one total check and canonical order of the measure rule.
-
-    *mass* is the sum of the numerators over the denominator *total*; it
-    must equal *total*.  *pairs* (label, nonzero Fraction) are then sorted
-    by *key*, and are read only if the check passes.
-    """
+def _check_total(mass: int, total: int, what: str) -> None:
+    """The measure rule's one total check: the numerators' sum *mass* over *total* is 1."""
     if mass != total:
         raise BadProbabilityError(f"{what} sum to {Fraction(mass, total)}, expected exactly 1")
-    return tuple(sorted(pairs, key=key))
 
 
 def _label_error(what: str, label_type: type, label) -> TypeError:
@@ -217,51 +203,47 @@ def _distinct(items: Iterable, item_type: type, empty_message: str) -> tuple:
     return tuple(dict.fromkeys(items))
 
 
-def _held_fraction(held: dict, num: int, den: int) -> Fraction:
-    """The one Fraction *held* keeps for ``num / den``, keyed by its reduced ``(num, den)``."""
-    divisor = gcd(num, den)
-    key = num // divisor, den // divisor
-    prob = held.get(key)
-    if prob is None:
-        prob = held[key] = Fraction(*key)
-    return prob
-
-
 @dataclass(frozen=True)
 class _Distribution(_HashOnce):
     """Base of `Lottery` and `Posterior`: an exact distribution over string labels.
 
-    ``probs`` is a mapping or (label, rational) pairs; `_measure` stores it
-    as sorted (label, Fraction) pairs, repeated labels summed and zeros
-    removed, so two distributions of the same type are equal iff they
-    assign the same probability to every label.
+    ``probs`` is given as a mapping or (label, rational) pairs.  The value
+    is held as ``_form = (den, ((label, num), ...))`` in label order, ``den``
+    the lcm of the reduced denominators and each nonzero probability ``num /
+    den``.  Equality (within one type), hashing and evaluation read only
+    these ints; ``probs`` reads as the sorted (label, Fraction) pairs, built
+    on first read.
     """
 
     probs: Mapping[str, RationalLike]
-    # Hashed over (label, numerator, denominator) triples, which canonical
-    # Fractions determine: ints hash without a Fraction's modular inverse.
-    __hash__ = _hash_of(
-        key=lambda self: tuple([(label, p.numerator, p.denominator) for label, p in self.probs])
-    )
+    __hash__ = _hash_of("_form")
 
     #: What the entries are, for error messages.
     _what: ClassVar[str]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _measure(self.probs, self._what, str))
+        object.__setattr__(self, "_form", _canonical(*_measure(self.probs, self._what, str)))
+        object.__delattr__(self, "probs")
+
+    def __eq__(self, other: object) -> bool:
+        return self._form == other._form if type(other) is type(self) else NotImplemented
+
+    def __getstate__(self) -> dict:
+        return {"_form": self._form}  # the value alone: `probs` and the hash are rebuilt
+
+    def __getattr__(self, name: str):
+        if name != "probs":  # the one attribute left unset: built on its first read
+            raise AttributeError(name)
+        probs = tuple([(label, Fraction(num, self._form[0])) for label, num in self._form[1]])
+        object.__setattr__(self, "probs", probs)
+        return probs
 
     @classmethod
     def _of_numerators(cls, numerators: dict[str, int], total: int, held: dict | None = None):
         """The distribution giving each label ``numerators[label] / total``: the
-        integer core of the measure rule, used in place of `__post_init__`.
-
-        The same rule as `_measure`, with the same messages, decided on the
-        ints: each label a string, each numerator nonnegative, their sum
-        exactly *total*.  Zeros are dropped and each remaining probability is
-        built as one reduced Fraction, the only one made for it.  With a
-        *held* table (`Instance._held`), each probability is instead the
-        table's one Fraction for its reduced ``(num, den)`` and the result is
-        the table's one distribution for its value.
+        integer core of the measure rule, used in place of `__post_init__`, with
+        the checks and messages of `_measure` decided on the ints.  With a *held*
+        table (`Instance._held`), the table's one distribution for its value.
         """
         what = cls._what
         for label, num in numerators.items():
@@ -269,10 +251,9 @@ class _Distribution(_HashOnce):
                 raise _label_error(what, str, label)
             if num < 0:
                 raise _negative_error(what, Fraction(num, total), label)
-        prob = Fraction if held is None else partial(_held_fraction, held)
-        pairs = ((label, prob(num, total)) for label, num in numerators.items() if num)
+        _check_total(sum(numerators.values()), total, what)
         dist = object.__new__(cls)
-        object.__setattr__(dist, "probs", _settled(pairs, sum(numerators.values()), total, what))
+        object.__setattr__(dist, "_form", _canonical(total, numerators))
         return dist if held is None else held.setdefault(dist, dist)
 
     @classmethod
@@ -282,13 +263,17 @@ class _Distribution(_HashOnce):
 
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.probs)
+        return tuple([label for label, _ in self._form[1]])
 
     def prob(self, label: str) -> Fraction:
-        for known, p in self.probs:
-            if known == label:
-                return p
-        return Fraction(0)
+        return dict(self.probs).get(label, Fraction(0))
+
+
+def _canonical(total: int, numerators: dict[str, int]) -> tuple:
+    """The reduced integer form of the checked measure ``numerators[label] / total``."""
+    divisor = gcd(total, *numerators.values())
+    pairs = sorted([(label, num // divisor) for label, num in numerators.items() if num])
+    return total // divisor, tuple(pairs)
 
 
 class Lottery(_Distribution):
@@ -360,8 +345,9 @@ class Act(_HashOnce):
         return len(lotteries) == 1
 
 
-def _act_sort_key(act: Act):
-    return tuple((state, lottery.probs) for state, lottery in act.outcomes)
+def _act_sort_key(act: Act) -> tuple:
+    """The canonical act order, injective on acts: per outcome, ``(state, (den, pairs))``."""
+    return tuple([(state, lottery._form) for state, lottery in act.outcomes])
 
 
 @dataclass(frozen=True)
@@ -410,9 +396,13 @@ class InfoStructure(_HashOnce):
     __hash__ = _hash_of("support")
 
     def __post_init__(self) -> None:
-        what = "information-structure weights"
-        support = _measure(self.support, what, Posterior, key=lambda pair: pair[0].probs)
-        object.__setattr__(self, "support", support)
+        total, weights = _measure(self.support, "information-structure weights", Posterior)
+        support = [(posterior, Fraction(num, total)) for posterior, num in weights.items() if num]
+        # Rescaled to one denominator, the masses order posteriors as their `probs` do.
+        common = lcm(*[posterior._form[0] for posterior in weights])
+        scale = {posterior: common // posterior._form[0] for posterior in weights}
+        support.sort(key=lambda pair: [(s, m * scale[pair[0]]) for s, m in pair[0]._form[1]])
+        object.__setattr__(self, "support", tuple(support))
 
     @classmethod
     def point_mass(cls, posterior: Posterior) -> "InfoStructure":
@@ -538,9 +528,8 @@ class Instance(_HashOnce):
     # (menu, structure) -> benefit of information; (a, b) -> the audit's
     # mixtures at weight a / b, of lottery, act and menu pairs (see
     # `audit._mixed`); and the held-value table, one object per value:
-    # interned menus and acts and mixed lotteries -> themselves, and each
-    # reduced (num, den) -> its one Fraction.  Within a table, keys of
-    # different types never compare equal.
+    # interned menus and acts and mixed lotteries -> themselves.  Within a
+    # table, keys of different types never compare equal.
     _numerators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _benefits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -568,7 +557,7 @@ class Instance(_HashOnce):
         """The one menu object this instance holds for *menu*'s value, made of
         the acts it holds (`_intern_act`).  Memo keys compare by identity
         before value, so a held menu or act finds its memo entries without
-        comparing acts, lotteries and Fractions one by one.
+        comparing acts and lotteries one by one.
         """
         held = self._held.get(menu)
         if held is None:
@@ -596,19 +585,13 @@ class Instance(_HashOnce):
         return Fraction(*self._lottery_numerator(lottery))
 
     def _lottery_numerator(self, lottery: Lottery) -> tuple[int, int]:
-        """The lottery's expected utility as an integer pair ``(num, den)``, unreduced.
-
-        The one expected-utility rule: ``den = L * U``, where ``L`` is the lcm
-        of the lottery's probability denominators and ``U`` the instance's
-        utility denominator, so every term is a product of integers.
-        """
+        """The lottery's expected utility as an unreduced integer pair ``(num, den)``:
+        the one expected-utility rule, ``den = L * U`` with ``L`` the lottery's
+        denominator and ``U`` the instance's utility denominator."""
         scale, units = self._prize_table
-        probs = lottery.probs
-        common = lcm(*[prob.denominator for _, prob in probs])
-        total = 0
+        common, pairs = lottery._form
         try:
-            for prize, prob in probs:
-                total += prob.numerator * (common // prob.denominator) * units[prize]
+            total = sum([num * units[prize] for prize, num in pairs])
         except KeyError as exc:
             raise self._unknown_prize(exc.args[0]) from None
         return total, common * scale

@@ -49,8 +49,9 @@ def _vector(key: Act | Posterior, inst: Instance) -> tuple[int, tuple[int, ...]]
     """``(d, v)``: act or posterior *key* reads ``v[i] / d`` in state ``inst.states[i]``.
 
     Memoized on *inst*.  An act's entries are its lottery utilities, so it
-    must cover exactly the instance's states; a posterior's are its masses,
-    so it may name no other state.  ``d`` is the lcm of the entries' denominators.
+    must cover exactly the instance's states, and ``d`` is the lcm of their
+    denominators.  A posterior's are its masses, read from its integer form
+    with its denominator, so it may name no other state.
     """
     table = inst._numerators
     entry = table.get(key)
@@ -59,11 +60,12 @@ def _vector(key: Act | Posterior, inst: Instance) -> tuple[int, tuple[int, ...]]
             parts = [inst._lottery_numerator(key.lottery(state)) for state in inst.states]
             if len(key.outcomes) > len(parts):
                 raise DimensionMismatchError(_unknown_states(key, inst))
+            common = lcm(*[den for _, den in parts])
+            entry = table[key] = (common, tuple([num * (common // den) for num, den in parts]))
         else:
             validate_posterior(key, inst)
-            parts = [(prob.numerator, prob.denominator) for prob in map(key.prob, inst.states)]
-        common = lcm(*[den for _, den in parts])
-        entry = table[key] = (common, tuple([num * (common // den) for num, den in parts]))
+            masses = dict(key._form[1])
+            entry = table[key] = (key._form[0], tuple([masses.get(s, 0) for s in inst.states]))
     return entry
 
 
@@ -100,18 +102,20 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
     Averages the post-learning menu value over the posteriors that *pi*
     anticipates.  A singleton menu yields the expected utility of its act
     under the implied prior; a larger menu can only do better.  On a memo
-    miss (an unhashable key is one) the argument types are checked, then
-    each posterior's and each act's vector is read once, the posteriors'
-    first, and the sum is kept as one unreduced integer pair, reduced once.
+    miss (an unhashable key or a non-instance *inst* is one) the argument
+    types are checked, then each posterior's and each act's vector is read
+    once, the posteriors' first, and the sum is kept as one unreduced
+    integer pair, reduced once.
     """
     key = (menu, pi)
     try:
         total = inst._benefits.get(key)
-    except TypeError:
+    except (AttributeError, TypeError):
         total = None
     if total is None:
         _members((menu,), Menu)
         _members((pi,), InfoStructure)
+        _members((inst,), Instance)
         support = [(_vector(posterior, inst), weight) for posterior, weight in pi.support]
         acts = [_vector(f, inst) for f in menu]
         num, den = 0, 1
@@ -133,19 +137,19 @@ def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:
 def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction, held: dict | None = None) -> Lottery:
     """`mix_lotteries` for an *alpha* the caller has already checked.
 
-    With ``alpha = a / b`` and ``L`` the lcm of both lotteries' denominators,
-    each prize gets the integer numerator ``a x(z) L + (b - a) y(z) L`` over
-    ``b L``, and the measure rule's integer core builds the result, from the
-    *held* table if one is given (see `_Distribution._of_numerators`).
+    With ``alpha = a / b``, ``x(z) = m_z / D`` and ``y(z) = n_z / E``, each
+    prize gets ``a m_z E + (b - a) n_z D`` over ``b D E``, and the integer
+    core `_of_numerators` reduces the result, held in *held* if given.
     """
     a, b = alpha.numerator, alpha.denominator
-    common = lcm(*[p.denominator for _, p in x.probs], *[p.denominator for _, p in y.probs])
-    numerators = {z: a * p.numerator * (common // p.denominator) for z, p in x.probs}
+    x_den, x_pairs = x._form
+    y_den, y_pairs = y._form
+    numerators = {z: a * num * y_den for z, num in x_pairs}
     rest = b - a
-    for z, p in y.probs:
-        num = rest * p.numerator * (common // p.denominator)
+    for z, num in y_pairs:
+        num *= rest * x_den
         numerators[z] = numerators[z] + num if z in numerators else num
-    return Lottery._of_numerators(numerators, b * common, held)
+    return Lottery._of_numerators(numerators, b * x_den * y_den, held)
 
 
 def _lottery_mixer(
@@ -239,6 +243,7 @@ def dominates(F: Menu, G: Menu, inst: Instance, *, strict: bool = False) -> bool
     lotteries are ranked completely.  This is `_dominance_relation` over the
     two menus ``(F, G)``: bit 1 of *F*'s entry.
     """
+    _members((inst,), Instance)
     return bool(_dominance_relation(_members((F, G), Menu), inst, strict)[0] & 2)
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .core import (
@@ -179,7 +180,7 @@ def _parse_act(
             if key is not None:
                 built[key] = lottery
             fresh.add(id(lottery))
-            if len(lottery.probs) < len(pairs):
+            if len(lottery.support) < len(pairs):
                 with_zeros.append(lottery_data)
         outcomes[state] = lottery
     act = _wrap(Act, outcomes, where=where)
@@ -321,6 +322,13 @@ def load_path(path: str | Path) -> Workspace:
     return loads(text)
 
 
+def _probability_texts(dist: Lottery | Posterior) -> dict[str, str]:
+    """Each label's probability as `str` writes its reduced Fraction, ``n`` or
+    ``n/d``, read from the distribution's integer form."""
+    den, pairs = dist._form
+    return {z: f"{n // gcd(n, den)}/{den // gcd(n, den)}".removesuffix("/1") for z, n in pairs}
+
+
 def dump_document(workspace: Workspace) -> dict:
     """Serialize a workspace back to the document schema (exact rationals)."""
     inst = workspace.instance
@@ -333,7 +341,7 @@ def dump_document(workspace: Workspace) -> dict:
         document["menus"] = {
             name: [
                 {
-                    state: {z: str(p) for z, p in lottery.probs}
+                    state: _probability_texts(lottery)
                     for state, lottery in act.outcomes
                 }
                 for act in menu
@@ -344,7 +352,7 @@ def dump_document(workspace: Workspace) -> dict:
         document["info_structures"] = {
             name: [
                 {
-                    "posterior": {s: str(p) for s, p in posterior.probs},
+                    "posterior": _probability_texts(posterior),
                     "weight": str(weight),
                 }
                 for posterior, weight in structure.support

@@ -60,6 +60,7 @@ class ScenarioBand:
 
 def scenario_band(F: Menu, coll: Collection, inst: Instance) -> ScenarioBand:
     """Compute both aggregates of ``b_F`` over the collection, reading each benefit once."""
+    _members((coll,), Collection)
     rows = [[benefit_of_information(F, gen, inst) for gen in member] for member in coll]
     return ScenarioBand(maxmin=max(map(min, rows)), minmax=min(map(max, rows)))
 

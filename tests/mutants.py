@@ -58,19 +58,6 @@ MUTANTS = (
         ("tests/test_kernel.py::TestDerivedMemos::test_mixed_acts_and_menus_equal_the_public_mixers",),
     ),
     Mutant(
-        "probability table keyed by the numerator alone",
-        "core.py",
-        "    key = num // divisor, den // divisor\n"
-        "    prob = held.get(key)\n"
-        "    if prob is None:\n"
-        "        prob = held[key] = Fraction(*key)\n",
-        "    key = num // divisor\n"
-        "    prob = held.get(key)\n"
-        "    if prob is None:\n"
-        "        prob = held[key] = Fraction(num, den)\n",
-        ("tests/test_kernel.py::TestDerivedMemos::test_mixed_lotteries_and_probabilities_are_held_once",),
-    ),
-    Mutant(
         "one mixture table shared by every weight",
         "audit.py",
         "    weight = (alpha.numerator, alpha.denominator)\n",
@@ -87,15 +74,22 @@ MUTANTS = (
     Mutant(
         "integer measure core without its total check",
         "core.py",
-        '        object.__setattr__(dist, "probs", _settled(pairs, sum(numerators.values()), total, what))\n',
-        '        object.__setattr__(dist, "probs", tuple(sorted(pairs)))\n',
+        "        _check_total(sum(numerators.values()), total, what)\n",
+        "",
         ("tests/test_core.py::TestInputRules::test_integer_core_states_the_rule_as_the_public_constructor",),
+    ),
+    Mutant(
+        "integer form left unreduced",
+        "core.py",
+        "    divisor = gcd(total, *numerators.values())\n",
+        "    divisor = 1\n",
+        ("tests/test_core.py::TestIntegerForm::test_agrees_with_the_fraction_definitions",),
     ),
     Mutant(
         "act vectors without the rescale to their common denominator",
         "evaluation.py",
-        "        entry = table[key] = (common, tuple([num * (common // den) for num, den in parts]))\n",
-        "        entry = table[key] = (common, tuple([num for num, den in parts]))\n",
+        "            entry = table[key] = (common, tuple([num * (common // den) for num, den in parts]))\n",
+        "            entry = table[key] = (common, tuple([num for num, den in parts]))\n",
         ("tests/test_kernel.py::TestIntegerKernel::test_coprime_denominators_match_reference",),
     ),
     Mutant(

@@ -7,6 +7,7 @@ import pickle
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,87 @@ class TestKeptHash:
         hash(lottery)
         other = dataclasses.replace(lottery, probs={"b": 1})
         assert other == Lottery({"b": 1}) and hash(other) == hash(Lottery({"b": 1}))
+
+
+LABELS = ("a", "b", "c")
+
+
+@st.composite
+def built_distributions(draw, kind):
+    """``(value, expected)``: a *kind* value built one of four ways, and the
+    probabilities it must hold, as {label: nonzero Fraction}.
+
+    The ways are the public constructor, the integer core `_of_numerators`
+    over a total scaled by a drawn factor (so not reduced), `mix_lotteries`
+    (lotteries only) and the constructor on split and shuffled pairs.  Few
+    labels and small weights make equal values from different ways common.
+    """
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    weights = st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels))
+    first = draw(weights.filter(any))
+    expected = {label: Fraction(w, sum(first)) for label, w in zip(labels, first) if w}
+    ways = ["constructor", "numerators", "split"] + ["mixed"] * (kind is Lottery)
+    way = draw(st.sampled_from(ways))
+    if way == "constructor":
+        value = kind({label: Fraction(w, sum(first)) for label, w in zip(labels, first)})
+    elif way == "numerators":
+        scale = draw(st.integers(1, 4))
+        value = kind._of_numerators(
+            {label: w * scale for label, w in zip(labels, first)}, sum(first) * scale
+        )
+    elif way == "split":
+        pieces = []
+        for label, prob in expected.items():
+            cut = prob * Fraction(draw(st.integers(0, 4)), 4)
+            pieces += [(label, cut), (label, prob - cut), (label, 0)]
+        value = kind(draw(st.permutations(pieces)))
+    else:
+        second = draw(weights.filter(any))
+        alpha = Fraction(draw(st.integers(0, 4)), 4)
+        value = mix_lotteries(
+            Lottery(dict(zip(labels, [Fraction(w, sum(first)) for w in first]))),
+            Lottery(dict(zip(labels, [Fraction(w, sum(second)) for w in second]))),
+            alpha,
+        )
+        mixed = {
+            label: alpha * Fraction(u, sum(first)) + (1 - alpha) * Fraction(v, sum(second))
+            for label, u, v in zip(labels, first, second)
+        }
+        expected = {label: prob for label, prob in mixed.items() if prob}
+    return value, expected
+
+
+class TestIntegerForm:
+    """A `Lottery` or `Posterior` compares and hashes on its integer form; these
+    checks hold it to the Fraction definitions it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from([Lottery, Posterior]))
+    def test_agrees_with_the_fraction_definitions(self, data, kind):
+        (x, x_expected), (y, y_expected) = data.draw(
+            st.tuples(built_distributions(kind), built_distributions(kind))
+        )
+        # Round trips of values whose `probs` has not been built yet.
+        assert "probs" not in vars(x) and "probs" not in vars(y)
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x) and "probs" not in vars(twin)
+            assert dict(twin.probs) == x_expected
+        assert (x == y) is (x_expected == y_expected)
+        assert (x != y) is (x_expected != y_expected)
+        if x == y:
+            assert hash(x) == hash(y)
+        other_kind = Posterior if kind is Lottery else Lottery
+        assert x != other_kind(x_expected) and not x == other_kind(x_expected)
+        for value, expected in ((x, x_expected), (y, y_expected)):
+            pairs = tuple(sorted(expected.items()))
+            assert value.probs == pairs and value.support == tuple(sorted(expected))
+            probs = [p for _, p in value.probs]
+            assert all(type(p) is Fraction and gcd(p.numerator, p.denominator) == 1 for p in probs)
+            assert repr(value) == f"{kind.__name__}(probs={pairs!r})"
+            assert all(value.prob(label) == expected.get(label, 0) for label in LABELS)
+        # And of values whose `probs` has been built.
+        for twin in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert twin == x and hash(twin) == hash(x) and twin.probs == x.probs
 
 
 class TestVerdict:

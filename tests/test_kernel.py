@@ -8,8 +8,9 @@ where the integer path is stressed by coprime, large and negative
 denominators and by ties that only show after cross-multiplying, that
 strict and weak dominance stay apart, that the audit's mixtures and
 randomizations equal the public mixers' (lottery mixtures also over large
-coprime denominators), its mixed lotteries and their probabilities are
-held once per instance, and its menus and their acts are interned without
+coprime denominators), its mixed lotteries are held once per instance
+without building their Fractions, and an audit compares few Fractions at
+all, and its menus and their acts are interned without
 changing any report, that the corpus relations decided at once as bitsets
 (weak preference, dominance) and their two-menu cases agree with the
 reference formulas, that vectors follow the instance's state order, that
@@ -38,6 +39,7 @@ import reference_evaluation as ref
 from menulearn import (
     ALL_AXIOMS,
     Act,
+    AlphaPolicy,
     AuditConfig,
     Axiom,
     BadWeightError,
@@ -72,6 +74,8 @@ from menulearn import (
     mix_menus,
     mix_structures,
     randomize,
+    rank_menus,
+    scenario_band,
     support_value,
 )
 from menulearn.audit import (
@@ -532,9 +536,11 @@ class TestDerivedMemos:
                                 for (_, x), (_, y) in zip(f.outcomes, g.outcomes):
                                     assert table[x, y] == mix_lotteries(x, y, alpha)
 
-    def test_mixed_lotteries_and_probabilities_are_held_once(self):
+    def test_mixed_lotteries_are_held_once_without_fractions(self):
         # A mixed act equal to a corpus act is interned as that act, which
         # keeps the corpus's lotteries; `_mixed` builds every other one.
+        # Each is held in its integer form alone: the audit never reads
+        # its `probs`, so their Fractions are never built.
         for seed in range(6):
             inst = random_instance(random.Random(seed))
             assert cross_audit(inst, seed=seed).all_passed
@@ -546,9 +552,25 @@ class TestDerivedMemos:
             assert built and mixed
             lotteries = [x for act in built for _, x in act.outcomes] + mixed
             assert all(inst._held[x] is x for x in lotteries)
-            probs = [p for x in inst._held.values() if isinstance(x, Lottery) for _, p in x.probs]
-            assert len({id(p) for p in probs}) == len(set(probs)) < len(probs)
-            assert all(inst._held[p.numerator, p.denominator] is p for p in probs)
+            assert not any("probs" in vars(x) for x in lotteries)
+
+    def test_audits_compare_few_fractions(self, monkeypatch):
+        # A count, not a timing, so it is deterministic: lotteries and
+        # posteriors compare, hash, sort and mix on their integer forms, so
+        # three cross audits compare Fractions about a hundred times, where
+        # reading their probabilities as Fractions took about 1,500.
+        original = Fraction.__eq__
+        calls = 0
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Fraction, "__eq__", counted)
+        for seed in range(3):
+            cross_audit(random_instance(random.Random(seed)), seed=seed)
+        assert 0 < calls < 300
 
     def test_mixing_acts_over_different_states_raises_as_the_public_mixer(
         self, two_state_instance
@@ -669,19 +691,25 @@ class TestInterning:
     def test_shrunk_witness_menus_are_interned(self, example2):
         # Shrinking the padded middle menu builds a new two-act menu; it
         # must reach the memos as the instance's one object for its value,
-        # here the twin of `gh` interned before the audit.
+        # here the twin of that menu interned before the audit.  The shrink
+        # drops acts in menu order, first `gh`'s act paying "lose" in w1,
+        # which sorts first (its lottery there has denominator 1, the least,
+        # and prize "lose"), so `gh`'s other act and `f`'s act remain.
         inst = twin_instance(example2.instance)
         cmp = JmlComparator(inst, example2.credal_set("both"))
         gh = example2.menu("gh")
-        early = inst._intern(twin_menu(gh))
+        win_first = next(act for act in gh if act.lottery("w1") == Lottery.degenerate("win"))
+        witness = Menu((win_first, example2.menu("f").acts[0]))
+        early = inst._intern(twin_menu(witness))
         fat = gh.union(example2.menu("f"))
         corpus = [example2.menu("fstar"), fat, example2.menu("f")]
         config = AuditConfig(axioms=frozenset({Axiom.TRANSITIVITY}), corpus_size=3)
         result = audit(cmp, corpus, config).result_for(Axiom.TRANSITIVITY)
         assert (result.status, result.tuples_checked, result.antecedents) == ("fail", 22, 17)
         assert [len(menu) for menu in result.counterexample] == [1, 2, 1]
-        assert result.counterexample[1] == gh and result.counterexample[1] is early
-        assert all(inst._intern(menu) is menu for menu in result.counterexample)
+        assert result.counterexample[1] == witness and result.counterexample[1] is early
+        # The menus the shrink leaves whole are the caller's corpus objects.
+        assert result.counterexample[0] is corpus[2] and result.counterexample[2] is corpus[0]
         replay = audit(cmp, list(result.counterexample), config)
         assert replay.result_for(Axiom.TRANSITIVITY).status == "fail"
 
@@ -737,6 +765,32 @@ WRONG_TYPES = {
     "Criterion instance": (
         lambda k: Criterion("inst", Collection.of_credal_set(CredalSet.singleton(k.pi))),
         "an Instance, got 'inst'",
+    ),
+    "benefit instance": (
+        lambda k: benefit_of_information(k.F, k.pi, "inst"),
+        "an Instance, got 'inst'",
+    ),
+    "dominates instance": (lambda k: dominates(k.F, k.F, "inst"), "an Instance, got 'inst'"),
+    "scenario_band instance": (
+        lambda k: scenario_band(k.F, Collection.of_credal_set(CredalSet.singleton(k.pi)), "inst"),
+        "an Instance, got 'inst'",
+    ),
+    "generate_corpus instance": (
+        lambda k: generate_corpus("inst", AuditConfig(corpus_size=2)),
+        "an Instance, got 'inst'",
+    ),
+    "audit criterion": (
+        lambda k: audit("cmp", [k.F], AuditConfig(corpus_size=2)),
+        "a Criterion, got 'cmp'",
+    ),
+    "audit config": (
+        lambda k: audit(BmlComparator(k.inst, CredalSet.singleton(k.pi)), [k.F], "cfg"),
+        "an AuditConfig, got 'cfg'",
+    ),
+    # Not named by the first character of the string, as an InfoStructure.
+    "rank_menus collection": (
+        lambda k: rank_menus([k.F], "coll", AlphaPolicy.cautious(), k.inst),
+        "a Collection, got 'coll'",
     ),
 }
 
