@@ -8,10 +8,12 @@ its entry in the spec table `_SPECS`, and decided on bitset relations over
 the corpus, so only the tuples where its antecedent fires are visited, at
 their positions in the plain enumeration, whose counts the report keeps.
 The mixing axioms read one relation per weight over the menus mixed from
-the corpus; dominance and ex-post randomization read a two-menu relation
-per tuple.  Failures carry a shrunken counterexample, shrunk by the same rule
-run over the witness menus alone, so it replays: rerunning the audit on the
-counterexample menus alone reproduces the failure.
+the corpus; dominance and ex-post randomization read one relation per
+batch of candidates, over each corpus menu F and its union ``F ∪ {g}`` or
+its spread, so no two-menu comparison is made.  Failures carry a shrunken
+counterexample, shrunk by the same rule run over the witness menus alone,
+so it replays: rerunning the audit on the counterexample menus alone
+reproduces the failure.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -40,7 +42,6 @@ from .core import (
     Lottery,
     Menu,
     Posterior,
-    Verdict,
     _members,
     as_fraction,
     constant_menu,
@@ -419,22 +420,40 @@ def _subsets(cmp, corpus, weights):
     )
 
 
-def _union_indifferent(cmp, F, g_menu):
-    return cmp.compare(F, cmp.instance._intern(F.union(g_menu))) is Verdict.INDIFFERENT
+#: Candidate pairs decided by one relation in `_indifferent_pairs`: enough for
+#: every candidate of a small corpus, while a capped scan of a large one stops
+#: building unions and spreads soon after the cap.
+_BATCH_PAIRS = 256
+
+
+def _indifferent_pairs(cmp, pairs):
+    """Whether ``F ~ G`` for each ``(F, G)`` of the iterable *pairs*, in order: two bits of
+    one relation per batch of `_BATCH_PAIRS` pairs, over the batch's distinct menus.  The
+    pairs are drawn a batch at a time, so a scan stopped at the cap has built menus and
+    relations for at most one batch past it."""
+    pairs = iter(pairs)
+    while batch := list(itertools.islice(pairs, _BATCH_PAIRS)):
+        index = {menu: p for p, menu in enumerate(dict.fromkeys(itertools.chain(*batch)))}
+        up = cmp._relation(list(index))
+        for F, G in batch:
+            i, j = index[F], index[G]
+            yield up[i] >> j & up[j] >> i & 1
 
 
 def _dominated_singletons(cmp, corpus, weights):
     """Dominance's fired pairs ``(F, {g})``, F a corpus menu that dominates the act g, at
-    their positions among all such pairs; one interned singleton per act, in first-seen order."""
+    their positions among all such pairs; one interned singleton per act, in first-seen
+    order.  Each consequent, ``F ~ F ∪ {g}``, is read from `_indifferent_pairs`."""
     inst = cmp.instance
     acts = dict.fromkeys(act for menu in corpus for act in menu)
     singletons = [inst._intern(Menu((act,))) for act in acts]
     n, s = len(corpus), len(singletons)
     dom = _dominance_relation([*corpus, *singletons], inst, False)
+    fired = [(i, k) for i in range(n) for k in _bits(dom[i] >> n)]
+    unions = ((corpus[i], inst._intern(corpus[i].union(singletons[k]))) for i, k in fired)
     return n * s, (
-        (i * s + k, ((F, singletons[k]), None, None), _union_indifferent(cmp, F, singletons[k]))
-        for i, F in enumerate(corpus)
-        for k in _bits(dom[i] >> n)
+        (i * s + k, ((corpus[i], singletons[k]), None, None), holds)
+        for (i, k), holds in zip(fired, _indifferent_pairs(cmp, unions))
     )
 
 
@@ -459,18 +478,14 @@ def _mixed_relations(cmp, corpus, weights):
     return n * (n - 1) // 2 * n * w, fired()
 
 
-def _ex_post_randomization(cmp, menus, alpha, betas):
-    (F,) = menus
-    spread = _randomize(F, betas, partial(_mixed, cmp.instance))
-    return cmp.compare(spread, F) is Verdict.INDIFFERENT
-
-
 def _randomized(cmp, corpus, weights):
-    """Ex-post randomization's candidates, every corpus menu with every weight list."""
-    tuples = enumerate(itertools.product(zip(corpus), weights))
-    return len(corpus) * len(weights), (
-        (p, (menus, *weight), _ex_post_randomization(cmp, menus, *weight))
-        for p, (menus, weight) in tuples
+    """Ex-post randomization's candidates, every corpus menu with every weight list.  Each
+    consequent, ``spread ~ F``, is read from `_indifferent_pairs`."""
+    mix, tuples = partial(_mixed, cmp.instance), list(itertools.product(corpus, weights))
+    spreads = ((F, _randomize(F, betas, mix)) for F, (_, betas) in tuples)
+    return len(tuples), (
+        (p, ((F,), *weight), holds)
+        for p, ((F, weight), holds) in enumerate(zip(tuples, _indifferent_pairs(cmp, spreads)))
     )
 
 

@@ -26,6 +26,7 @@ the whole pipeline exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 from operator import and_, or_
 from typing import Sequence
@@ -42,12 +43,13 @@ from .core import (
     _members,
     mix_structures,
 )
-from .evaluation import _at_most, benefit_of_information
+from .evaluation import _at_most, _benefit
 
 
 def benefit_gap(F: Menu, G: Menu, pi: InfoStructure, inst: Instance) -> Value:
-    """``b_F(pi) - b_G(pi)``."""
-    return benefit_of_information(F, pi, inst) - benefit_of_information(G, pi, inst)
+    """``b_F(pi) - b_G(pi)``, from the two benefits' integer pairs."""
+    (a, b), (c, d) = _benefit(F, pi, inst), _benefit(G, pi, inst)
+    return Fraction(a * d - c * b, b * d)
 
 
 def collection_maxmin_gap(F: Menu, G: Menu, coll: Collection, inst: Instance) -> Value:
@@ -90,7 +92,7 @@ class Criterion:
         if row is None:
             inst = self.instance
             row = self._rows[menu] = tuple(
-                tuple(benefit_of_information(menu, pi, inst).as_integer_ratio() for pi in member)
+                tuple(_benefit(menu, pi, inst) for pi in member)
                 for member in self.collection
             )
         return row

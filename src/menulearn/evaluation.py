@@ -2,17 +2,19 @@
 
 The central quantity is the benefit of information ``b_F(pi)``: the expected
 utility of a member who will observe her posterior (drawn according to
-``pi``), then pick the best act from the menu ``F``.  Every function here is
-pure in its inputs and returns exact Fractions.  The arithmetic runs on
-Python ints: each act and each posterior is one integer vector over the
-instance's states ``inst.states`` with one denominator (``n_f[s] / d_f`` and
-``m_p[s] / D_p``), so a menu's value under a posterior is an integer dot
-product per act and a max taken by cross-multiplication.  Two memos live
-on the `Instance` and are freed with it: those vectors
-(`Instance._numerators`) and each ``(menu, structure)`` benefit
-(`Instance._benefits`, one exact `Fraction` per entry).  Statewise
-dominance has one rule, `_dominance_relation`, which decides it between
-every pair of a sequence of menus at once, as one bitset per menu;
+``pi``), then pick the best act from the menu ``F``.  Every public
+function here is pure in its inputs and returns exact Fractions.  The
+arithmetic runs on Python ints: each act and each posterior is one integer
+vector over the instance's states ``inst.states`` with one denominator
+(``n_f[s] / d_f`` and ``m_p[s] / D_p``), so a menu's value under a
+posterior is an integer dot product per act and a max taken by
+cross-multiplication.  Two memos live on the `Instance` and are freed with
+it: those vectors (`Instance._numerators`) and each ``(menu, structure)``
+benefit (`Instance._benefits`, one reduced ``(num, den)`` int pair per
+entry, from the private kernel `_benefit`, which the criteria and the
+rankings read as it is; `benefit_of_information` makes it a Fraction).
+Statewise dominance has one rule, `_dominance_relation`, which decides it
+between every pair of a sequence of menus at once, as one bitset per menu;
 `dominates` is its two-menu case.  The mixers share one act mixer,
 `_mix_acts`, and one lottery mixer that builds each lottery pair once into
 a table: the public mixers' table lives for one call, the audit's
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 from operator import and_, mul, or_
 from typing import Callable, Sequence
 
@@ -101,11 +103,19 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
     Averages the post-learning menu value over the posteriors that *pi*
     anticipates.  A singleton menu yields the expected utility of its act
-    under the implied prior; a larger menu can only do better.  On a memo
-    miss (an unhashable key or a non-instance *inst* is one) the argument
-    types are checked, then each posterior's and each act's vector is read
-    once, the posteriors' first, and the sum is kept as one unreduced
-    integer pair, reduced once.
+    under the implied prior; a larger menu can only do better.  This is the
+    integer pair `_benefit` as a Fraction.
+    """
+    return Fraction(*_benefit(menu, pi, inst))
+
+
+def _benefit(menu: Menu, pi: InfoStructure, inst: Instance) -> tuple[int, int]:
+    """`benefit_of_information` as one reduced integer pair ``(num, den)``, ``den > 0``.
+
+    Memoized on *inst*.  On a memo miss (an unhashable key or a
+    non-instance *inst* is one) the argument types are checked, then each
+    posterior's and each act's vector is read once, the posteriors' first,
+    and the sum is kept as one unreduced integer pair, reduced once.
     """
     key = (menu, pi)
     try:
@@ -124,7 +134,8 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
             term_den *= weight.denominator
             num = num * term_den + weight.numerator * value * den
             den *= term_den
-        total = inst._benefits[key] = Fraction(num, den)
+        divisor = gcd(num, den)
+        total = inst._benefits[key] = (num // divisor, den // divisor)
     return total
 
 

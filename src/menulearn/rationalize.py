@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .core import (
@@ -30,7 +31,7 @@ from .core import (
 from .comparative import CheckReport, _scan
 from .criteria import Criterion, collection_maxmin_gap
 from .errors import BadWeightError, ValidationError
-from .evaluation import benefit_of_information, mix_lotteries
+from .evaluation import _benefit, mix_lotteries
 
 
 @dataclass(frozen=True)
@@ -59,10 +60,16 @@ class ScenarioBand:
 
 
 def scenario_band(F: Menu, coll: Collection, inst: Instance) -> ScenarioBand:
-    """Compute both aggregates of ``b_F`` over the collection, reading each benefit once."""
+    """Compute both aggregates of ``b_F`` over the collection, reading each benefit once,
+    as integers over the benefits' common denominator."""
     _members((coll,), Collection)
-    rows = [[benefit_of_information(F, gen, inst) for gen in member] for member in coll]
-    return ScenarioBand(maxmin=max(map(min, rows)), minmax=min(map(max, rows)))
+    rows = [[_benefit(F, gen, inst) for gen in member] for member in coll]
+    common = lcm(*[den for row in rows for _, den in row])
+    scaled = [[num * (common // den) for num, den in row] for row in rows]
+    return ScenarioBand(
+        maxmin=Fraction(max(map(min, scaled)), common),
+        minmax=Fraction(min(map(max, scaled)), common),
+    )
 
 
 def robust_strict(F: Menu, G: Menu, coll: Collection, inst: Instance) -> bool:
@@ -185,18 +192,18 @@ def rank_menus(
         if name in seen:
             raise ValidationError(f"duplicate menu name {name!r}")
         seen.add(name)
-    scored = []
-    for name, menu in zip(names, corpus):
-        band = scenario_band(menu, coll, inst)
-        scored.append((name, menu, policy.blend(menu, band), band))
-    scored.sort(key=lambda item: (-item[2], item[0]))
+    bands = [scenario_band(menu, coll, inst) for menu in corpus]
+    values = [policy.blend(menu, band) for menu, band in zip(corpus, bands)]
+    # Sort on the values as integers over their common denominator.
+    common = lcm(*[value.denominator for value in values])
+    keys = [value.numerator * (common // value.denominator) for value in values]
+    scored = sorted(zip(keys, names, corpus, values, bands), key=lambda item: (-item[0], item[1]))
     entries: list[RankEntry] = []
     rank = 0
-    previous_value: Optional[Fraction] = None
-    for position, (name, menu, value, band) in enumerate(scored, start=1):
-        if previous_value is None or value != previous_value:
-            rank = position
-            previous_value = value
+    previous: Optional[int] = None
+    for position, (key, name, menu, value, band) in enumerate(scored, start=1):
+        if key != previous:
+            rank, previous = position, key
         entries.append(RankEntry(name=name, menu=menu, value=value, band=band, rank=rank))
     return entries
 

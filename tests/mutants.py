@@ -130,9 +130,23 @@ MUTANTS = (
     Mutant(
         "fired dominance pairs one position late",
         "audit.py",
-        "        (i * s + k, ((F, singletons[k]), None, None), _union_indifferent(cmp, F, singletons[k]))\n",
-        "        (i * s + k + 1, ((F, singletons[k]), None, None), _union_indifferent(cmp, F, singletons[k]))\n",
+        "        (i * s + k, ((corpus[i], singletons[k]), None, None), holds)\n",
+        "        (i * s + k + 1, ((corpus[i], singletons[k]), None, None), holds)\n",
         ("tests/test_audit.py::TestReferenceAudit::test_dominance_at_every_cap",),
+    ),
+    Mutant(
+        "dominance and ex-post consequents read only the forward bit",
+        "audit.py",
+        "            yield up[i] >> j & up[j] >> i & 1\n",
+        "            yield up[i] >> j & 1\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_dominance_and_randomization_read_both_bits",),
+    ),
+    Mutant(
+        "dominance unions all built before the scan",
+        "audit.py",
+        "    pairs = iter(pairs)\n",
+        "    pairs = iter(list(pairs))\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_capped_dominance_builds_one_batch",),
     ),
     Mutant(
         "independence compares only the forward bit",

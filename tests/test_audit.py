@@ -20,6 +20,7 @@ from menulearn import (
     HmlComparator,
     InfoStructure,
     JmlComparator,
+    Menu,
     Posterior,
     REQUIRED_AXIOMS,
     SlComparator,
@@ -29,6 +30,7 @@ from menulearn import (
     dominates,
     generate_corpus,
     mix_menus,
+    randomize,
 )
 from menulearn import Lottery
 from menulearn.audit import (
@@ -342,6 +344,22 @@ class TestCrossAudit:
             records = cross_audit(inst, seed=seed, config=config).to_records()
             assert [r for r in records if r["status"] == "truncated"] == []
 
+    def test_audit_calls_no_pair_method(self, monkeypatch):
+        # Every consequent is a bit of a relation the audit has built, so
+        # the two-menu methods are never called.
+        calls = []
+        for name in ("compare", "weakly_prefers"):
+            method = getattr(Criterion, name)
+
+            def counted(self, F, G, method=method, name=name):
+                calls.append(name)
+                return method(self, F, G)
+
+            monkeypatch.setattr(Criterion, name, counted)
+        for seed in range(3):
+            cross_audit(random_instance(random.Random(seed)), seed=seed)
+        assert calls == []
+
     def test_required_axiom_sets(self):
         assert Axiom.TRANSITIVITY in REQUIRED_AXIOMS["bml"]
         assert Axiom.TRANSITIVITY not in REQUIRED_AXIOMS["jml"]
@@ -374,7 +392,7 @@ class FlippedCriterion(Criterion):
     def _relation(self, menus):
         # Weak preference has one rule, so flipping its bits here flips every
         # verdict: the audit's relations, which its shrinks read too, and the
-        # pair methods its dominance and randomization consequents call.
+        # pair methods the reference calls.
         return [
             up ^ sum(1 << j for j, G in enumerate(menus) if (F, G) in self.flipped)
             for F, up in zip(menus, super()._relation(menus))
@@ -481,6 +499,58 @@ class TestReferenceAudit:
             broken = FlippedCriterion(inst, cmp.collection, flipped)
             report = assert_matches_reference(broken, corpus, config)
             assert report.result_for(Axiom.INDEPENDENCE).failed
+
+    @pytest.mark.parametrize("batch", [None, 1, 3])
+    def test_dominance_and_randomization_read_both_bits(self, monkeypatch, batch):
+        # Weak preference flipped only from each union F ∪ {g} and from each
+        # spread of F to F itself breaks both axioms in the backward
+        # direction alone, which a consequent read from one bit misses.
+        # Small batches split the candidates over several relations.
+        if batch is not None:
+            monkeypatch.setattr(audit_module, "_BATCH_PAIRS", batch)
+        config = AuditConfig(
+            axioms=frozenset({Axiom.DOMINANCE, Axiom.EX_POST_RANDOMIZATION}), corpus_size=6
+        )
+        betas = ((Fraction(1, 2),) * 2, (Fraction(1, 3),) * 3)
+        failed = set()
+        for seed in range(3):
+            inst, criteria = seeded_criteria(seed)
+            corpus = generate_corpus(inst, replace(config, seed=seed))
+            acts = {act for menu in corpus for act in menu}
+            flipped = frozenset(
+                (other, F)
+                for F in corpus
+                for other in [F.union(Menu((g,))) for g in acts] + [randomize(F, b) for b in betas]
+                if other != F
+            )
+            for cmp, cap in itertools.product(criteria, (config.max_tuples, 4)):
+                broken = FlippedCriterion(inst, cmp.collection, flipped)
+                capped = replace(config, seed=seed, max_tuples=cap)
+                report = assert_matches_reference(broken, corpus, capped)
+                failed |= {result.axiom for result in report.failures}
+        assert failed == {Axiom.DOMINANCE, Axiom.EX_POST_RANDOMIZATION}
+
+    def test_capped_dominance_builds_one_batch(self, monkeypatch):
+        # Unions and the relations over them are built a batch at a time as
+        # the scan asks, so a scan stopped at a cap of 1 builds one batch.
+        monkeypatch.setattr(audit_module, "_BATCH_PAIRS", 2)
+        inst, (_, bml, _, _) = seeded_criteria(0)
+        config = AuditConfig(axioms=frozenset({Axiom.DOMINANCE}), corpus_size=12)
+        corpus = generate_corpus(inst, config)
+        uncapped = audit(bml, corpus, config).result_for(Axiom.DOMINANCE)
+        assert uncapped.antecedents > 4
+        calls = []
+        for cls, name in ((Menu, "union"), (Criterion, "_relation")):
+            method = getattr(cls, name)
+
+            def counted(self, other, method=method, name=name):
+                calls.append(name)
+                return method(self, other)
+
+            monkeypatch.setattr(cls, name, counted)
+        capped = audit(bml, corpus, replace(config, max_tuples=1)).result_for(Axiom.DOMINANCE)
+        assert capped.status == "truncated"
+        assert sorted(calls) == ["_relation", "union", "union"]
 
     def test_mixing_must_keep_the_ranking_strict(self, two_state_instance):
         # G adds to F an act F's act dominates, and H2 does so to H, so each

@@ -28,6 +28,7 @@ import weakref
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -322,7 +323,10 @@ class TestIntegerKernel:
                         assert dominates(A, B, inst, strict=strict) == ref.dominates(
                             A, B, inst, strict=strict
                         )
-        assert all(type(value) is Fraction for value in inst._benefits.values())
+        # Each benefit is held as one reduced int pair, the reference's value.
+        for (menu, structure), (num, den) in inst._benefits.items():
+            assert type(num) is int and type(den) is int and den > 0 and gcd(num, den) == 1
+            assert Fraction(num, den) == ref.benefit(menu, structure, inst)
         # One integer vector per act and per posterior, in `inst.states` order.
         assert {key for key in inst._numerators if isinstance(key, Posterior)} == set(posteriors_)
         for key, (den, vector) in inst._numerators.items():
