@@ -7,13 +7,14 @@ tuples stopped the check.  Each axiom is defined once, by the fired rule of
 its entry in the spec table `_SPECS`, and decided on bitset relations over
 the corpus, so only the tuples where its antecedent fires are visited, at
 their positions in the plain enumeration, whose counts the report keeps.
-The mixing axioms read one relation per weight over the menus mixed from
-the corpus; dominance and ex-post randomization read one relation per
-batch of candidates, over each corpus menu F and its union ``F ∪ {g}`` or
-its spread, so no two-menu comparison is made.  Failures carry a shrunken
-counterexample, shrunk by the same rule run over the witness menus alone,
-so it replays: rerunning the audit on the counterexample menus alone
-reproduces the failure.
+An audit call decides the weak relation over the corpus once, for every
+axiom.  The mixing axioms each read one relation per weight over all the
+menus mixed from two corpus menus; dominance and ex-post randomization
+read one relation per batch of candidates, over each corpus menu F and its
+union ``F ∪ {g}`` or its spread, so no two-menu comparison is made.
+Failures carry a shrunken counterexample, shrunk by the same rule run over
+the witness menus alone, so it replays: rerunning the audit on the
+counterexample menus alone reproduces the failure.
 
 Two axioms get special treatment.  Nontriviality is a pure existence claim,
 so it is checked by witness search and can never fail with a counterexample
@@ -30,7 +31,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from operator import xor
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -337,12 +337,13 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 # ---------------------------------------------------------------------------
 
 class _Spec(NamedTuple):
-    """One axiom, defined once by its ``fired(cmp, corpus, weights)``: the
+    """One axiom, defined once by its ``fired(cmp, corpus, up, weights)``: the
     number of candidates, each menu tuple with each ``(alpha, betas)`` of
     ``weights(config)``, and the candidates whose antecedent fires, decided
     on bitset relations, as ``(position, (menus, alpha, betas), holds)``
-    triples for `_scan`.  The same rule, run over a failure's menus alone,
-    shrinks it (see `_shrink_counterexample`)."""
+    triples for `_scan`.  *up* is ``cmp._relation(corpus)``, which the caller
+    decides once for all its rules.  The same rule, run over a failure's
+    menus alone, shrinks it (see `_shrink_counterexample`)."""
 
     fired: Callable[..., tuple[int, Iterable[tuple]]]
     weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
@@ -356,10 +357,10 @@ def _randomizations(config: AuditConfig) -> list[tuple]:
     return [(None, (a, 1 - a)) for a in config.alpha_grid] + [(None, (Fraction(1, 3),) * 3)]
 
 
-def _strictly_ranked(cmp, corpus, weights):
+def _strictly_ranked(cmp, corpus, up, weights):
     """Nontriviality's fired pairs: the strictly ranked ones, each yielded as
     a "violation", which `audit` reads as the witness."""
-    n, strict = len(corpus), _strict(cmp, corpus)
+    n, strict = len(corpus), _strict(up)
     return n * (n - 1), (
         (_pair_position(i, j, n), ((F, corpus[j]), None, None), False)
         for i, F in enumerate(corpus)
@@ -367,10 +368,9 @@ def _strictly_ranked(cmp, corpus, weights):
     )
 
 
-def _ranked_pairs(only_lotteries, cmp, corpus, weights):
+def _ranked_pairs(only_lotteries, cmp, corpus, up, weights):
     """Completeness's candidates, the unordered pairs (of one-act constant menus, which
     a shrink leaves as they are, with *only_lotteries*): each holds iff ranked either way."""
-    up = cmp._relation(corpus)
     fires = [not only_lotteries or len(m) == 1 and m.acts[0].is_constant() for m in corpus]
     pairs = enumerate(itertools.combinations(range(len(corpus)), 2))
     return len(corpus) * (len(corpus) - 1) // 2, (
@@ -380,9 +380,9 @@ def _ranked_pairs(only_lotteries, cmp, corpus, weights):
     )
 
 
-def _chains(cmp, corpus, weights):
+def _chains(cmp, corpus, up, weights):
     """Transitivity's fired triples: G after F and H after G in the weak relation."""
-    n, up = len(corpus), cmp._relation(corpus)
+    n = len(corpus)
     return n**3, (
         ((i * n + j) * n + k, ((corpus[i], corpus[j], corpus[k]), None, None), up[i] >> k & 1)
         for i in range(n)
@@ -391,10 +391,9 @@ def _chains(cmp, corpus, weights):
     )
 
 
-def _unambiguous_chains(cmp, corpus, weights):
+def _unambiguous_chains(cmp, corpus, up, weights):
     """Unambiguous transitivity's fired triples: one link is dominance, the other preference."""
     n, dom = len(corpus), _dominance_relation(corpus, cmp.instance, False)
-    up = cmp._relation(corpus)
     return n**3, (
         ((i * n + j) * n + k, ((corpus[i], corpus[j], corpus[k]), None, None), up[i] >> k & 1)
         for i in range(n)
@@ -403,15 +402,14 @@ def _unambiguous_chains(cmp, corpus, weights):
     )
 
 
-def _diagonal(cmp, corpus, weights):
+def _diagonal(cmp, corpus, up, weights):
     """Reflexivity's candidates, every corpus menu: each holds iff weakly preferred to itself."""
-    up = cmp._relation(corpus)
     return len(corpus), ((i, ((F,), None, None), up[i] >> i & 1) for i, F in enumerate(corpus))
 
 
-def _subsets(cmp, corpus, weights):
+def _subsets(cmp, corpus, up, weights):
     """Preference for flexibility's fired pairs, G a subset of F: F must be weakly preferred."""
-    n, up = len(corpus), cmp._relation(corpus)
+    n = len(corpus)
     return n * (n - 1), (
         (_pair_position(i, j, n), ((F, G), None, None), up[i] >> j & 1)
         for i, F in enumerate(corpus)
@@ -440,7 +438,7 @@ def _indifferent_pairs(cmp, pairs):
             yield up[i] >> j & up[j] >> i & 1
 
 
-def _dominated_singletons(cmp, corpus, weights):
+def _dominated_singletons(cmp, corpus, up, weights):
     """Dominance's fired pairs ``(F, {g})``, F a corpus menu that dominates the act g, at
     their positions among all such pairs; one interned singleton per act, in first-seen
     order.  Each consequent, ``F ~ F ∪ {g}``, is read from `_indifferent_pairs`."""
@@ -457,28 +455,30 @@ def _dominated_singletons(cmp, corpus, weights):
     )
 
 
-def _mixed_relations(cmp, corpus, weights):
-    """Independence's candidates, each unordered pair with each H and weight: it holds iff
-    the relation over the corpus mixed with H agrees with the corpus's both ways."""
-    inst, n, w = cmp.instance, len(corpus), len(weights)
-    up = cmp._relation(corpus)
-    changed = [
-        list(map(xor, up, cmp._relation([_mixed(inst, F, H, alpha) for F in corpus])))
-        for H in corpus
-        for alpha, _ in weights
-    ]
+def _mixed_relation(cmp, corpus, alpha):
+    """Weak preference over every mixture of two corpus menus at weight *alpha*, the one
+    relation per weight that both mixing axioms read: ``mix(corpus[i], corpus[k])`` is
+    at position ``i * n + k``."""
+    return cmp._relation([_mixed(cmp.instance, F, H, alpha) for F in corpus for H in corpus])
+
+
+def _mixed_relations(cmp, corpus, up, weights):
+    """Independence's candidates, each unordered pair (F, G) with each H and weight: it
+    holds iff mix(F, H) and mix(G, H) are ranked as F and G are, both ways."""
+    n, w = len(corpus), len(weights)
+    mixed = [_mixed_relation(cmp, corpus, alpha) for alpha, _ in weights]
 
     def fired():
         tuples = itertools.product(itertools.combinations(range(n), 2), range(n), range(w))
         for position, ((i, j), k, a) in enumerate(tuples):
-            d = changed[k * w + a]
-            holds = not (d[i] >> j | d[j] >> i) & 1
+            mix, left, right = mixed[a], i * n + k, j * n + k
+            holds = not (up[i] >> j ^ mix[left] >> right | up[j] >> i ^ mix[right] >> left) & 1
             yield position, ((corpus[i], corpus[j], corpus[k]), *weights[a]), holds
 
     return n * (n - 1) // 2 * n * w, fired()
 
 
-def _randomized(cmp, corpus, weights):
+def _randomized(cmp, corpus, up, weights):
     """Ex-post randomization's candidates, every corpus menu with every weight list.  Each
     consequent, ``spread ~ F``, is read from `_indifferent_pairs`."""
     mix, tuples = partial(_mixed, cmp.instance), list(itertools.product(corpus, weights))
@@ -489,31 +489,21 @@ def _randomized(cmp, corpus, weights):
     )
 
 
-def _strict_pairs_of_pairs(cmp, corpus, weights):
+def _strict_pairs_of_pairs(cmp, corpus, up, weights):
     """Favorable mixing monotonicity's fired candidates, two strictly ranked pairs (F, G)
-    and (H, H2) with each weight.  Per weight, one weak relation over the mixtures of two
-    better menus and of two worse ones decides mix(F, H) > mix(G, H2) by two bits."""
-    inst, n, w = cmp.instance, len(corpus), len(weights)
-    strict = _strict(cmp, corpus)
+    and (H, H2) with each weight.  Two bits of the weight's relation over the corpus
+    mixtures decide mix(F, H) > mix(G, H2)."""
+    n, w, strict = len(corpus), len(weights), _strict(up)
     ranked = [(_pair_position(i, j, n), i, j) for i in range(n) for j in _bits(strict[i])]
-    better = {i: x for x, i in enumerate(dict.fromkeys(i for _, i, _ in ranked))}
-    worse = {j: x for x, j in enumerate(dict.fromkeys(j for _, _, j in ranked))}
-    pairs, nb, nw = n * (n - 1), len(better), len(worse)
-    weak = [
-        cmp._relation(
-            [_mixed(inst, corpus[i], corpus[k], alpha) for i in better for k in better]
-            + [_mixed(inst, corpus[j], corpus[m], alpha) for j in worse for m in worse]
-        )
-        for alpha, _ in weights
-    ]
+    pairs, mixed = n * (n - 1), [_mixed_relation(cmp, corpus, alpha) for alpha, _ in weights]
 
     def fired():
         for p, i, j in ranked:
             for q, k, m in ranked:
                 menus = (corpus[i], corpus[j], corpus[k], corpus[m])
-                left, right = better[i] * nb + better[k], nb * nb + worse[j] * nw + worse[m]
-                for a, up in enumerate(weak):
-                    holds = up[left] >> right & 1 and not up[right] >> left & 1
+                left, right = i * n + k, j * n + m
+                for a, mix in enumerate(mixed):
+                    holds = mix[left] >> right & 1 and not mix[right] >> left & 1
                     yield (p * pairs + q) * w + a, (menus, *weights[a]), holds
 
     return pairs * pairs * w, fired()
@@ -576,15 +566,15 @@ def _shrink_counterexample(
     alpha: Optional[Fraction],
     betas: Optional[tuple[Fraction, ...]],
 ) -> tuple[Menu, ...]:
-    """Greedily drop acts from the witness menus while the axiom's own rule *fired*,
-    run with the smaller menus as the corpus and ``(alpha, betas)`` as the one weight,
+    """Greedily drop acts from the witness menus while the axiom's own rule *fired*, run
+    over the smaller menus, their relation and ``(alpha, betas)`` as the one weight,
     still yields that tuple violated: each round keeps the first such tuple one act
     smaller, menu by menu, act by act.  So the shrunk menus replay the failure."""
     intern = cmp.instance._intern
 
     def still_violated(candidate: tuple[Menu, ...]) -> bool:
         witness = (candidate, alpha, betas)
-        _, items = fired(cmp, candidate, [(alpha, betas)])
+        _, items = fired(cmp, candidate, cmp._relation(candidate), [(alpha, betas)])
         return any(item == witness and not holds for _, item, holds in items)
 
     while True:
@@ -608,18 +598,21 @@ def audit(cmp: Criterion, corpus: Sequence[Menu], config: AuditConfig) -> AuditR
     reported "truncated".  Gridded axioms report "pass-on-grid" rather
     than "pass".  Nontriviality is scanned to the end whatever the cap:
     its first strictly ranked pair makes it pass, and with none it is
-    vacuous.  A trailing entry records that continuity is not audited.
+    vacuous.  A trailing entry records that continuity is not audited.  The
+    corpus relation is decided once per call and read by every axiom; each
+    mixing axiom adds one relation per weight over the corpus mixtures.
     *cmp* must be a `Criterion`, *corpus* of `Menu`s and *config* an `AuditConfig`.
     """
     _members((cmp,), Criterion)
     corpus = _members(corpus, Menu)
     _members((config,), AuditConfig)
+    up = cmp._relation(corpus)
     results: list[AxiomResult] = []
     for axiom, spec in _SPECS.items():
         if axiom not in config.axioms:
             continue
         existence = axiom is Axiom.NONTRIVIALITY
-        total, candidates = spec.fired(cmp, corpus, spec.weights(config))
+        total, candidates = spec.fired(cmp, corpus, up, spec.weights(config))
         cap = None if existence else config.max_tuples
         status, witness, checked, fired = _scan(candidates, total, cap)
         shrunk = alpha = betas = None

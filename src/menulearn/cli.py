@@ -250,13 +250,13 @@ def cmd_comparative(args: argparse.Namespace) -> int:
     config = AuditConfig(corpus_size=args.corpus_size, seed=_effective_seed(args))
     corpus = generate_corpus(inst, config)
     corpus.extend(workspace.menus[name] for name in sorted(workspace.menus))
+    bml = BmlComparator(inst, pi1), BmlComparator(inst, pi2)
+    jml = JmlComparator(inst, pi1), JmlComparator(inst, pi2)
     reports = [
-        check_more_decisive(BmlComparator(inst, pi1), BmlComparator(inst, pi2), corpus),
-        check_less_negative_inconsistent(
-            BmlComparator(inst, pi1), BmlComparator(inst, pi2), corpus
-        ),
-        check_more_strict_decisive(JmlComparator(inst, pi1), JmlComparator(inst, pi2), corpus),
-        check_less_inconsistent(JmlComparator(inst, pi1), JmlComparator(inst, pi2), corpus),
+        check_more_decisive(*bml, corpus),
+        check_less_negative_inconsistent(*bml, corpus),
+        check_more_strict_decisive(*jml, corpus),
+        check_less_inconsistent(*jml, corpus),
     ]
     if args.format == "records":
         print(

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -242,9 +241,8 @@ def _converse(relation: Sequence[int]) -> list[int]:
     return [sum(1 << j for j in range(n) if relation[j] >> i & 1) for i in range(n)]
 
 
-def _strict(cmp: Criterion, menus: Sequence[Menu]) -> list[int]:
-    """`strictly_prefers` between every ordered pair of *menus*, as bitsets."""
-    weak = cmp._relation(menus)
+def _strict(weak: Sequence[int]) -> list[int]:
+    """The asymmetric part of the weak relation *weak*: strict preference, as bitsets."""
     return [up & ~down for up, down in zip(weak, _converse(weak))]
 
 
@@ -285,17 +283,18 @@ class CheckReport:
 
 def _check_pairs(
     check: str,
-    antecedent: Callable[[Sequence[Menu]], list[int]],
-    consequent: Callable[[Sequence[Menu]], list[int]],
+    cmp1: Criterion,
+    cmp2: Criterion,
     corpus: Sequence[Menu],
+    of_weak: Callable[[list[int]], list[int]],
 ) -> CheckReport:
-    """*check* over the ordered pairs of distinct corpus positions: every pair
-    in the relation ``antecedent(corpus)`` must be in ``consequent(corpus)``."""
+    """*check* over the ordered pairs of distinct corpus positions: every pair in
+    ``of_weak`` of *cmp2*'s weak relation over the corpus must be in *cmp1*'s."""
     corpus = _members(corpus, Menu)
     n = len(corpus)
 
     def fired():
-        fires, holds = antecedent(corpus), consequent(corpus)
+        fires, holds = of_weak(cmp2._relation(corpus)), of_weak(cmp1._relation(corpus))
         for i, F in enumerate(corpus):
             for j in _bits(fires[i] & ~(1 << i)):
                 yield _pair_position(i, j, n), (F, corpus[j]), holds[i] >> j & 1
@@ -307,16 +306,14 @@ def check_more_decisive(
     cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Whenever the second unanimity criterion ranks a pair, the first must agree."""
-    return _check_pairs("more_decisive", cmp2._relation, cmp1._relation, corpus)
+    return _check_pairs("more_decisive", cmp1, cmp2, corpus, list)
 
 
 def check_more_strict_decisive(
     cmp1: Criterion, cmp2: Criterion, corpus: Sequence[Menu]
 ) -> CheckReport:
     """Whenever the second veto criterion is strictly decided, so is the first."""
-    return _check_pairs(
-        "more_strict_decisive", partial(_strict, cmp2), partial(_strict, cmp1), corpus
-    )
+    return _check_pairs("more_strict_decisive", cmp1, cmp2, corpus, _strict)
 
 
 def _check_triples(

@@ -61,7 +61,7 @@ from .core import (
     validate_lottery,
     validate_posterior,
 )
-from .errors import MenuLearnError, ParseError, UnknownNameError
+from .errors import MenuLearnError, ParseError, UnknownNameError, ValidationError
 
 
 def parse_fraction(text: object, where: str) -> Fraction:
@@ -329,6 +329,15 @@ def _probability_texts(dist: Lottery | Posterior) -> dict[str, str]:
     return {z: f"{n // gcd(n, den)}/{den // gcd(n, den)}".removesuffix("/1") for z, n in pairs}
 
 
+def _structure_names(workspace: Workspace, credal: CredalSet, owner: str) -> list[str]:
+    """The first name of each of *credal*'s generators in ``workspace.info_structures``,
+    as a document refers to them; one without a name is a ValidationError naming *owner*."""
+    names = {structure: name for name, structure in reversed(workspace.info_structures.items())}
+    if any(gen not in names for gen in credal):
+        raise ValidationError(f"cannot dump {owner}: a generator has no structure name")
+    return [names[gen] for gen in credal]
+
+
 def dump_document(workspace: Workspace) -> dict:
     """Serialize a workspace back to the document schema (exact rationals)."""
     inst = workspace.instance
@@ -361,7 +370,7 @@ def dump_document(workspace: Workspace) -> dict:
         }
     if workspace.credal_sets:
         document["credal_sets"] = {
-            name: [workspace.structure_label(gen) for gen in credal]
+            name: _structure_names(workspace, credal, f"credal set {name!r}")
             for name, credal in workspace.credal_sets.items()
         }
     if workspace.collections:
@@ -370,7 +379,7 @@ def dump_document(workspace: Workspace) -> dict:
             name: [
                 named_sets[member]
                 if member in named_sets
-                else [workspace.structure_label(gen) for gen in member]
+                else _structure_names(workspace, member, f"collection {name!r}")
                 for member in collection
             ]
             for name, collection in workspace.collections.items()

@@ -151,22 +151,29 @@ MUTANTS = (
     Mutant(
         "independence compares only the forward bit",
         "audit.py",
-        "            holds = not (d[i] >> j | d[j] >> i) & 1\n",
-        "            holds = not d[i] >> j & 1\n",
+        "            holds = not (up[i] >> j ^ mix[left] >> right | up[j] >> i ^ mix[right] >> left) & 1\n",
+        "            holds = not (up[i] >> j ^ mix[left] >> right) & 1\n",
         ("tests/test_audit.py::TestReferenceAudit::test_independence_reads_the_mixtures_at_each_weight",),
     ),
     Mutant(
         "independence reads the first weight's mixed relation for every weight",
         "audit.py",
-        "            d = changed[k * w + a]\n",
-        "            d = changed[k * w]\n",
+        "            mix, left, right = mixed[a], i * n + k, j * n + k\n",
+        "            mix, left, right = mixed[0], i * n + k, j * n + k\n",
         ("tests/test_audit.py::TestReferenceAudit::test_independence_reads_the_mixtures_at_each_weight",),
+    ),
+    Mutant(
+        "mixed relation read at a transposed position",
+        "audit.py",
+        "            mix, left, right = mixed[a], i * n + k, j * n + k\n",
+        "            mix, left, right = mixed[a], k * n + i, j * n + k\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_seeded_criteria",),
     ),
     Mutant(
         "FMM consequent reads weak, not strict, preference",
         "audit.py",
-        "                    holds = up[left] >> right & 1 and not up[right] >> left & 1\n",
-        "                    holds = up[left] >> right & 1\n",
+        "                    holds = mix[left] >> right & 1 and not mix[right] >> left & 1\n",
+        "                    holds = mix[left] >> right & 1\n",
         ("tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",),
     ),
     Mutant(
@@ -178,6 +185,13 @@ MUTANTS = (
             "tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",
             "tests/test_audit.py::TestReferenceAudit::test_flipped_criterion_fails_every_axiom",
         ),
+    ),
+    Mutant(
+        "shrink reruns the rule with the unshrunk menus' relation",
+        "audit.py",
+        "        _, items = fired(cmp, candidate, cmp._relation(candidate), [(alpha, betas)])\n",
+        "        _, items = fired(cmp, candidate, cmp._relation(menus), [(alpha, betas)])\n",
+        ("tests/test_audit.py::TestReferenceAudit::test_flipped_criterion_fails_every_axiom",),
     ),
     Mutant(
         "lottery-consistency antecedent takes strict utility order",

@@ -360,6 +360,32 @@ class TestCrossAudit:
             cross_audit(random_instance(random.Random(seed)), seed=seed)
         assert calls == []
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_audit_decides_each_relation_once(self, monkeypatch, seed):
+        # Every axiom reads the one relation the call decides over the
+        # corpus; each mixing axiom adds one per weight over the n² corpus
+        # mixtures, and dominance and ex-post randomization one per batch of
+        # candidates (a single batch each at this size).  The criterion
+        # passes, so no shrink decides more.
+        inst = random_instance(random.Random(seed))
+        cmp = SlComparator(inst, random_structure(random.Random(seed), inst))
+        grid = (Fraction(1, 3), Fraction(1, 2))
+        config = AuditConfig(corpus_size=6, seed=seed, alpha_grid=grid)
+        corpus = generate_corpus(inst, config)
+        calls = []
+        relation = Criterion._relation
+
+        def counted(self, menus):
+            calls.append(list(menus))
+            return relation(self, menus)
+
+        monkeypatch.setattr(Criterion, "_relation", counted)
+        assert not audit(cmp, corpus, config).failures
+        assert calls.count(corpus) == 1
+        for alpha in grid:
+            assert calls.count([mix_menus(F, H, alpha) for F in corpus for H in corpus]) == 2
+        assert len(calls) == 1 + 2 * len(grid) + 2
+
     def test_required_axiom_sets(self):
         assert Axiom.TRANSITIVITY in REQUIRED_AXIOMS["bml"]
         assert Axiom.TRANSITIVITY not in REQUIRED_AXIOMS["jml"]
@@ -533,6 +559,7 @@ class TestReferenceAudit:
     def test_capped_dominance_builds_one_batch(self, monkeypatch):
         # Unions and the relations over them are built a batch at a time as
         # the scan asks, so a scan stopped at a cap of 1 builds one batch.
+        # The audit's one relation over the corpus is counted apart.
         monkeypatch.setattr(audit_module, "_BATCH_PAIRS", 2)
         inst, (_, bml, _, _) = seeded_criteria(0)
         config = AuditConfig(axioms=frozenset({Axiom.DOMINANCE}), corpus_size=12)
@@ -544,13 +571,14 @@ class TestReferenceAudit:
             method = getattr(cls, name)
 
             def counted(self, other, method=method, name=name):
-                calls.append(name)
+                corpus_relation = name == "_relation" and list(other) == corpus
+                calls.append("corpus" if corpus_relation else name)
                 return method(self, other)
 
             monkeypatch.setattr(cls, name, counted)
         capped = audit(bml, corpus, replace(config, max_tuples=1)).result_for(Axiom.DOMINANCE)
         assert capped.status == "truncated"
-        assert sorted(calls) == ["_relation", "union", "union"]
+        assert sorted(calls) == ["_relation", "corpus", "union", "union"]
 
     def test_mixing_must_keep_the_ranking_strict(self, two_state_instance):
         # G adds to F an act F's act dominates, and H2 does so to H, so each

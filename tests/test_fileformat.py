@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 from menulearn import (
+    Collection,
+    CredalSet,
     ParseError,
     UnknownNameError,
+    ValidationError,
     Workspace,
     dump_document,
     dumps,
@@ -180,6 +183,34 @@ class TestRoundTrip:
         assert data["utility"]["win"] == "3"
         text = json.dumps(data)
         assert "0.5" not in text  # no decimal leakage anywhere
+
+    def test_generators_without_a_name_are_not_dumped(self):
+        # A document names every generator, so one missing from the
+        # structures table would be written as a name that does not load.
+        inst = random_instance(random.Random(0))
+        pi = random_structure(random.Random(1), inst)
+        for tables, owner in (
+            ({"credal_sets": {"C": CredalSet((pi,))}}, "credal set 'C'"),
+            ({"collections": {"K": Collection((CredalSet((pi,)),))}}, "collection 'K'"),
+        ):
+            with pytest.raises(ValidationError, match=f"^cannot dump {owner}: "):
+                dump_document(Workspace(instance=inst, **tables))
+
+    def test_named_generators_round_trip(self):
+        inst = random_instance(random.Random(0))
+        rng = random.Random(1)
+        pi, rho = random_structure(rng, inst), random_structure(rng, inst)
+        both = CredalSet((pi, rho))
+        workspace = Workspace(
+            instance=inst,
+            info_structures={"pi": pi, "rho": rho},
+            credal_sets={"C": both},
+            collections={"K": Collection((both, CredalSet((rho,))))},
+        )
+        reloaded = loads(dumps(workspace))
+        assert reloaded.info_structures == workspace.info_structures
+        assert reloaded.credal_sets == workspace.credal_sets
+        assert reloaded.collections == workspace.collections
 
     def test_lookup_errors(self, example1):
         with pytest.raises(UnknownNameError):

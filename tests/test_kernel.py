@@ -605,7 +605,8 @@ class TestDerivedMemos:
             corpus = generate_corpus(inst, replace(config, seed=seed))
             spec = _SPECS[Axiom.EX_POST_RANDOMIZATION]
             cmp = BmlComparator(inst, random_credal_set(random.Random(seed), inst))
-            total, fired = spec.fired(cmp, corpus, spec.weights(config))
+            up = cmp._relation(corpus)
+            total, fired = spec.fired(cmp, corpus, up, spec.weights(config))
             tuples = [item for _, item, _ in fired]
             assert total == len(tuples) == 4 * len(corpus)
             assert {betas for _, _, betas in tuples} == {
@@ -665,7 +666,8 @@ class TestInterning:
                     # A one-act menu mixed with itself is itself.
                     assert _mixed(inst, F, F, alpha) is F
             cmp = BmlComparator(inst, random_credal_set(random.Random(seed), inst))
-            _, fired = _SPECS[Axiom.DOMINANCE].fired(cmp, corpus, [(None, None)])
+            up = cmp._relation(corpus)
+            _, fired = _SPECS[Axiom.DOMINANCE].fired(cmp, corpus, up, [(None, None)])
             singletons = {menus[1] for _, (menus, _, _), _ in fired}
             for singleton in singletons:
                 assert len(singleton) == 1

@@ -8,7 +8,8 @@ and in no other module.  Memos are tables on the `Instance` or the
 `Criterion` they serve, freed with it, so no module may keep a
 module-level function cache.  A held `Criterion` is the only way to rank
 menus, and it compares benefit rows in one place, `Criterion._relation`,
-of which the pair methods are the two-menu case.  Each selectable axiom
+of which the pair methods are the two-menu case, and the audit decides
+it in four places only.  Each selectable axiom
 is defined by one entry of the audit's spec table, the test oracles
 `tests/reference_*.py` import no private name of the package, the README's
 library example runs as written, and every snippet of the mutation catalog
@@ -118,6 +119,19 @@ def test_benefit_rows_are_compared_only_by_the_relation():
     # Weak preference has one rule: a second reader of the rows would be a
     # second comparison path beside `_relation`.
     assert _readers("_row") == ["criteria.py:Criterion._relation"]
+
+
+def test_audit_decides_relations_in_four_places():
+    # One relation over the corpus per audit call, the shrink's over its
+    # candidate menus, one per weight over the corpus mixtures, and the
+    # batches of dominance and ex-post randomization: no axiom decides its own.
+    readers = [reader for reader in _readers("_relation") if reader.startswith("audit.py:")]
+    assert readers == [
+        "audit.py:_indifferent_pairs",
+        "audit.py:_mixed_relation",
+        "audit.py:_shrink_counterexample.still_violated",
+        "audit.py:audit",
+    ]
 
 
 def test_each_selectable_axiom_has_one_spec_in_declaration_order():
