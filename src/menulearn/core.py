@@ -55,14 +55,14 @@ def as_fraction(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return _rational(value)
+            return Fraction(*_rational(value))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"malformed rational {value!r}") from None
     raise TypeError(f"expected an exact rational (Fraction, int, or 'p/q' string), got {value!r}")
 
 
-def _rational(text: str) -> Fraction:
-    """The value of a rational string, read in one pass with `int`.
+def _rational(text: str) -> tuple[int, int]:
+    """A rational string's value as a reduced ``(num, den)``, read in one pass with `int`.
 
     This is the one rational grammar, shared by `as_fraction`, documents and
     CLI weights: ASCII ``[+-]D``, ``[+-]D/D`` or ``[+-]D.D`` with ``D`` one
@@ -86,7 +86,8 @@ def _rational(text: str) -> Fraction:
         if text[0] == "-":
             numerator = -numerator
         if denominator:
-            return Fraction(numerator, denominator)
+            divisor = gcd(numerator, denominator)
+            return numerator // divisor, denominator // divisor
         raise ZeroDivisionError(f"Fraction({numerator}, 0)")
     # `Fraction` also reads whitespace, "_" and non-ASCII digits, so a text
     # outside the grammar such as "0/0 " gets its zero-denominator message.
@@ -321,8 +322,8 @@ class Act(_HashOnce):
 
         The caller guarantees what `__post_init__` checks and sorts: at least
         one pair, distinct string states in sorted order, each paying a
-        `Lottery`, as the state by state mixture of two acts over the same
-        states does (`evaluation._mix_acts`).
+        `Lottery`, as the mixture of two acts over the same states does
+        (`evaluation._mix_acts`), and a loaded act over the instance's states.
         """
         act = object.__new__(cls)
         object.__setattr__(act, "outcomes", outcomes)

@@ -11,8 +11,8 @@ posterior is an integer dot product per act and a max taken by
 cross-multiplication.  Two memos live on the `Instance` and are freed with
 it: those vectors (`Instance._numerators`) and each ``(menu, structure)``
 benefit (`Instance._benefits`, one reduced ``(num, den)`` int pair per
-entry, from the private kernel `_benefit`, which the criteria and the
-rankings read as it is; `benefit_of_information` makes it a Fraction).
+entry, from `_benefit`, which the criteria read as it is, and from the
+rankings' corpus bands, both through the one kernel `_expected_best`).
 Statewise dominance has one rule, `_dominance_relation`, which decides it
 between every pair of a sequence of menus at once, as one bitset per menu;
 `dominates` is its two-menu case.  The mixers share one act mixer,
@@ -113,9 +113,8 @@ def _benefit(menu: Menu, pi: InfoStructure, inst: Instance) -> tuple[int, int]:
     """`benefit_of_information` as one reduced integer pair ``(num, den)``, ``den > 0``.
 
     Memoized on *inst*.  On a memo miss (an unhashable key or a
-    non-instance *inst* is one) the argument types are checked, then each
-    posterior's and each act's vector is read once, the posteriors' first,
-    and the sum is kept as one unreduced integer pair, reduced once.
+    non-instance *inst* is one) the argument types are checked, then each posterior's
+    and each act's vector is read once, the posteriors' first, for `_expected_best`.
     """
     key = (menu, pi)
     try:
@@ -128,15 +127,21 @@ def _benefit(menu: Menu, pi: InfoStructure, inst: Instance) -> tuple[int, int]:
         _members((inst,), Instance)
         support = [(_vector(posterior, inst), weight) for posterior, weight in pi.support]
         acts = [_vector(f, inst) for f in menu]
-        num, den = 0, 1
-        for masses, weight in support:
-            value, term_den = _best(acts, masses)
-            term_den *= weight.denominator
-            num = num * term_den + weight.numerator * value * den
-            den *= term_den
-        divisor = gcd(num, den)
-        total = inst._benefits[key] = (num // divisor, den // divisor)
+        total = inst._benefits[key] = _expected_best(acts, support)
     return total
+
+
+def _expected_best(acts: Sequence[tuple], support: Sequence[tuple]) -> tuple[int, int]:
+    """The benefit kernel of `_benefit` and the scenario bands: over the *support*, pairs
+    ``(posterior vector, w)``, the sum of ``w`` times the `_best` of *acts*, reduced once."""
+    num, den = 0, 1
+    for masses, weight in support:
+        value, term_den = _best(acts, masses)
+        term_den *= weight.denominator
+        num = num * term_den + weight.numerator * value * den
+        den *= term_den
+    divisor = gcd(num, den)
+    return num // divisor, den // divisor
 
 
 def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:

@@ -32,11 +32,11 @@ Nothing else is a rational: no whitespace, ``_`` separators, exponents
 Collection members may name a credal set or inline a list of
 information-structure names.
 
-Loading reads each distinct rational string of a document once, and builds
-each distinct lottery object of a document once: lottery objects with the
-same labels and the same rational strings, in the same order, share one
-`Lottery`, so equal acts compare their lotteries by identity.  Both tables
-live for one `load_document` call only.
+Loading reads each distinct rational string of a document once, as a reduced
+integer pair, and builds each distinct lottery object once, from its pairs over
+their lcm: lottery objects with the same labels and rational strings, in the
+same order, share one `Lottery`, so equal acts compare their lotteries by
+identity.  Both tables live for one `load_document` call only.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from .core import (
@@ -71,7 +71,7 @@ def parse_fraction(text: object, where: str) -> Fraction:
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a rational string like '3/4', got {text!r}")
     try:
-        return _rational(text)
+        return Fraction(*_rational(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: malformed rational {text!r} ({exc})") from None
 
@@ -122,32 +122,31 @@ class Workspace:
 
 
 class _Parsed(dict):
-    """One document's rational strings, each read once: string -> Fraction.
+    """One document's rational strings, each read once: string -> reduced ``(num, den)``.
 
-    Only strings go in, so ``1``, ``1.0`` and ``True`` never find ``"1"``;
-    Fractions are immutable, so every entry with the same text shares one.
+    Only strings go in, so ``1``, ``1.0`` and ``True`` never find ``"1"``.
     """
 
-    def __missing__(self, text: object) -> Fraction:
+    def __missing__(self, text: object) -> tuple[int, int]:
         if not isinstance(text, str):
             raise TypeError(f"not a rational string: {text!r}")
         value = self[text] = _rational(text)
         return value
 
 
-def _rationals(
-    data: object, where: str, label: str, parsed: _Parsed
-) -> list[tuple[str, Fraction]]:
-    """The (key, Fraction) pairs of the JSON object at ``{where}.{label}``."""
+def _numerators(data: object, where: str, label: str, parsed: _Parsed) -> tuple[dict, int]:
+    """``(numerators, total)``: key k of the JSON object at ``{where}.{label}``
+    reads ``numerators[k] / total``, ``total`` the lcm of the reduced denominators."""
     if not isinstance(data, dict):
         raise ParseError(f"{where}.{label}: expected an object mapping labels to rationals")
     try:
-        return [(key, parsed[raw]) for key, raw in data.items()]
+        pairs = [(key, parsed[raw]) for key, raw in data.items()]
     except (TypeError, ValueError, ZeroDivisionError):
         # A JSON integer, or a fault: read entry by entry, each at its location.
-        return [
-            (key, parse_fraction(raw, f"{where}.{label}.{key}")) for key, raw in data.items()
-        ]
+        pairs = [(key, parse_fraction(raw, f"{where}.{label}.{key}").as_integer_ratio())
+                 for key, raw in data.items()]
+    total = lcm(*[den for _, (_, den) in pairs])
+    return {key: num * (total // den) for key, (num, den) in pairs}, total
 
 
 def _parse_act(
@@ -161,34 +160,32 @@ def _parse_act(
     JSON ``1`` and ``true``, which compare equal, never share an entry; a
     lottery that fails to build is never stored.  A lottery's prizes are
     checked in the act that builds it: one found in *built* passed that
-    check in an earlier act, or the load failed there.
+    check in an earlier act, or the load failed there.  An act over exactly
+    the instance's states is built from its sorted pairs.
     """
     if not isinstance(data, dict):
         raise ParseError(f"{where}: expected an object mapping states to lotteries")
-    outcomes, fresh, with_zeros = {}, set(), []
+    outcomes, fresh = [], []
     for state, lottery_data in data.items():
         key = lottery = None
         if type(lottery_data) is dict and all(type(raw) is str for raw in lottery_data.values()):
             key = tuple(lottery_data.items())
             lottery = built.get(key)
         if lottery is None:
-            pairs = _rationals(lottery_data, where, state, parsed)
-            try:
-                lottery = Lottery(pairs)
-            except MenuLearnError as exc:
-                raise ParseError(f"{where}.{state}: {exc}") from None
+            nums, total = _numerators(lottery_data, where, state, parsed)
+            lottery = _wrap(Lottery._of_numerators, nums, total, where=f"{where}.{state}")
             if key is not None:
                 built[key] = lottery
-            fresh.add(id(lottery))
-            if len(lottery.support) < len(pairs):
-                with_zeros.append(lottery_data)
-        outcomes[state] = lottery
-    act = _wrap(Act, outcomes, where=where)
-    _wrap(_validate_states, act, instance, where=where)
-    # The new lotteries in state order, as `validate_act` takes them; one that dropped
-    # zero entries is checked on its labels too, as an unknown prize among them is a fault.
-    checks = [lottery for _, lottery in act.outcomes if id(lottery) in fresh] + with_zeros
-    for labels in checks:
+            fresh.append((state, lottery_data))
+        outcomes.append((state, lottery))
+    if data.keys() == set(instance.states):
+        act = Act._of_outcomes(tuple(sorted(outcomes)))
+    else:
+        act = _wrap(Act, outcomes, where=where)
+        _wrap(_validate_states, act, instance, where=where)
+    # Each new lottery's labels in state order, as `validate_act` takes them, zero
+    # entries included: an unknown prize is a fault even at probability 0.
+    for _, labels in sorted(fresh):
         _wrap(validate_lottery, labels, instance, where=where)
     return act
 
@@ -241,9 +238,9 @@ def load_document(data: object) -> Workspace:
             where = f"info_structures.{name}[{i}]"
             if not isinstance(point, dict) or "posterior" not in point or "weight" not in point:
                 raise ParseError(f"{where}: expected an object with 'posterior' and 'weight'")
-            pairs = _rationals(point["posterior"], where, "posterior", parsed)
+            nums, total = _numerators(point["posterior"], where, "posterior", parsed)
             _wrap(validate_posterior, point["posterior"], instance, where=where)
-            posterior = _wrap(Posterior, pairs, where=f"{where}.posterior")
+            posterior = _wrap(Posterior._of_numerators, nums, total, where=f"{where}.posterior")
             weight = parse_fraction(point["weight"], f"{where}.weight")
             support.append((posterior, weight))
         workspace.info_structures[name] = _wrap(

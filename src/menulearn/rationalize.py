@@ -31,7 +31,7 @@ from .core import (
 from .comparative import CheckReport, _scan
 from .criteria import Criterion, collection_maxmin_gap
 from .errors import BadWeightError, ValidationError
-from .evaluation import _benefit, mix_lotteries
+from .evaluation import _expected_best, _vector, mix_lotteries
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,34 @@ class ScenarioBand:
 
 
 def scenario_band(F: Menu, coll: Collection, inst: Instance) -> ScenarioBand:
-    """Compute both aggregates of ``b_F`` over the collection, reading each benefit once,
-    as integers over the benefits' common denominator."""
+    """Compute both aggregates of ``b_F`` over the collection: `_bands` for one menu."""
+    return _bands(_members((F,), Menu), coll, inst)[0]
+
+
+def _bands(corpus: Sequence[Menu], coll: Collection, inst: Instance) -> list[ScenarioBand]:
+    """Every menu's scenario band: the collection's distinct generators are numbered and
+    their posterior vectors read once, a menu's act vectors once, and each distinct
+    ``(menu, generator)`` benefit once, through `Instance._benefits` and `_expected_best`."""
     _members((coll,), Collection)
-    rows = [[_benefit(F, gen, inst) for gen in member] for member in coll]
-    common = lcm(*[den for row in rows for _, den in row])
-    scaled = [[num * (common // den) for num, den in row] for row in rows]
-    return ScenarioBand(
-        maxmin=Fraction(max(map(min, scaled)), common),
-        minmax=Fraction(min(map(max, scaled)), common),
-    )
+    _members((inst,), Instance)
+    number: dict = {}
+    members = [[number.setdefault(gen, len(number)) for gen in member] for member in coll]
+    supports = [[(_vector(p, inst), weight) for p, weight in gen.support] for gen in number]
+    memo, bands = inst._benefits, []
+    for menu in corpus:
+        row, acts = [], None
+        for gen, support in zip(number, supports):
+            benefit = memo.get((menu, gen))
+            if benefit is None:
+                acts = acts or [_vector(f, inst) for f in menu]
+                benefit = memo[menu, gen] = _expected_best(acts, support)
+            row.append(benefit)
+        common = lcm(*[den for _, den in row])
+        scaled = [num * (common // den) for num, den in row]
+        mins = [min([scaled[k] for k in member]) for member in members]
+        maxes = [max([scaled[k] for k in member]) for member in members]
+        bands.append(ScenarioBand(Fraction(max(mins), common), Fraction(min(maxes), common)))
+    return bands
 
 
 def robust_strict(F: Menu, G: Menu, coll: Collection, inst: Instance) -> bool:
@@ -178,13 +196,14 @@ def rank_menus(
 ) -> list[RankEntry]:
     """Rank menus by rationalized value, descending; equal values share a rank.
 
-    Each entry of *corpus* must be a `Menu` and each of *names* distinct.
+    Each entry of *corpus* must be a `Menu`, *policy* an `AlphaPolicy` and each of
+    *names* a distinct string.  The bands are decided in one pass (`_bands`).
     """
     corpus = _members(corpus, Menu)
+    _members((policy,), AlphaPolicy)
     if not corpus:
         raise ValidationError("ranking needs at least one menu")
-    if names is None:
-        names = [f"menu{i + 1}" for i in range(len(corpus))]
+    names = _members([f"menu{i + 1}" for i in range(len(corpus))] if names is None else names, str)
     if len(names) != len(corpus):
         raise ValidationError("need exactly one name per menu")
     seen = set()
@@ -192,20 +211,17 @@ def rank_menus(
         if name in seen:
             raise ValidationError(f"duplicate menu name {name!r}")
         seen.add(name)
-    bands = [scenario_band(menu, coll, inst) for menu in corpus]
+    bands = _bands(corpus, coll, inst)
     values = [policy.blend(menu, band) for menu, band in zip(corpus, bands)]
     # Sort on the values as integers over their common denominator.
     common = lcm(*[value.denominator for value in values])
     keys = [value.numerator * (common // value.denominator) for value in values]
     scored = sorted(zip(keys, names, corpus, values, bands), key=lambda item: (-item[0], item[1]))
-    entries: list[RankEntry] = []
-    rank = 0
-    previous: Optional[int] = None
-    for position, (key, name, menu, value, band) in enumerate(scored, start=1):
-        if key != previous:
-            rank, previous = position, key
-        entries.append(RankEntry(name=name, menu=menu, value=value, band=band, rank=rank))
-    return entries
+    first: dict[int, int] = {}  # each value's rank: the position where it first occurs
+    return [
+        RankEntry(name=name, menu=menu, value=value, band=band, rank=first.setdefault(key, i))
+        for i, (key, name, menu, value, band) in enumerate(scored, start=1)
+    ]
 
 
 def utility_grid_lotteries(inst: Instance, steps: int = 8) -> list[Lottery]:

@@ -208,6 +208,20 @@ MUTANTS = (
         ("tests/test_fileformat.py::TestSharedLotteries::test_json_true_after_1_is_rejected_at_its_act",),
     ),
     Mutant(
+        "integer loader skips the prize check of zero-probability labels",
+        "fileformat.py",
+        "            fresh.append((state, lottery_data))\n",
+        "            fresh.append((state, lottery))\n",
+        ("tests/test_fileformat.py::TestParsing::test_zero_probability_on_an_unknown_prize_is_rejected_at_its_act",),
+    ),
+    Mutant(
+        "band reads a member's generator one index off in the generator numbering",
+        "rationalize.py",
+        "        mins = [min([scaled[k] for k in member]) for member in members]\n",
+        "        mins = [min([scaled[k - 1] for k in member]) for member in members]\n",
+        ("tests/test_rationalize.py::TestCorpusBands::test_corpus_bands_equal_per_menu_bands",),
+    ),
+    Mutant(
         "hoisted act vectors read from the first act only",
         "evaluation.py",
         "        acts = [_vector(f, inst) for f in menu]\n",

@@ -16,6 +16,8 @@ from menulearn import (
     HmlComparator,
     Lottery,
     Menu,
+    RankEntry,
+    ScenarioBand,
     ValidationError,
     check_consistency,
     constant_menu,
@@ -29,7 +31,18 @@ from menulearn import (
 )
 from menulearn.audit import random_collection, random_instance, random_lottery, random_menu
 
-from conftest import collections, instances, menu_of, menus, scenarios, twin_menu, utility_lottery
+import reference_evaluation as ref
+from conftest import (
+    collections,
+    instances,
+    menu_of,
+    menus,
+    scenarios,
+    structures,
+    twin_instance,
+    twin_menu,
+    utility_lottery,
+)
 from reference_comparative import reference_check_consistency
 
 
@@ -222,6 +235,19 @@ class TestRankMenus:
                 utility_grid_lotteries(inst, steps=steps)
             assert str(info.value) == f"steps must be an int, got {steps!r}"
 
+    def test_policy_and_names_must_have_their_types(self, example1, split_collection):
+        inst, f = example1.instance, example1.menu("f")
+        for call in (
+            lambda: rank_menus([f], split_collection, "policy", inst),
+            lambda: rank_menus([f], split_collection, None, inst, names=["f"]),
+        ):
+            with pytest.raises(TypeError, match=r"^expected an AlphaPolicy, got "):
+                call()
+        for name in (["f"], 3, None):
+            with pytest.raises(TypeError) as info:
+                rank_menus([f], split_collection, AlphaPolicy.cautious(), inst, names=[name])
+            assert str(info.value) == f"expected a str, got {name!r}"
+
     @pytest.mark.parametrize("stray", ["x", 3])
     def test_corpus_entries_must_be_menus(self, example1, split_collection, stray):
         corpus = [example1.menu("f"), stray]
@@ -332,6 +358,58 @@ class TestConsistency:
         # The safe act sits inside the risky pair's band: no grid lottery
         # separates them robustly.
         assert report.robust_strict_consistency.status == "vacuous"
+
+
+def reference_band(F: Menu, coll: Collection, inst) -> ScenarioBand:
+    """Both aggregates from the reference benefit, one call per (member, generator)."""
+    rows = [[ref.benefit(F, gen, inst) for gen in member] for member in coll]
+    return ScenarioBand(maxmin=max(map(min, rows)), minmax=min(map(max, rows)))
+
+
+@st.composite
+def shared_generator_corpora(draw):
+    """An instance, a collection whose members draw their generators from one small
+    pool (so members share them), and a corpus holding a repeated menu and a menu
+    equal to another but built from distinct objects."""
+    inst = draw(instances())
+    pool = draw(st.lists(structures(inst), min_size=1, max_size=4))
+    members = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+                            min_size=1, max_size=4))
+    coll = Collection(tuple(CredalSet(tuple(member)) for member in members))
+    drawn = draw(st.lists(menus(inst), min_size=1, max_size=4))
+    corpus = drawn + [drawn[0], twin_menu(drawn[-1])]
+    return inst, coll, draw(st.permutations(corpus))
+
+
+class TestCorpusBands:
+    """`rank_menus` decides every band in one pass over the corpus; each must be
+    the reference band and every entry the one per-menu `scenario_band` calls give."""
+
+    @given(data=shared_generator_corpora(), prefill=st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_corpus_bands_equal_per_menu_bands(self, data, prefill):
+        inst, coll, corpus = data
+        names = [f"m{i}" for i in range(len(corpus))]
+        # The first *prefill* menus' benefits are in the memo before the ranking.
+        for menu in corpus[:prefill]:
+            scenario_band(menu, coll, inst)
+        for policy in (AlphaPolicy.cautious(), AlphaPolicy.optimistic(),
+                       AlphaPolicy.constant(Fraction(1, 3))):
+            entries = rank_menus(corpus, coll, policy, inst, names=names)
+            fresh = twin_instance(inst)
+            bands = {name: scenario_band(menu, coll, fresh) for name, menu in zip(names, corpus)}
+            values = {name: policy.blend(menu, bands[name]) for name, menu in zip(names, corpus)}
+            expected = sorted(
+                (
+                    RankEntry(name, menu, values[name], bands[name],
+                              1 + sum(other > values[name] for other in values.values()))
+                    for name, menu in zip(names, corpus)
+                ),
+                key=lambda entry: (-entry.value, entry.name),
+            )
+            assert entries == expected
+            for entry in entries:
+                assert entry.band == reference_band(entry.menu, coll, inst)
 
 
 class TestBandProperties:
