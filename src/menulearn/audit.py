@@ -52,7 +52,6 @@ from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
 from .evaluation import (
     _dominance_relation,
-    _lottery_mixer,
     _mix_acts,
     _randomize,
     mix_lotteries,
@@ -547,13 +546,12 @@ def _mixed(inst: Instance, F: Menu, G: Menu, alpha: Fraction) -> Menu:
         table = inst._mixtures[weight] = {}
     menu = table.get((F, G))
     if menu is None:
-        mix = _lottery_mixer(table, alpha, inst._held)
         acts = []
         for f in F:
             for g in G:
                 act = table.get((f, g))
                 if act is None:
-                    act = table[f, g] = inst._intern_act(_mix_acts(f, g, mix))
+                    act = table[f, g] = inst._intern_act(_mix_acts(f, g, alpha, table, inst._held))
                 acts.append(act)
         menu = table[F, G] = inst._intern(Menu(tuple(acts)))
     return menu
@@ -669,6 +667,7 @@ def cross_audit(
     (vacuous rows are acceptable); a failure points at an implementation
     bug.
     """
+    _members((inst,), Instance)
     rng = random.Random(seed)
     credal = random_credal_set(rng, inst)
     collection = random_collection(rng, inst)

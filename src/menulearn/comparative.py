@@ -176,6 +176,7 @@ def credal_subset(
     outside it raise DimensionMismatchError.
     """
     if instance is not None:
+        _members((instance,), Instance)
         for credal in (pi1, pi2):
             for gen in credal:
                 for posterior in gen.posteriors:
@@ -290,6 +291,7 @@ def _check_pairs(
 ) -> CheckReport:
     """*check* over the ordered pairs of distinct corpus positions: every pair in
     ``of_weak`` of *cmp2*'s weak relation over the corpus must be in *cmp1*'s."""
+    _members((cmp1, cmp2), Criterion)
     corpus = _members(corpus, Menu)
     n = len(corpus)
 
@@ -331,6 +333,7 @@ def _check_triples(
     the bitset of G positions where it holds, from the criterion's weak
     relation *up* and its converse *down*.
     """
+    _members((cmp1, cmp2), Criterion)
     corpus = _members(corpus, Menu)
     n = len(corpus)
     dominating = [

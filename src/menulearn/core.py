@@ -543,6 +543,9 @@ class Instance(_HashOnce):
         return (Instance, (self.states, self.prizes, self.utility))
 
     def __post_init__(self) -> None:
+        for labels in (self.states, self.prizes):
+            if isinstance(labels, str):
+                raise TypeError(f"expected a sequence of labels, got {labels!r}")
         states = tuple(self.states)
         prizes = tuple(self.prizes)
         utility = tuple((prize, as_fraction(value)) for prize, value in _pairs(self.utility))
@@ -693,6 +696,7 @@ def validate_posterior(p: Posterior | Mapping[str, RationalLike], inst: Instance
 
 def constant_act(inst: Instance, x: Lottery) -> Act:
     """The act that pays the lottery *x* in every state."""
+    _members((inst,), Instance)
     _members((x,), Lottery)
     validate_lottery(x, inst)
     return Act({state: x for state in inst.states})

@@ -54,6 +54,7 @@ def benefit_gap(F: Menu, G: Menu, pi: InfoStructure, inst: Instance) -> Value:
 
 def collection_maxmin_gap(F: Menu, G: Menu, coll: Collection, inst: Instance) -> Value:
     """Best sub-group's worst-case gap: max over members of the min over generators."""
+    _members((coll,), Collection)
     return max(min(benefit_gap(F, G, gen, inst) for gen in member) for member in coll)
 
 
@@ -156,6 +157,7 @@ def alpha_maxmin_collection(credal: CredalSet, alpha: RationalLike) -> Collectio
     hierarchical criterion whose decision value is exactly
     ``alpha * min-gap + (1 - alpha) * max-gap``.
     """
+    _members((credal,), CredalSet)
     return Collection(
         CredalSet([mix_structures(gen, anchor, alpha) for gen in credal]) for anchor in credal
     )

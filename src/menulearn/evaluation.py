@@ -16,9 +16,9 @@ rankings' corpus bands, both through the one kernel `_expected_best`).
 Statewise dominance has one rule, `_dominance_relation`, which decides it
 between every pair of a sequence of menus at once, as one bitset per menu;
 `dominates` is its two-menu case.  The mixers share one act mixer,
-`_mix_acts`, and one lottery mixer that builds each lottery pair once into
-a table: the public mixers' table lives for one call, the audit's
-(`audit._mixed`) on the instance.
+`_mix_acts`, which builds each lottery pair once into a table: the public
+mixers' table lives for one call, the audit's (`audit._mixed`) on the
+instance.
 """
 
 from __future__ import annotations
@@ -168,46 +168,37 @@ def _mix_lotteries(x: Lottery, y: Lottery, alpha: Fraction, held: dict | None = 
     return Lottery._of_numerators(numerators, b * x_den * y_den, held)
 
 
-def _lottery_mixer(
-    table: dict, alpha: Fraction, held: dict | None = None
-) -> Callable[[Lottery, Lottery], Lottery]:
-    """The lottery mixer at the checked weight *alpha* that builds each pair ``(x, y)``
-    once, by `_mix_lotteries` with *held*, and keeps it in *table* under ``(x, y)``."""
-
-    def mix(x: Lottery, y: Lottery) -> Lottery:
-        lottery = table.get((x, y))
-        if lottery is None:
-            lottery = table[x, y] = _mix_lotteries(x, y, alpha, held)
-        return lottery
-
-    return mix
-
-
 def mix_acts(f: Act, g: Act, alpha: RationalLike) -> Act:
     """Statewise lottery mixture of two acts over the same states."""
     _members((f, g), Act)
-    return _mix_acts(f, g, _lottery_mixer({}, unit_weight(alpha, "mixture weight")))
+    return _mix_acts(f, g, unit_weight(alpha, "mixture weight"), {})
 
 
-def _mix_acts(f: Act, g: Act, mix: Callable[[Lottery, Lottery], Lottery]) -> Act:
-    """The act paying ``mix(x, y)`` in each state where *f* pays ``x`` and *g* pays ``y``.
+def _mix_acts(f: Act, g: Act, alpha: Fraction, table: dict, held: dict | None = None) -> Act:
+    """The act paying ``alpha x + (1 - alpha) y`` where *f* pays ``x`` and *g* pays ``y``.
 
-    Both acts' outcomes are canonical, sorted by state, so the acts cover the
-    same states iff their state sequences are equal, one zip pairs their
-    lotteries state by state, and the mixed pairs are canonical as built.
+    Each lottery pair ``(x, y)`` is mixed once, by `_mix_lotteries` with *held*,
+    and kept in *table* under ``(x, y)``.  Both acts' outcomes are canonical,
+    sorted by state, so the acts cover the same states iff their state
+    sequences are equal, one zip pairs their lotteries state by state, and the
+    mixed pairs are canonical as built.
     """
     if f.states != g.states:
         raise ValidationError("cannot mix acts defined over different state spaces")
-    return Act._of_outcomes(
-        tuple([(state, mix(x, y)) for (state, x), (_, y) in zip(f.outcomes, g.outcomes)])
-    )
+    outcomes = []
+    for (state, x), (_, y) in zip(f.outcomes, g.outcomes):
+        lottery = table.get((x, y))
+        if lottery is None:
+            lottery = table[x, y] = _mix_lotteries(x, y, alpha, held)
+        outcomes.append((state, lottery))
+    return Act._of_outcomes(tuple(outcomes))
 
 
 def mix_menus(F: Menu, G: Menu, alpha: RationalLike) -> Menu:
     """The menu ``alpha F + (1 - alpha) G``: all pairwise act mixtures, deduplicated."""
     _members((F, G), Menu)
-    mix = _lottery_mixer({}, unit_weight(alpha, "mixture weight"))
-    return Menu(tuple(_mix_acts(f, g, mix) for f in F for g in G))
+    alpha, table = unit_weight(alpha, "mixture weight"), {}
+    return Menu(tuple(_mix_acts(f, g, alpha, table) for f in F for g in G))
 
 
 def randomize(F: Menu, betas: Sequence[RationalLike]) -> Menu:

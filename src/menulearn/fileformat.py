@@ -56,6 +56,7 @@ from .core import (
     Lottery,
     Menu,
     Posterior,
+    _members,
     _rational,
     _validate_states,
     validate_lottery,
@@ -337,6 +338,7 @@ def _structure_names(workspace: Workspace, credal: CredalSet, owner: str) -> lis
 
 def dump_document(workspace: Workspace) -> dict:
     """Serialize a workspace back to the document schema (exact rationals)."""
+    _members((workspace,), Workspace)
     inst = workspace.instance
     document: dict = {
         "states": list(inst.states),

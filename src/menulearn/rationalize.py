@@ -12,6 +12,7 @@ that is robust to small perturbations of the data.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -163,6 +164,7 @@ def rationalized_value(
     inst: Instance,
 ) -> Value:
     """Score a menu by the policy's blend of its two scenario aggregates."""
+    _members((policy,), AlphaPolicy)
     return policy.blend(F, scenario_band(F, coll, inst))
 
 
@@ -231,6 +233,7 @@ def utility_grid_lotteries(inst: Instance, steps: int = 8) -> list[Lottery]:
     grid spans from the worst to the best prize utility in ``steps`` equal
     increments.
     """
+    _members((inst,), Instance)
     if not isinstance(steps, int) or isinstance(steps, bool):
         raise ValidationError(f"steps must be an int, got {steps!r}")
     if steps < 1:
@@ -266,32 +269,37 @@ def check_consistency(
       over lottery y, the score of their constant menus agrees.
     * robustly strict consistency: whenever some grid lottery x separates
       two menus robustly (F above x above G), the score must put F
-      strictly above G.
+      strictly above G.  A constant menu is worth ``u(x)`` at every
+      structure, so ``robust_strict(F, x)`` iff ``u(x) < band_low(F)`` and
+      ``robust_strict(x, G)`` iff ``u(x) > band_high(G)``: this is decided on
+      the bands of the corpus, built in one pass (`_bands`) that raises on a
+      menu it cannot evaluate.
 
     The lottery grid is a sound partial check: it can miss separating
     outcomes but never reports a spurious failure.  Each entry of *corpus*
     must be a `Menu` and each of *lotteries* a `Lottery`.  The score is
     read only on the pairs where a condition's antecedent fires.
     """
+    _members((comparator,), Criterion)
     corpus, lotteries = _members(corpus, Menu), _members(lotteries, Lottery)
     inst = comparator.instance
-    coll = comparator.collection
     constant_menus = [constant_menu(inst, x) for x in lotteries]
     utility = {xm: inst.lottery_utility(x) for xm, x in zip(constant_menus, lotteries)}
     pairs = list(itertools.permutations(constant_menus, 2))
-    distinct = [(F, G) for F in corpus for G in corpus if F != G]
     ranked = (
         (p, (xm, ym), value_of(xm) >= value_of(ym))
         for p, (xm, ym) in enumerate(pairs)
         if utility[xm] >= utility[ym]
     )
+    bands = _bands(corpus, comparator.collection, inst)
+    cuts = sorted(utility.values())
+    below = [bisect_left(cuts, band.low) for band in bands]
+    upto = [bisect_right(cuts, band.high) for band in bands]
+    distinct = [(i, j) for i, F in enumerate(corpus) for j, G in enumerate(corpus) if F != G]
     separated = (
-        (p, (F, G), value_of(F) > value_of(G))
-        for p, (F, G) in enumerate(distinct)
-        if any(
-            robust_strict(F, xm, coll, inst) and robust_strict(xm, G, coll, inst)
-            for xm in constant_menus
-        )
+        (p, (corpus[i], corpus[j]), value_of(corpus[i]) > value_of(corpus[j]))
+        for p, (i, j) in enumerate(distinct)
+        if upto[j] < below[i]
     )
     return ConsistencyReport(
         CheckReport("lottery_consistency", *_scan(ranked, len(pairs))),

@@ -201,6 +201,25 @@ MUTANTS = (
         ("tests/test_rationalize.py::TestConsistency::test_reports_match_reference",),
     ),
     Mutant(
+        "band high end counted with bisect_left",
+        "rationalize.py",
+        "    upto = [bisect_right(cuts, band.high) for band in bands]\n",
+        "    upto = [bisect_left(cuts, band.high) for band in bands]\n",
+        (
+            "tests/test_rationalize.py::TestConsistency::test_grid_lottery_tied_with_a_band_end_does_not_separate",
+        ),
+    ),
+    Mutant(
+        "separation test with the pair's roles swapped",
+        "rationalize.py",
+        "        if upto[j] < below[i]\n",
+        "        if upto[i] < below[j]\n",
+        (
+            "tests/test_rationalize.py::TestConsistency::test_grid_lottery_tied_with_a_band_end_does_not_separate",
+            "tests/test_rationalize.py::TestConsistency::test_reports_match_reference",
+        ),
+    ),
+    Mutant(
         "lottery table keyed without the string-only guard",
         "fileformat.py",
         "        if type(lottery_data) is dict and all(type(raw) is str for raw in lottery_data.values()):\n",

@@ -14,20 +14,28 @@ from menulearn import (
     DimensionMismatchError,
     HmlComparator,
     InfoStructure,
+    Instance,
     JmlComparator,
     Lottery,
     Menu,
     Posterior,
     ValidationError,
+    alpha_maxmin_collection,
     audit,
     check_consistency,
     check_less_inconsistent,
     check_less_negative_inconsistent,
     check_more_decisive,
     check_more_strict_decisive,
+    collection_maxmin_gap,
     combine_structures,
+    constant_act,
+    constant_menu,
     credal_subset,
+    cross_audit,
+    dump_document,
     rationalized_value,
+    robust_strict,
     solve_convex_combination,
     utility_grid_lotteries,
 )
@@ -452,3 +460,81 @@ class TestTypedCorpora:
                 run(entries)
             assert str(info.value) == f"expected a {kind.__name__}, got {stray!r}"
         run([valid, valid])
+
+
+def typed_entry_points(example):
+    """Each public entry point that takes one domain object, by name: the type that
+    argument must have and a call passing a given value in its place."""
+    inst, both = example.instance, example.credal_set("both")
+    coll, f = example.collection("split"), example.menu("f")
+    bml, cautious = BmlComparator(inst, both), AlphaPolicy.cautious()
+    x = Lottery.degenerate(inst.best_prize())
+    return {
+        "collection_maxmin_gap": ("Collection", lambda v: collection_maxmin_gap(f, f, v, inst)),
+        "robust_strict": ("Collection", lambda v: robust_strict(f, f, v, inst)),
+        "utility_grid_lotteries": ("Instance", lambda v: utility_grid_lotteries(v)),
+        "check_consistency": ("Criterion", lambda v: check_consistency(len, v, [f], [x])),
+        "credal_subset": ("Instance", lambda v: credal_subset(both, both, instance=v)),
+        "more_decisive_first": ("Criterion", lambda v: check_more_decisive(v, bml, [f])),
+        "more_strict_decisive_second": (
+            "Criterion",
+            lambda v: check_more_strict_decisive(bml, v, [f]),
+        ),
+        "less_inconsistent_first": ("Criterion", lambda v: check_less_inconsistent(v, bml, [f])),
+        "less_negative_inconsistent_second": (
+            "Criterion",
+            lambda v: check_less_negative_inconsistent(bml, v, [f]),
+        ),
+        "constant_act": ("Instance", lambda v: constant_act(v, x)),
+        "constant_menu": ("Instance", lambda v: constant_menu(v, x)),
+        "cross_audit": ("Instance", lambda v: cross_audit(v)),
+        "dump_document": ("Workspace", lambda v: dump_document(v)),
+        "alpha_maxmin_collection": (
+            "CredalSet",
+            lambda v: alpha_maxmin_collection(v, Fraction(1, 2)),
+        ),
+        "rationalized_value": ("AlphaPolicy", lambda v: rationalized_value(f, coll, v, inst)),
+        "instance_states": (
+            "sequence of labels",
+            lambda v: Instance(states=v, prizes=("a", "b"), utility={"a": 0, "b": 1}),
+        ),
+        "instance_prizes": (
+            "sequence of labels",
+            lambda v: Instance(states=("s",), prizes=v, utility={"a": 0, "b": 1}),
+        ),
+    }
+
+
+class TestTypedEntryPoints:
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "collection_maxmin_gap",
+            "robust_strict",
+            "utility_grid_lotteries",
+            "check_consistency",
+            "credal_subset",
+            "more_decisive_first",
+            "more_strict_decisive_second",
+            "less_inconsistent_first",
+            "less_negative_inconsistent_second",
+            "constant_act",
+            "constant_menu",
+            "cross_audit",
+            "dump_document",
+            "alpha_maxmin_collection",
+            "rationalized_value",
+            "instance_states",
+            "instance_prizes",
+        ],
+    )
+    def test_argument_of_the_wrong_type_is_named(self, example1, entry):
+        # The wrong argument is named with the type it must have, not reported
+        # as a bare AttributeError, as another type, or (a string of labels)
+        # split into one-character labels.
+        kind, run = typed_entry_points(example1)[entry]
+        article = "an" if kind[0] in "AEIOU" else "a"
+        stray = "s1s2"
+        with pytest.raises(TypeError) as info:
+            run(stray)
+        assert str(info.value) == f"expected {article} {kind}, got {stray!r}"

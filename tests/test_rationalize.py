@@ -29,6 +29,7 @@ from menulearn import (
     utility_grid_lotteries,
     Verdict,
 )
+from menulearn import criteria, rationalize
 from menulearn.audit import random_collection, random_instance, random_lottery, random_menu
 
 import reference_evaluation as ref
@@ -320,6 +321,63 @@ class TestConsistency:
         assert expected <= statuses
         if score == "correct":
             assert {status for _, status in statuses} <= {"pass", "vacuous"}
+
+    def test_strict_antecedent_is_decided_on_the_bands(self, monkeypatch):
+        # No pairwise robust_strict or gap evaluation: the report, equal to the
+        # reference's, comes from one band pass over the corpus.
+        calls = []
+        for module, name in (
+            (rationalize, "robust_strict"),
+            (rationalize, "collection_maxmin_gap"),
+            (criteria, "collection_maxmin_gap"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        reports = []
+        for seed in range(10):
+            rng = random.Random(700 + seed)
+            inst = random_instance(rng)
+            coll = random_collection(rng, inst)
+            corpus = [random_menu(rng, inst) for _ in range(6)]
+            lotteries = utility_grid_lotteries(inst, steps=4)
+            value_of = partial(
+                rationalized_value, coll=coll, policy=AlphaPolicy.cautious(), inst=inst
+            )
+            comparator = HmlComparator(inst, coll)
+            report = check_consistency(value_of, comparator, corpus, lotteries)
+            reports.append((report, (value_of, comparator, corpus, lotteries)))
+        assert calls == []
+        monkeypatch.undo()
+        for report, args in reports:
+            assert report == reference_check_consistency(*args)
+        assert any(report.robust_strict_consistency.antecedents for report, _ in reports)
+
+    @pytest.mark.parametrize("score", sorted(SCORES))
+    def test_grid_lottery_tied_with_a_band_end_does_not_separate(self, example1, score):
+        # The best and worst constant menus are point bands at the grid's two
+        # ends.  A lottery equal to either end separates nothing, so the
+        # steps=1 grid fires no pair; the steps=2 midpoint separates best
+        # from worst, and only in that order.
+        inst = example1.instance
+        coll = example1.collection("split")
+        best = constant_menu(inst, Lottery.degenerate(inst.best_prize()))
+        worst = constant_menu(inst, Lottery.degenerate(inst.worst_prize()))
+        value_of = SCORES[score](
+            partial(rationalized_value, coll=coll, policy=AlphaPolicy.cautious(), inst=inst)
+        )
+        comparator = HmlComparator(inst, coll)
+        separated = ("pass", None) if score == "correct" else ("fail", (best, worst))
+        for steps, expected in ((1, ("vacuous", None, 0)), (2, (*separated, 1))):
+            grid = utility_grid_lotteries(inst, steps=steps)
+            check = check_consistency(value_of, comparator, [worst, best], grid)
+            strict = check.robust_strict_consistency
+            assert (strict.status, strict.witness, strict.antecedents) == expected
+            assert strict.tuples_checked == 2
 
     def test_lottery_consistency_always_passes(self, example1, split_collection):
         inst = example1.instance
