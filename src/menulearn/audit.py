@@ -5,8 +5,8 @@ tuples of the axiom's arity (mixtures drawn from a rational grid), and
 reports pass / fail / vacuous per axiom, or truncated when the cap on fired
 tuples stopped the check.  Each axiom is defined once, by the fired rule of
 its entry in the spec table `_SPECS`, and decided on bitset relations over
-the corpus, so only the tuples where its antecedent fires are visited, at
-their positions in the plain enumeration, whose counts the report keeps.
+the corpus, each row of the plain enumeration as one mask of fired tuples
+and one of holding consequents, whose positions and counts the report keeps.
 An audit call decides the weak relation over the corpus once, for every
 axiom.  The mixing axioms each read one relation per weight over all the
 menus mixed from two corpus menus; dominance and ex-post randomization
@@ -46,11 +46,13 @@ from .core import (
     as_fraction,
     constant_menu,
 )
-from .comparative import _bits, _pair_position, _scan, _strict
+from .comparative import _drop, _pair_rows, _scan, _strict
 from .comparative import STATUS_FAIL, STATUS_PASS, STATUS_TRUNCATED, STATUS_VACUOUS
 from .criteria import BmlComparator, Criterion, HmlComparator, JmlComparator
 from .errors import BadWeightError, ValidationError
 from .evaluation import (
+    _bits,
+    _converse,
     _dominance_relation,
     _mix_acts,
     _randomize,
@@ -338,11 +340,12 @@ def generate_corpus(inst: Instance, config: AuditConfig) -> list[Menu]:
 class _Spec(NamedTuple):
     """One axiom, defined once by its ``fired(cmp, corpus, up, weights)``: the
     number of candidates, each menu tuple with each ``(alpha, betas)`` of
-    ``weights(config)``, and the candidates whose antecedent fires, decided
-    on bitset relations, as ``(position, (menus, alpha, betas), holds)``
-    triples for `_scan`.  *up* is ``cmp._relation(corpus)``, which the caller
-    decides once for all its rules.  The same rule, run over a failure's
-    menus alone, shrinks it (see `_shrink_counterexample`)."""
+    ``weights(config)``, and the `_scan` rows ``(offset, fired, holds, item_of)``
+    that decide them on bitset relations: bit ``b`` is the candidate at position
+    ``offset + b``, fired or holding as the masks say, and ``item_of(b)`` is its
+    ``(menus, alpha, betas)``.  *up* is ``cmp._relation(corpus)``, decided once
+    by the caller for all its rules.  The same rule, run over a failure's menus
+    alone, shrinks it (see `_shrink_counterexample`)."""
 
     fired: Callable[..., tuple[int, Iterable[tuple]]]
     weights: Callable[[AuditConfig], list[tuple]] = lambda config: [(None, None)]
@@ -356,26 +359,30 @@ def _randomizations(config: AuditConfig) -> list[tuple]:
     return [(None, (a, 1 - a)) for a in config.alpha_grid] + [(None, (Fraction(1, 3),) * 3)]
 
 
+def _item(corpus, *positions):
+    """The candidate of the corpus menus at *positions*, with no weight."""
+    return tuple(corpus[k] for k in positions), None, None
+
+
 def _strictly_ranked(cmp, corpus, up, weights):
-    """Nontriviality's fired pairs: the strictly ranked ones, each yielded as
-    a "violation", which `audit` reads as the witness."""
-    n, strict = len(corpus), _strict(up)
-    return n * (n - 1), (
-        (_pair_position(i, j, n), ((F, corpus[j]), None, None), False)
-        for i, F in enumerate(corpus)
-        for j in _bits(strict[i])
-    )
+    """Nontriviality's fired pairs: the strictly ranked ones, each a "violation",
+    of which `audit` reads the first as the witness."""
+    n = len(corpus)
+    return n * (n - 1), _pair_rows(_strict(up), [0] * n, partial(_item, corpus))
 
 
 def _ranked_pairs(only_lotteries, cmp, corpus, up, weights):
     """Completeness's candidates, the unordered pairs (of one-act constant menus, which
-    a shrink leaves as they are, with *only_lotteries*): each holds iff ranked either way."""
-    fires = [not only_lotteries or len(m) == 1 and m.acts[0].is_constant() for m in corpus]
-    pairs = enumerate(itertools.combinations(range(len(corpus)), 2))
-    return len(corpus) * (len(corpus) - 1) // 2, (
-        (p, ((corpus[i], corpus[j]), None, None), (up[i] >> j | up[j] >> i) & 1)
-        for p, (i, j) in pairs
-        if fires[i] and fires[j]
+    a shrink leaves as they are, with *only_lotteries*): each holds iff ranked either way.
+    Row i holds the pairs (i, j), j > i, as ``itertools.combinations`` places them."""
+    n, either = len(corpus), [a | b for a, b in zip(up, _converse(up))]
+    fires = sum(1 << i for i, m in enumerate(corpus)
+                if not only_lotteries or len(m) == 1 and m.acts[0].is_constant())
+    return n * (n - 1) // 2, (
+        (i * (2 * n - i - 1) // 2, fires >> i + 1, either[i] >> i + 1,
+         lambda b, i=i: _item(corpus, i, i + 1 + b))
+        for i in range(n)
+        if fires >> i & 1
     )
 
 
@@ -383,10 +390,9 @@ def _chains(cmp, corpus, up, weights):
     """Transitivity's fired triples: G after F and H after G in the weak relation."""
     n = len(corpus)
     return n**3, (
-        ((i * n + j) * n + k, ((corpus[i], corpus[j], corpus[k]), None, None), up[i] >> k & 1)
+        ((i * n + j) * n, up[j], up[i], partial(_item, corpus, i, j))
         for i in range(n)
         for j in _bits(up[i])
-        for k in _bits(up[j])
     )
 
 
@@ -394,27 +400,23 @@ def _unambiguous_chains(cmp, corpus, up, weights):
     """Unambiguous transitivity's fired triples: one link is dominance, the other preference."""
     n, dom = len(corpus), _dominance_relation(corpus, cmp.instance, False)
     return n**3, (
-        ((i * n + j) * n + k, ((corpus[i], corpus[j], corpus[k]), None, None), up[i] >> k & 1)
+        ((i * n + j) * n, up[j] & -(dom[i] >> j & 1) | dom[j] & -(up[i] >> j & 1), up[i],
+         partial(_item, corpus, i, j))
         for i in range(n)
-        for j in range(n)
-        for k in _bits((up[j] if dom[i] >> j & 1 else 0) | (dom[j] if up[i] >> j & 1 else 0))
+        for j in _bits(up[i] | dom[i])
     )
 
 
 def _diagonal(cmp, corpus, up, weights):
     """Reflexivity's candidates, every corpus menu: each holds iff weakly preferred to itself."""
-    return len(corpus), ((i, ((F,), None, None), up[i] >> i & 1) for i, F in enumerate(corpus))
+    n = len(corpus)
+    return n, [(0, (1 << n) - 1, sum(up[i] & 1 << i for i in range(n)), partial(_item, corpus))]
 
 
 def _subsets(cmp, corpus, up, weights):
     """Preference for flexibility's fired pairs, G a subset of F: F must be weakly preferred."""
-    n = len(corpus)
-    return n * (n - 1), (
-        (_pair_position(i, j, n), ((F, G), None, None), up[i] >> j & 1)
-        for i, F in enumerate(corpus)
-        for j, G in enumerate(corpus)
-        if j != i and G.issubset(F)
-    )
+    subsets = [sum(1 << j for j, G in enumerate(corpus) if G.issubset(F)) for F in corpus]
+    return len(corpus) * (len(corpus) - 1), _pair_rows(subsets, up, partial(_item, corpus))
 
 
 #: Candidate pairs decided by one relation in `_indifferent_pairs`: enough for
@@ -440,7 +442,8 @@ def _indifferent_pairs(cmp, pairs):
 def _dominated_singletons(cmp, corpus, up, weights):
     """Dominance's fired pairs ``(F, {g})``, F a corpus menu that dominates the act g, at
     their positions among all such pairs; one interned singleton per act, in first-seen
-    order.  Each consequent, ``F ~ F ∪ {g}``, is read from `_indifferent_pairs`."""
+    order.  Each consequent, ``F ~ F ∪ {g}``, is read from `_indifferent_pairs`, a row per
+    pair."""
     inst = cmp.instance
     acts = dict.fromkeys(act for menu in corpus for act in menu)
     singletons = [inst._intern(Menu((act,))) for act in acts]
@@ -449,63 +452,89 @@ def _dominated_singletons(cmp, corpus, up, weights):
     fired = [(i, k) for i in range(n) for k in _bits(dom[i] >> n)]
     unions = ((corpus[i], inst._intern(corpus[i].union(singletons[k]))) for i, k in fired)
     return n * s, (
-        (i * s + k, ((corpus[i], singletons[k]), None, None), holds)
+        (i * s + k, 1, holds, lambda _, pair=(corpus[i], singletons[k]): (pair, None, None))
         for (i, k), holds in zip(fired, _indifferent_pairs(cmp, unions))
     )
 
 
 def _mixed_relation(cmp, corpus, alpha):
     """Weak preference over every mixture of two corpus menus at weight *alpha*, the one
-    relation per weight that both mixing axioms read: ``mix(corpus[i], corpus[k])`` is
-    at position ``i * n + k``."""
+    relation per weight that both mixing axioms read: ``mix(corpus[i], corpus[k])`` is at
+    position ``i * n + k``, so in block (i, j), bit ``j * n + m`` of entry ``i * n + k``
+    compares ``mix(corpus[i], corpus[k])`` with ``mix(corpus[j], corpus[m])``."""
     return cmp._relation([_mixed(cmp.instance, F, H, alpha) for F in corpus for H in corpus])
+
+
+def _interleave(masks: list[int]) -> int:
+    """One row of the masks of every weight, the weight varying fastest: bit q of
+    ``masks[a]`` at bit ``q * w + a``, for the ``w = len(masks)`` weights."""
+    w = len(masks)
+    spread = ("0" * w, "0" * (w - 1) + "1")
+    return sum(int(format(mask, "b").replace("0", spread[0]).replace("1", spread[1]), 2) << a
+               for a, mask in enumerate(masks))
 
 
 def _mixed_relations(cmp, corpus, up, weights):
     """Independence's candidates, each unordered pair (F, G) with each H and weight: it
-    holds iff mix(F, H) and mix(G, H) are ranked as F and G are, both ways."""
+    holds iff mix(F, H) and mix(G, H) are ranked as F and G are, both ways.  A row per
+    pair, bit ``k * w + a`` for H = corpus[k] at weight a, read off the diagonals of the
+    (F, G) and (G, F) blocks: entry i of ``diagonals`` has bit ``j * n + k`` of entry
+    ``i * n + k`` of the weight's mixed relation."""
     n, w = len(corpus), len(weights)
-    mixed = [_mixed_relation(cmp, corpus, alpha) for alpha, _ in weights]
+    full, stride = (1 << n) - 1, sum(1 << j * n for j in range(n))
+    diagonals = [
+        [sum(mix[i * n + k] & stride << k for k in range(n)) for i in range(n)]
+        for mix in (_mixed_relation(cmp, corpus, alpha) for alpha, _ in weights)
+    ]
 
-    def fired():
-        tuples = itertools.product(itertools.combinations(range(n), 2), range(n), range(w))
-        for position, ((i, j), k, a) in enumerate(tuples):
-            mix, left, right = mixed[a], i * n + k, j * n + k
-            holds = not (up[i] >> j ^ mix[left] >> right | up[j] >> i ^ mix[right] >> left) & 1
-            yield position, ((corpus[i], corpus[j], corpus[k]), *weights[a]), holds
+    def rows():
+        for c, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+            forward, backward = -(up[i] >> j & 1), -(up[j] >> i & 1)
+            kept = [~(d[i] >> j * n ^ forward | d[j] >> i * n ^ backward) & full for d in diagonals]
+            item_of = lambda b, F=corpus[i], G=corpus[j]: ((F, G, corpus[b // w]), *weights[b % w])
+            yield c * n * w, (1 << n * w) - 1, _interleave(kept), item_of
 
-    return n * (n - 1) // 2 * n * w, fired()
+    return n * (n - 1) // 2 * n * w, rows()
 
 
 def _randomized(cmp, corpus, up, weights):
     """Ex-post randomization's candidates, every corpus menu with every weight list.  Each
-    consequent, ``spread ~ F``, is read from `_indifferent_pairs`."""
+    consequent, ``spread ~ F``, is read from `_indifferent_pairs`, a row per candidate."""
     mix, tuples = partial(_mixed, cmp.instance), list(itertools.product(corpus, weights))
     spreads = ((F, _randomize(F, betas, mix)) for F, (_, betas) in tuples)
     return len(tuples), (
-        (p, ((F,), *weight), holds)
+        (p, 1, holds, lambda _, F=F, weight=weight: ((F,), *weight))
         for p, ((F, weight), holds) in enumerate(zip(tuples, _indifferent_pairs(cmp, spreads)))
     )
 
 
 def _strict_pairs_of_pairs(cmp, corpus, up, weights):
     """Favorable mixing monotonicity's fired candidates, two strictly ranked pairs (F, G)
-    and (H, H2) with each weight.  Two bits of the weight's relation over the corpus
-    mixtures decide mix(F, H) > mix(G, H2)."""
+    and (H, H2) with each weight: mix(F, H) must beat mix(G, H2).  A row per ranked (F, G),
+    bit ``q * w + a`` for the q-th ordered pair (H, H2) at weight a: ``>=`` is read off the
+    weight's (F, G) block and ``<=`` off its (G, F) block, transposed at ranked (H, H2) only."""
     n, w, strict = len(corpus), len(weights), _strict(up)
-    ranked = [(_pair_position(i, j, n), i, j) for i in range(n) for j in _bits(strict[i])]
-    pairs, mixed = n * (n - 1), [_mixed_relation(cmp, corpus, alpha) for alpha, _ in weights]
+    pairs, full, below = n * (n - 1), (1 << n) - 1, _converse(strict)
+    mixed = [_mixed_relation(cmp, corpus, alpha) for alpha, _ in weights]
 
-    def fired():
-        for p, i, j in ranked:
-            for q, k, m in ranked:
-                menus = (corpus[i], corpus[j], corpus[k], corpus[m])
-                left, right = i * n + k, j * n + m
-                for a, mix in enumerate(mixed):
-                    holds = mix[left] >> right & 1 and not mix[right] >> left & 1
-                    yield (p * pairs + q) * w + a, (menus, *weights[a]), holds
+    def flat(masks):  # bit m of masks[k] at the position of the ordered pair (k, m)
+        return sum(_drop(mask, k) << k * (n - 1) for k, mask in enumerate(masks))
 
-    return pairs * pairs * w, fired()
+    def beats(mix, i, j):
+        no_better = _converse([mix[j * n + m] >> i * n & below[m] for m in range(n)])
+        return flat([mix[i * n + k] >> j * n & full & ~no_better[k] for k in range(n)])
+
+    def item_of(i, j, b):
+        (k, m), a = divmod(b // w, n - 1), b % w
+        return (corpus[i], corpus[j], corpus[k], corpus[m + (m >= k)]), *weights[a]
+
+    fired = _interleave([flat(strict)] * w)
+    return pairs * pairs * w, (
+        ((i * (n - 1) + j - (j > i)) * pairs * w, fired,
+         _interleave([beats(mix, i, j) for mix in mixed]), partial(item_of, i, j))
+        for i in range(n)
+        for j in _bits(strict[i])
+    )
 
 
 #: The one definition of each selectable axiom, in `Axiom` order.
@@ -572,8 +601,9 @@ def _shrink_counterexample(
 
     def still_violated(candidate: tuple[Menu, ...]) -> bool:
         witness = (candidate, alpha, betas)
-        _, items = fired(cmp, candidate, cmp._relation(candidate), [(alpha, betas)])
-        return any(item == witness and not holds for _, item, holds in items)
+        _, rows = fired(cmp, candidate, cmp._relation(candidate), [(alpha, betas)])
+        violated = (item_of(b) for _, fires, holds, item_of in rows for b in _bits(fires & ~holds))
+        return witness in violated
 
     while True:
         smaller = (

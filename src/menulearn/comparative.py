@@ -11,24 +11,25 @@ searched, never asserted.
 Nestedness itself is decided exactly: information structures embed as
 rational vectors indexed by the union of support posteriors, and hull
 membership reduces to feasibility of an equality-constrained nonnegative
-combination, solved by a phase-one simplex over Fractions.
+combination, solved by a fraction-free phase-one simplex over integer rows.
 
 Each check decides the relations it reads on the corpus once per call, as
 one Python-int bitset per corpus position: weak preference from
 `Criterion._relation`, strict preference as its asymmetric part, strict
-statewise dominance from `_dominance_relation`.  Only the tuples whose
-antecedent fires are visited, at their positions in the plain enumeration
-(ordered pairs, or dominance-filtered triples), and `_scan` reports the
-first witness and the counts that enumeration would.  `_scan` is the one
-scan of an implication over tuples: the audit's axioms and the consistency
-checks of `rationalize` run through it too.  A corpus entry that is not a
-`Menu` is a TypeError.
+statewise dominance from `_dominance_relation`.  Each row of the plain
+enumeration (ordered pairs, or dominance-filtered triples) is one mask of
+fired tuples and one of holding consequents, and `_scan` reports, from bit
+counts, the first witness and the counts that enumeration would.  `_scan` is
+the one scan of an implication over tuples: the audit's axioms and the
+consistency checks of `rationalize` run through it too.  A corpus entry that
+is not a `Menu` is a TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -44,7 +45,7 @@ from .core import (
 )
 from .criteria import Criterion
 from .errors import DimensionMismatchError
-from .evaluation import _dominance_relation
+from .evaluation import _bits, _converse, _dominance_relation
 
 
 # ---------------------------------------------------------------------------
@@ -84,69 +85,62 @@ def solve_convex_combination(
 
 
 def _phase_one(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Find x >= 0 with A x = b exactly, or None. Minimizes the artificial mass."""
+    """Find x >= 0 with A x = b exactly, or None. Minimizes the artificial mass.
+
+    Fraction-free: each row is ints over a positive scale, its basic variable's
+    coefficient, and the cost row (last) is known up to a positive factor, so each
+    sign and ratio, and the pivot sequence, are those of the rational simplex."""
     m = len(rows)
     n = len(rows[0]) if m else 0
-    # Flip rows with negative right-hand side so the artificial basis is feasible.
+    # Clear each row's denominators, flipping rows with negative right-hand side
+    # so the artificial basis is feasible.
     tableau = []
     for i in range(m):
-        row = list(rows[i])
-        b = rhs[i]
-        if b < 0:
-            row = [-a for a in row]
-            b = -b
-        tableau.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b])
+        entries = [*rows[i], rhs[i]]
+        scale = lcm(*[a.denominator for a in entries]) * (-1 if rhs[i] < 0 else 1)
+        row = [a.numerator * (scale // a.denominator) for a in entries]
+        tableau.append(row[:n] + [abs(scale) * (j == i) for j in range(m)] + row[n:])
     basis = list(range(n, n + m))
-    # Objective: minimize the sum of artificial variables.  Reduced costs are
-    # kept as the negated sum of the basic (artificial) rows.
-    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
-    for j in range(n + m + 1):
-        cost[j] = -sum(tableau[i][j] for i in range(m))
-    for j in range(n, n + m):
-        cost[j] += 1
-    while True:
-        entering = next((j for j in range(n + m) if cost[j] < 0), None)
-        if entering is None:
-            break
-        # Ratio test with Bland's tie-break on the leaving basic variable.
+    # Objective: minimize the sum of artificial variables.  Reduced costs are the
+    # negated sum of the basic (artificial) rows, each over its scale.
+    common = lcm(*[row[n + i] for i, row in enumerate(tableau)])
+    weights = [common // row[n + i] for i, row in enumerate(tableau)]
+    tableau.append([
+        common * (n <= j < n + m) - sum(w * row[j] for w, row in zip(weights, tableau))
+        for j in range(n + m + 1)
+    ])
+    while (entering := next((j for j in range(n + m) if tableau[m][j] < 0), None)) is not None:
+        # Ratio test with Bland's tie-break on the leaving basic variable.  A row's
+        # ratio, right-hand side over entering coefficient, is free of its scale.
         leaving = None
-        best_ratio = None
-        for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if best_ratio is None or ratio < best_ratio or (
-                    ratio == best_ratio and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, row in enumerate(tableau[:m]):
+            if row[entering] > 0 and (leaving is None or (row[-1] * best[entering], basis[i])
+                                      < (best[-1] * row[entering], basis[leaving])):
+                leaving, best = i, row
         if leaving is None:
             return None  # unbounded; cannot happen for this bounded system
-        _pivot(tableau, cost, leaving, entering)
+        _pivot(tableau, leaving, entering)
         basis[leaving] = entering
-    objective = -cost[-1]
-    if objective != 0:
+    if tableau[m][-1] != 0:
         return None
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            solution[var] = tableau[i][-1]
+            solution[var] = Fraction(tableau[i][-1], tableau[i][var])
         elif tableau[i][-1] != 0:
             return None  # artificial stuck in basis at positive level
     return solution
 
 
-def _pivot(tableau: list[list[Fraction]], cost: list[Fraction], row: int, col: int) -> None:
-    pivot_value = tableau[row][col]
-    tableau[row] = [a / pivot_value for a in tableau[row]]
+def _pivot(tableau: list[list[int]], row: int, col: int) -> None:
+    """Pivot on ``tableau[row][col] > 0``: each other row with an entry in *col* is
+    cross-multiplied with that row and divided by its gcd, keeping every scale positive."""
+    pivot_row = tableau[row]
     for i, r in enumerate(tableau):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            tableau[i] = [a - factor * b for a, b in zip(r, tableau[row])]
-    factor = cost[col]
-    if factor != 0:
-        for j in range(len(cost)):
-            cost[j] -= factor * tableau[row][j]
+        if i != row and r[col]:
+            r = [pivot_row[col] * a - r[col] * b for a, b in zip(r, pivot_row)]
+            divisor = gcd(*r) or 1
+            tableau[i] = [a // divisor for a in r]
 
 
 def _structure_vectors(
@@ -201,55 +195,62 @@ STATUS_PASS, STATUS_FAIL, STATUS_TRUNCATED, STATUS_VACUOUS = "pass", "fail", "tr
 
 
 def _scan(
-    fired: Iterable[tuple[int, tuple, bool]],
+    rows: Iterable[tuple[int, int, int, Callable[[int], tuple]]],
     total: int,
     max_tuples: Optional[int] = None,
 ) -> tuple[str, Optional[tuple], int, int]:
     """Decide an implication over the *total* tuples of an enumeration, stopping at the
     first violation.
 
-    *fired* yields ``(position, item, holds)`` for the tuples whose
-    antecedent fires, in increasing position, where the position counts
-    every tuple of the enumeration, and *holds* says whether the consequent
-    holds at *item*.  A tuple *fired* skips is vacuous.  Returns ``(status,
-    witness, tuples_checked, antecedents)``: status "fail" with the
+    *rows* yields ``(offset, fired, holds, item_of)`` in increasing offset, over
+    disjoint positions: bit ``b`` of the masks is the tuple at position
+    ``offset + b`` of the enumeration, set in *fired* iff its antecedent fires
+    and in *holds* iff its consequent holds; other tuples are vacuous.  Counts
+    are `int.bit_count`s, the first violation is the lowest set bit of
+    ``fired & ~holds``, and ``item_of(b)`` builds only the witness.  Returns
+    ``(status, witness, tuples_checked, antecedents)``: status "fail" with the
     violating item as witness and the tuples up to it checked; "truncated"
     when *max_tuples* antecedents were decided and another fired, with the
     tuples before that one checked; otherwise "pass", or "vacuous" when
     nothing fired.
     """
     antecedents = 0
-    for position, item, holds in fired:
-        if antecedents == max_tuples:
-            return STATUS_TRUNCATED, None, position, antecedents
-        antecedents += 1
-        if not holds:
-            return STATUS_FAIL, item, position + 1, antecedents
+    for offset, fired, holds, item_of in rows:
+        count = fired.bit_count()
+        room = count if max_tuples is None else max_tuples - antecedents
+        violated = fired & ~holds
+        if violated:
+            low = (violated & -violated).bit_length() - 1
+            before = (fired & (1 << low) - 1).bit_count()
+            if before < room:
+                return STATUS_FAIL, item_of(low), offset + low + 1, antecedents + before + 1
+        if count > room:
+            for _ in range(room):
+                fired &= fired - 1
+            return STATUS_TRUNCATED, None, offset + (fired & -fired).bit_length() - 1, max_tuples
+        antecedents += count
     return (STATUS_PASS if antecedents else STATUS_VACUOUS), None, total, antecedents
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of *mask*, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _drop(mask: int, i: int) -> int:
+    """*mask* without bit *i*, the bits above it moved down one: a row of ordered pairs
+    ``(i, j)``, ``j != i``, at their positions in ``itertools.permutations``."""
+    return mask & (1 << i) - 1 | mask >> (i + 1) << i
 
 
-def _converse(relation: Sequence[int]) -> list[int]:
-    """The converse of a bitset relation: bit j of entry i is set iff bit i of entry j is."""
-    n = len(relation)
-    return [sum(1 << j for j in range(n) if relation[j] >> i & 1) for i in range(n)]
+def _pair_rows(fires: Sequence[int], holds: Sequence[int], pair: Callable) -> Iterator[tuple]:
+    """The `_scan` rows of the ordered pairs (i, j) of distinct positions, in
+    ``itertools.permutations`` order: row i, at ``i * (n - 1)``, is entry i of the
+    bitsets *fires* and *holds* with bit i dropped, and ``pair(i, j)`` an item."""
+    n = len(fires)
+    for i in range(n):
+        item_of = lambda b, i=i: pair(i, b + (b >= i))
+        yield i * (n - 1), _drop(fires[i], i), _drop(holds[i], i), item_of
 
 
 def _strict(weak: Sequence[int]) -> list[int]:
     """The asymmetric part of the weak relation *weak*: strict preference, as bitsets."""
     return [up & ~down for up, down in zip(weak, _converse(weak))]
-
-
-def _pair_position(i: int, j: int, n: int) -> int:
-    """The index of ``(menus[i], menus[j])`` in ``itertools.permutations(menus, 2)``."""
-    return i * (n - 1) + j - (j > i)
 
 
 @dataclass(frozen=True)
@@ -294,14 +295,9 @@ def _check_pairs(
     _members((cmp1, cmp2), Criterion)
     corpus = _members(corpus, Menu)
     n = len(corpus)
-
-    def fired():
-        fires, holds = of_weak(cmp2._relation(corpus)), of_weak(cmp1._relation(corpus))
-        for i, F in enumerate(corpus):
-            for j in _bits(fires[i] & ~(1 << i)):
-                yield _pair_position(i, j, n), (F, corpus[j]), holds[i] >> j & 1
-
-    return CheckReport(check, *_scan(fired(), total=n * (n - 1)))
+    fires, holds = of_weak(cmp2._relation(corpus)), of_weak(cmp1._relation(corpus))
+    pairs = _pair_rows(fires, holds, lambda i, j: (corpus[i], corpus[j]))
+    return CheckReport(check, *_scan(pairs, total=n * (n - 1)))
 
 
 def check_more_decisive(
@@ -342,16 +338,15 @@ def _check_triples(
         for f in _bits(dominated)
     ]
 
-    def fired():
+    def rows():
         up1, up2 = cmp1._relation(corpus), cmp2._relation(corpus)
         down1, down2 = _converse(up1), _converse(up2)
         full = (1 << n) - 1
         for rank, (h, f) in enumerate(dominating):
-            holds = pattern(up2, down2, f, h)
-            for g in _bits(pattern(up1, down1, f, h) & full):
-                yield rank * n + g, (corpus[f], corpus[g], corpus[h]), holds >> g & 1
+            item_of = lambda g, f=f, h=h: (corpus[f], corpus[g], corpus[h])
+            yield rank * n, pattern(up1, down1, f, h) & full, pattern(up2, down2, f, h), item_of
 
-    return CheckReport(check, *_scan(fired(), total=len(dominating) * n))
+    return CheckReport(check, *_scan(rows(), total=len(dominating) * n))
 
 
 def _silent(up: list[int], down: list[int], f: int, h: int) -> int:

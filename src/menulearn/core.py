@@ -548,7 +548,12 @@ class Instance(_HashOnce):
                 raise TypeError(f"expected a sequence of labels, got {labels!r}")
         states = tuple(self.states)
         prizes = tuple(self.prizes)
-        utility = tuple((prize, as_fraction(value)) for prize, value in _pairs(self.utility))
+        try:
+            entries = [(prize, value) for prize, value in _pairs(self.utility)]
+        except (TypeError, ValueError):
+            message = f"utility must be a prize mapping or pairs, got {self.utility!r}"
+            raise ValidationError(message) from None
+        utility = tuple((prize, as_fraction(value)) for prize, value in entries)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "prizes", prizes)
         object.__setattr__(self, "utility", utility)
@@ -640,6 +645,8 @@ def validate_instance(inst: Instance) -> None:
     if any(not isinstance(z, str) for z in inst.prizes):
         raise TypeError("prize labels must be strings")
     declared = {label for label, _ in inst.utility}
+    if len(declared) != len(inst.utility):
+        raise ValidationError("duplicate prize labels in utility")
     if declared != set(inst.prizes):
         missing = set(inst.prizes) - declared
         extra = declared - set(inst.prizes)

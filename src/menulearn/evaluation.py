@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import and_, mul, or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     Act,
@@ -270,6 +270,27 @@ def _at_most(values: Sequence[int], strict: bool = False) -> list[int]:
     return [groups[value] for value in values]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of *mask*, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _converse(relation: Sequence[int], size: int | None = None) -> list[int]:
+    """The converse of a bitset relation, walking each row's set bits: bit j of entry i
+    is set iff bit i of entry j is, for *size* entries (default ``len(relation)``)."""
+    down = [0] * (len(relation) if size is None else size)
+    for i, row in enumerate(relation):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            down[low.bit_length() - 1] |= bit
+            row ^= low
+    return down
+
+
 def _dominance_relation(menus: Sequence[Menu], inst: Instance, strict: bool) -> list[int]:
     """Statewise dominance between every ordered pair of *menus*, as one bitset per position:
     bit j of entry i is set iff ``dominates(menus[i], menus[j], inst, strict=strict)``.
@@ -277,8 +298,9 @@ def _dominance_relation(menus: Sequence[Menu], inst: Instance, strict: bool) -> 
     The distinct acts are numbered once.  In each state, one sort of their
     utilities, as integers over the acts' common denominator, gives every
     act the acts it beats there; AND-ed over the states that is the set of
-    acts it dominates.  A menu covers the union of its acts' sets and
-    dominates every menu all of whose acts it covers.
+    acts it dominates.  A menu covers the union of its acts' sets; transposed,
+    each act has the menus that cover it, and a menu is dominated by the menus
+    that cover all of its acts, whose converse is the relation.
     """
     number: dict[Act, int] = {}
     members = [[number.setdefault(act, len(number)) for act in menu] for menu in menus]
@@ -288,6 +310,5 @@ def _dominance_relation(menus: Sequence[Menu], inst: Instance, strict: bool) -> 
     for state in range(len(inst.states)):
         keys = [utils[state] * (common // den) for den, utils in vectors]
         beaten = list(map(and_, beaten, _at_most(keys, strict)))
-    owned = [sum(1 << k for k in acts) for acts in members]
-    covered = [reduce(or_, [beaten[k] for k in acts]) for acts in members]
-    return [sum(1 << j for j, own in enumerate(owned) if not own & ~cover) for cover in covered]
+    covering = _converse([reduce(or_, [beaten[k] for k in acts]) for acts in members], len(vectors))
+    return _converse([reduce(and_, [covering[k] for k in acts]) for acts in members])

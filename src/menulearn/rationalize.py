@@ -278,16 +278,21 @@ def check_consistency(
     The lottery grid is a sound partial check: it can miss separating
     outcomes but never reports a spurious failure.  Each entry of *corpus*
     must be a `Menu` and each of *lotteries* a `Lottery`.  The score is
-    read only on the pairs where a condition's antecedent fires.
+    read only on the pairs where a condition's antecedent fires, and once per
+    distinct menu.
     """
     _members((comparator,), Criterion)
     corpus, lotteries = _members(corpus, Menu), _members(lotteries, Lottery)
-    inst = comparator.instance
+    inst, scores, number = comparator.instance, {}, {}
+
+    def value(menu: Menu) -> Value:
+        return scores[menu] if menu in scores else scores.setdefault(menu, value_of(menu))
+
     constant_menus = [constant_menu(inst, x) for x in lotteries]
     utility = {xm: inst.lottery_utility(x) for xm, x in zip(constant_menus, lotteries)}
     pairs = list(itertools.permutations(constant_menus, 2))
     ranked = (
-        (p, (xm, ym), value_of(xm) >= value_of(ym))
+        (p, 1, value(xm) >= value(ym), lambda _, pair=(xm, ym): pair)
         for p, (xm, ym) in enumerate(pairs)
         if utility[xm] >= utility[ym]
     )
@@ -295,9 +300,10 @@ def check_consistency(
     cuts = sorted(utility.values())
     below = [bisect_left(cuts, band.low) for band in bands]
     upto = [bisect_right(cuts, band.high) for band in bands]
-    distinct = [(i, j) for i, F in enumerate(corpus) for j, G in enumerate(corpus) if F != G]
+    keys = [number.setdefault(menu, len(number)) for menu in corpus]  # one per distinct menu
+    distinct = [(i, j) for i, F in enumerate(keys) for j, G in enumerate(keys) if F != G]
     separated = (
-        (p, (corpus[i], corpus[j]), value_of(corpus[i]) > value_of(corpus[j]))
+        (p, 1, value(corpus[i]) > value(corpus[j]), lambda _, pair=(corpus[i], corpus[j]): pair)
         for p, (i, j) in enumerate(distinct)
         if upto[j] < below[i]
     )

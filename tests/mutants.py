@@ -130,8 +130,8 @@ MUTANTS = (
     Mutant(
         "fired dominance pairs one position late",
         "audit.py",
-        "        (i * s + k, ((corpus[i], singletons[k]), None, None), holds)\n",
-        "        (i * s + k + 1, ((corpus[i], singletons[k]), None, None), holds)\n",
+        "        (i * s + k, 1, holds, lambda _, pair=(corpus[i], singletons[k]): (pair, None, None))\n",
+        "        (i * s + k + 1, 1, holds, lambda _, pair=(corpus[i], singletons[k]): (pair, None, None))\n",
         ("tests/test_audit.py::TestReferenceAudit::test_dominance_at_every_cap",),
     ),
     Mutant(
@@ -151,36 +151,36 @@ MUTANTS = (
     Mutant(
         "independence compares only the forward bit",
         "audit.py",
-        "            holds = not (up[i] >> j ^ mix[left] >> right | up[j] >> i ^ mix[right] >> left) & 1\n",
-        "            holds = not (up[i] >> j ^ mix[left] >> right) & 1\n",
+        "            kept = [~(d[i] >> j * n ^ forward | d[j] >> i * n ^ backward) & full for d in diagonals]\n",
+        "            kept = [~(d[i] >> j * n ^ forward) & full for d in diagonals]\n",
         ("tests/test_audit.py::TestReferenceAudit::test_independence_reads_the_mixtures_at_each_weight",),
     ),
     Mutant(
         "independence reads the first weight's mixed relation for every weight",
         "audit.py",
-        "            mix, left, right = mixed[a], i * n + k, j * n + k\n",
-        "            mix, left, right = mixed[0], i * n + k, j * n + k\n",
+        "            kept = [~(d[i] >> j * n ^ forward | d[j] >> i * n ^ backward) & full for d in diagonals]\n",
+        "            kept = [~(d[i] >> j * n ^ forward | d[j] >> i * n ^ backward) & full for d in diagonals[:1] * w]\n",
         ("tests/test_audit.py::TestReferenceAudit::test_independence_reads_the_mixtures_at_each_weight",),
     ),
     Mutant(
         "mixed relation read at a transposed position",
         "audit.py",
-        "            mix, left, right = mixed[a], i * n + k, j * n + k\n",
-        "            mix, left, right = mixed[a], k * n + i, j * n + k\n",
+        "mix[i * n + k] & stride << k for k in range(n)",
+        "mix[k * n + i] & stride << k for k in range(n)",
         ("tests/test_audit.py::TestReferenceAudit::test_seeded_criteria",),
     ),
     Mutant(
         "FMM consequent reads weak, not strict, preference",
         "audit.py",
-        "                    holds = mix[left] >> right & 1 and not mix[right] >> left & 1\n",
-        "                    holds = mix[left] >> right & 1\n",
+        "        return flat([mix[i * n + k] >> j * n & full & ~no_better[k] for k in range(n)])\n",
+        "        return flat([mix[i * n + k] >> j * n & full for k in range(n)])\n",
         ("tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",),
     ),
     Mutant(
         "shrink accepts a violation at any tuple of the witness menus",
         "audit.py",
-        "        return any(item == witness and not holds for _, item, holds in items)\n",
-        "        return any(not holds for _, item, holds in items)\n",
+        "        return witness in violated\n",
+        "        return next(violated, None) is not None\n",
         (
             "tests/test_audit.py::TestReferenceAudit::test_mixing_must_keep_the_ranking_strict",
             "tests/test_audit.py::TestReferenceAudit::test_flipped_criterion_fails_every_axiom",
@@ -189,9 +189,48 @@ MUTANTS = (
     Mutant(
         "shrink reruns the rule with the unshrunk menus' relation",
         "audit.py",
-        "        _, items = fired(cmp, candidate, cmp._relation(candidate), [(alpha, betas)])\n",
-        "        _, items = fired(cmp, candidate, cmp._relation(menus), [(alpha, betas)])\n",
+        "        _, rows = fired(cmp, candidate, cmp._relation(candidate), [(alpha, betas)])\n",
+        "        _, rows = fired(cmp, candidate, cmp._relation(menus), [(alpha, betas)])\n",
         ("tests/test_audit.py::TestReferenceAudit::test_flipped_criterion_fails_every_axiom",),
+    ),
+    Mutant(
+        "pair rows with the diagonal compressed by >> i",
+        "comparative.py",
+        "    return mask & (1 << i) - 1 | mask >> (i + 1) << i\n",
+        "    return mask & (1 << i) - 1 | mask >> i << i\n",
+        (
+            "tests/test_comparative.py::TestReferenceComparative::test_swapped_roles_fail_every_check",
+            "tests/test_audit.py::TestReferenceAudit::test_flipped_criterion_fails_every_axiom",
+        ),
+    ),
+    Mutant(
+        "scan witness taken from the highest violated bit",
+        "comparative.py",
+        "            low = (violated & -violated).bit_length() - 1\n",
+        "            low = violated.bit_length() - 1\n",
+        (
+            "tests/test_comparative.py::TestMaskScan::test_cap_on_the_violation_and_on_a_row_boundary",
+            "tests/test_comparative.py::TestMaskScan::test_random_rows_and_caps",
+        ),
+    ),
+    Mutant(
+        "simplex ratio test cross-multiplied the wrong way round",
+        "comparative.py",
+        "(row[-1] * best[entering], basis[i])\n"
+        "                                      < (best[-1] * row[entering], basis[leaving])",
+        "(row[-1] * row[entering], basis[i])\n"
+        "                                      < (best[-1] * best[entering], basis[leaving])",
+        ("tests/test_comparative.py::TestFractionFreeSimplex::test_convex_weights_equal_the_fraction_simplex",),
+    ),
+    Mutant(
+        "converse skips position 0",
+        "evaluation.py",
+        "    for i, row in enumerate(relation):\n",
+        "    for i, row in enumerate(relation[1:], 1):\n",
+        (
+            "tests/test_kernel.py::TestCorpusRelations::test_dominance_bits",
+            "tests/test_comparative.py::TestReferenceComparative::test_swapped_roles_fail_every_check",
+        ),
     ),
     Mutant(
         "lottery-consistency antecedent takes strict utility order",

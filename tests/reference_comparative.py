@@ -1,5 +1,7 @@
 """Reference comparative checks: the four nestedness checks and the two
-consistency conditions of a ranking as plain pair loops.
+consistency conditions of a ranking as plain pair loops, the scan of an
+implication over fired tuples one tuple at a time, and the phase-one simplex
+in `Fraction`s.
 
 `reference_*` returns the report that the matching `menulearn.check_*`
 must return: status, witness menus, tuples checked and antecedents fired.
@@ -13,6 +15,7 @@ checks it verifies.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from menulearn import (
@@ -124,3 +127,76 @@ def reference_check_consistency(
         ),
         CheckReport("robust_strict_consistency", *_scan(unequal, separated)),
     )
+
+
+def reference_scan(fired: Iterable[tuple[int, tuple, bool]], total: int, max_tuples=None):
+    """``(status, witness, tuples_checked, antecedents)`` of the fired tuples
+    ``(position, item, holds)``, in increasing position, one at a time: a fail
+    at the first violation, "truncated" at the first fired tuple after
+    *max_tuples* were decided."""
+    antecedents = 0
+    for position, item, holds in fired:
+        if antecedents == max_tuples:
+            return "truncated", None, position, antecedents
+        antecedents += 1
+        if not holds:
+            return "fail", item, position + 1, antecedents
+    return ("pass" if antecedents else "vacuous"), None, total, antecedents
+
+
+def reference_phase_one(rows: list[list[Fraction]], rhs: list[Fraction]):
+    """x >= 0 with ``rows x = rhs``, or None: the phase-one simplex with Bland's rule
+    over an artificial basis, every entry a Fraction."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    tableau = []
+    for i in range(m):
+        row = list(rows[i])
+        b = rhs[i]
+        if b < 0:
+            row = [-a for a in row]
+            b = -b
+        tableau.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b])
+    basis = list(range(n, n + m))
+    cost = [Fraction(0)] * (n + m) + [Fraction(0)]
+    for j in range(n + m + 1):
+        cost[j] = -sum(tableau[i][j] for i in range(m))
+    for j in range(n, n + m):
+        cost[j] += 1
+    while True:
+        entering = next((j for j in range(n + m) if cost[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best_ratio = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if best_ratio is None or ratio < best_ratio or (
+                    ratio == best_ratio and basis[i] < basis[leaving]
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving is None:
+            return None
+        pivot_value = tableau[leaving][entering]
+        tableau[leaving] = [a / pivot_value for a in tableau[leaving]]
+        for i, r in enumerate(tableau):
+            if i != leaving and r[entering] != 0:
+                factor = r[entering]
+                tableau[i] = [a - factor * b for a, b in zip(r, tableau[leaving])]
+        factor = cost[entering]
+        if factor != 0:
+            for j in range(len(cost)):
+                cost[j] -= factor * tableau[leaving][j]
+        basis[leaving] = entering
+    if cost[-1] != 0:
+        return None
+    solution = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            solution[var] = tableau[i][-1]
+        elif tableau[i][-1] != 0:
+            return None
+    return solution

@@ -40,6 +40,7 @@ from menulearn import (
     utility_grid_lotteries,
 )
 from menulearn.audit import AuditConfig, generate_corpus, random_credal_set, random_instance
+from menulearn.comparative import _phase_one, _scan
 
 from conftest import twin_menu
 from reference_comparative import (
@@ -47,6 +48,8 @@ from reference_comparative import (
     reference_less_negative_inconsistent,
     reference_more_decisive,
     reference_more_strict_decisive,
+    reference_phase_one,
+    reference_scan,
 )
 
 
@@ -146,6 +149,104 @@ class TestConvexCombination:
             with pytest.raises(ValidationError, match="malformed rational"):
                 solve_convex_combination([text, "1/2"], gens)
         assert solve_convex_combination(["1/10", "0.9"], gens) == (Fraction(9, 10), Fraction(1, 10))
+
+
+class TestFractionFreeSimplex:
+    """The integer tableau pivots as the Fraction simplex does, so it returns its weights."""
+
+    @staticmethod
+    def system(rng, feasible):
+        dim, n = rng.randint(1, 4), rng.randint(1, 5)
+        entry = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        gens = [[entry() for _ in range(dim)] for _ in range(n)]
+        if rng.random() < 0.3:
+            gens.append(list(gens[0]))  # a repeated generator: ties in the ratio test
+        if feasible:
+            raw = [rng.randint(0, 3) for _ in gens]
+            raw[rng.randrange(len(gens))] += 1
+            weights = [Fraction(r, sum(raw)) for r in raw]
+            target = [sum(w * g[i] for w, g in zip(weights, gens)) for i in range(dim)]
+        else:
+            target = [entry() for _ in range(dim)]
+        return target, gens
+
+    def test_convex_weights_equal_the_fraction_simplex(self):
+        rng = random.Random(2026)
+        infeasible = 0
+        for trial in range(600):
+            target, gens = self.system(rng, feasible=trial % 2 == 0)
+            dim = len(target)
+            rows = [[g[i] for g in gens] for i in range(dim)] + [[Fraction(1)] * len(gens)]
+            expected = reference_phase_one(rows, [*target, Fraction(1)])
+            got = solve_convex_combination(target, gens)
+            assert got == (None if expected is None else tuple(expected))
+            if got is None:
+                infeasible += 1
+                assert trial % 2 == 1
+                continue
+            assert all(w >= 0 for w in got) and sum(got) == 1
+            assert [sum(w * g[i] for w, g in zip(got, gens)) for i in range(dim)] == target
+        assert 0 < infeasible < 300
+
+    def test_general_systems_equal_the_fraction_simplex(self):
+        # Rows without the sum-to-one row, right-hand sides of either sign.
+        rng = random.Random(17)
+        for _ in range(400):
+            m, n = rng.randint(1, 4), rng.randint(1, 5)
+            entry = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            rows = [[entry() for _ in range(n)] for _ in range(m)]
+            rhs = [entry() for _ in range(m)]
+            assert _phase_one(rows, rhs) == reference_phase_one(rows, rhs)
+
+
+class TestMaskScan:
+    """`_scan` over mask rows against the scan of one fired tuple at a time."""
+
+    @staticmethod
+    def expanded(rows):
+        return [
+            (offset + b, ("item", offset + b), bool(holds >> b & 1))
+            for offset, fired, holds, _ in rows
+            for b in range(fired.bit_length())
+            if fired >> b & 1
+        ]
+
+    @staticmethod
+    def scan(rows, total, cap):
+        built = []
+
+        def item_of(offset):
+            return lambda b: built.append(b) or ("item", offset + b)
+
+        report = _scan([(o, f, h, item_of(o)) for o, f, h, _ in rows], total, cap)
+        assert len(built) == (report[0] == "fail")  # an item only for the witness
+        return report
+
+    def test_random_rows_and_caps(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            rows, offset = [], 0
+            for _ in range(rng.randint(0, 5)):
+                offset += rng.randint(0, 3)
+                width = rng.randint(1, 9)
+                fired = rng.getrandbits(width)
+                rare = rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+                holds = ~rare if rng.random() < 0.5 else -1
+                rows.append((offset, fired, holds, None))
+                offset += width
+            total, fired = offset + rng.randint(0, 2), self.expanded(rows)
+            for cap in (None, *range(1, len(fired) + 2)):
+                assert self.scan(rows, total, cap) == reference_scan(fired, total, cap)
+
+    def test_cap_on_the_violation_and_on_a_row_boundary(self):
+        # Fired positions 1, 2, 4, 5 and 6; the consequent fails at 5 and 6.
+        rows = [(0, 0b0110, 0b0110, None), (4, 0b0111, 0b0001, None)]
+        fired = self.expanded(rows)
+        reports = {cap: self.scan(rows, 7, cap) for cap in (None, 1, 2, 3, 4, 5)}
+        assert reports[2] == ("truncated", None, 4, 2)  # the next fired tuple opens row 2
+        assert reports[3] == ("truncated", None, 5, 3)  # the cap lands on the violation
+        assert reports[4] == reports[5] == reports[None] == ("fail", ("item", 5), 6, 4)
+        assert all(report == reference_scan(fired, 7, cap) for cap, report in reports.items())
 
 
 class TestCredalSubset:

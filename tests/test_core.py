@@ -73,6 +73,17 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             Instance(states=("w1",), prizes=("a", "b"), utility={"a": 1})
 
+    def test_utility_naming_a_prize_twice_rejected(self):
+        # Read pair by pair, "b" would be worth 1 to `utility_of` and 2 to
+        # `lottery_utility`.
+        with pytest.raises(ValidationError, match="^duplicate prize labels in utility$"):
+            Instance(states=("s",), prizes=("a", "b"), utility=[("a", 0), ("b", 1), ("b", 2)])
+
+    @pytest.mark.parametrize("utility", ["ab", [1, 2], [("a", 0, 1)], 5])
+    def test_utility_that_is_not_pairs_is_named(self, utility):
+        with pytest.raises(ValidationError, match="^utility must be a prize mapping or pairs"):
+            Instance(states=("s",), prizes=("a", "b"), utility=utility)
+
     def test_float_probability_rejected(self):
         with pytest.raises(TypeError):
             Lottery({"a": 0.5, "b": 0.5})

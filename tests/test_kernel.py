@@ -89,7 +89,7 @@ from menulearn.audit import (
     random_structure,
 )
 from menulearn.core import validate_act
-from menulearn.evaluation import _dominance_relation, _randomize
+from menulearn.evaluation import _bits, _dominance_relation, _randomize
 
 from conftest import (
     collections,
@@ -607,7 +607,7 @@ class TestDerivedMemos:
             cmp = BmlComparator(inst, random_credal_set(random.Random(seed), inst))
             up = cmp._relation(corpus)
             total, fired = spec.fired(cmp, corpus, up, spec.weights(config))
-            tuples = [item for _, item, _ in fired]
+            tuples = [item_of(b) for _, fires, _, item_of in fired for b in _bits(fires)]
             assert total == len(tuples) == 4 * len(corpus)
             assert {betas for _, _, betas in tuples} == {
                 (Fraction(1, 3), Fraction(2, 3)),
@@ -668,7 +668,7 @@ class TestInterning:
             cmp = BmlComparator(inst, random_credal_set(random.Random(seed), inst))
             up = cmp._relation(corpus)
             _, fired = _SPECS[Axiom.DOMINANCE].fired(cmp, corpus, up, [(None, None)])
-            singletons = {menus[1] for _, (menus, _, _), _ in fired}
+            singletons = {item_of(b)[0][1] for _, fires, _, item_of in fired for b in _bits(fires)}
             for singleton in singletons:
                 assert len(singleton) == 1
                 assert inst._intern(Menu(singleton.acts)) is singleton
