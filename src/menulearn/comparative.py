@@ -169,6 +169,7 @@ def credal_subset(
     generators.  When *instance* is supplied, posteriors mentioning states
     outside it raise DimensionMismatchError.
     """
+    _members((pi1, pi2), CredalSet)
     if instance is not None:
         _members((instance,), Instance)
         for credal in (pi1, pi2):

@@ -634,6 +634,7 @@ def validate_instance(inst: Instance) -> None:
     Raises EmptyStateSpaceError, ConstantUtilityError, or ValidationError;
     returns None when the instance is well formed.
     """
+    _members((inst,), Instance)
     if not inst.states:
         raise EmptyStateSpaceError("instance needs at least one state")
     if len(set(inst.states)) != len(inst.states):

@@ -6,7 +6,7 @@ sub-groups, one credal set each: menu F is weakly preferred to G when some
 sub-group prefers it unanimously, i.e. the gap is nonnegative at every
 structure of that sub-group's credal set.  `Criterion` implements this rule
 over any `Collection`, in one place, and is the only way to rank menus;
-hold one while ranking so its row table serves every pair.  The other
+hold one while ranking so its benefit table serves every pair.  The other
 criteria are the same rule over special collections, built by three constructors:
 
 * SL  (subjective learning, `SlComparator`): one singleton group; a single
@@ -43,7 +43,7 @@ from .core import (
     _members,
     mix_structures,
 )
-from .evaluation import _at_most, _benefit
+from .evaluation import _at_most, _benefit, _benefit_rows
 
 
 def benefit_gap(F: Menu, G: Menu, pi: InfoStructure, inst: Instance) -> Value:
@@ -63,57 +63,64 @@ class Criterion:
     """The hierarchical rule over a collection of credal sets.
 
     F is weakly preferred to G iff some member's generators all give
-    ``b_F >= b_G``.  Each menu is read through its row: ``b_F`` at every
-    generator of every member, in collection order, as an integer pair
-    ``(numerator, denominator)``.  A row is built once per menu through the
-    instance's benefit memo and kept in the row table ``_rows``, which the
-    criterion owns and frees, and which is neither pickled nor copied.
-    Weak preference has one rule, `_relation`, which decides it between
-    every pair of a menu sequence at once and keeps nothing;
-    `weakly_prefers`, `strictly_prefers` and `compare` are its two-menu
-    case.  Since a row evaluates every generator, a menu that cannot be
-    evaluated at one of them raises even where another member would already
-    decide the verdict.  A subclass changes the rule by overriding
-    `_relation` alone.
+    ``b_F >= b_G``.  The collection's distinct generators are numbered once
+    (``_generators``; each member's numbers are in ``_indices``), and each
+    menu is read through its row in the benefit table ``_rows``: ``b_F`` at
+    each distinct generator, as an integer pair ``(numerator, denominator)``,
+    built once by `_table` through the instance's benefit memo.  The
+    criterion owns and frees the table, which is neither pickled nor copied;
+    the relation and the scenario bands read it.  Weak preference has one
+    rule, `_relation`, which decides it between every pair of a menu sequence
+    at once; `weakly_prefers`, `strictly_prefers` and `compare` are its
+    two-menu case.  A menu that cannot be evaluated at some generator raises
+    even where another member would already decide the verdict.  A subclass
+    changes the rule by overriding `_relation` alone.
     """
 
     instance: Instance
     collection: Collection
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _generators: tuple = field(init=False, repr=False, compare=False)
+    _indices: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _members((self.instance,), Instance)
         _members((self.collection,), Collection)
+        index: dict = {}
+        indices = tuple(tuple(index.setdefault(g, len(index)) for g in m) for m in self.collection)
+        object.__setattr__(self, "_generators", tuple(index))
+        object.__setattr__(self, "_indices", indices)
 
     def __reduce__(self):
         return (Criterion, (self.instance, self.collection))
 
-    def _row(self, menu: Menu) -> tuple[tuple[tuple[int, int], ...], ...]:
-        row = self._rows.get(menu)
-        if row is None:
-            inst = self.instance
-            row = self._rows[menu] = tuple(
-                tuple(_benefit(menu, pi, inst) for pi in member)
-                for member in self.collection
-            )
-        return row
+    def _table(self, menus: Sequence[Menu]) -> list[list[tuple[int, int]]]:
+        """The rows of *menus*; the missing ones, checked to be menus, in one kernel call."""
+        rows = self._rows
+        missing = _members(dict.fromkeys(menu for menu in menus if menu not in rows), Menu)
+        rows.update(zip(missing, _benefit_rows(missing, self._generators, self.instance)))
+        return [rows[menu] for menu in menus]
 
     def _relation(self, menus: Sequence[Menu]) -> list[int]:
         """Weak preference between every ordered pair of *menus*, as one bitset per
         position: bit j of entry i is set iff ``menus[i]`` is weakly preferred to ``menus[j]``.
 
-        In each generator column, one sort of the benefits, as integers over
-        their common denominator, gives every position the positions whose
-        benefit is no larger; these sets are AND-ed over a member's
-        generators and OR-ed over the members.
+        In each distinct generator's column, one sort of the benefits, as
+        integers over their common denominator, gives every position the
+        positions whose benefit is no larger; these sets are AND-ed over a
+        member's generators and OR-ed over the members.
         """
+        if not menus:
+            return []
+        columns = []
+        for column in zip(*self._table(menus)):
+            common = lcm(*[den for _, den in column])
+            columns.append(_at_most([num * (common // den) for num, den in column]))
         relation = [0] * len(menus)
-        for member in zip(*[self._row(menu) for menu in menus]):
+        for member in self._indices:
             agree = [-1] * len(menus)
-            for column in zip(*member):
-                common = lcm(*[den for _, den in column])
-                scaled = [num * (common // den) for num, den in column]
-                agree = list(map(and_, agree, _at_most(scaled)))
+            for k in member:
+                agree = list(map(and_, agree, columns[k]))
             relation = list(map(or_, relation, agree))
         return relation
 

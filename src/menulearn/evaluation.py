@@ -11,8 +11,8 @@ posterior is an integer dot product per act and a max taken by
 cross-multiplication.  Two memos live on the `Instance` and are freed with
 it: those vectors (`Instance._numerators`) and each ``(menu, structure)``
 benefit (`Instance._benefits`, one reduced ``(num, den)`` int pair per
-entry, from `_benefit`, which the criteria read as it is, and from the
-rankings' corpus bands, both through the one kernel `_expected_best`).
+entry), filled only by `_benefit_rows`: it builds a `Criterion`'s benefit table, one
+row entry per distinct generator, read by relations, bands and consistency checks.
 Statewise dominance has one rule, `_dominance_relation`, which decides it
 between every pair of a sequence of menus at once, as one bitset per menu;
 `dominates` is its two-menu case.  The mixers share one act mixer,
@@ -94,6 +94,7 @@ def support_value(menu: Menu, p: Posterior, inst: Instance) -> Value:
     """Value of the menu once posterior *p* is known: the best act's expected utility."""
     _members((menu,), Menu)
     _members((p,), Posterior)
+    _members((inst,), Instance)
     masses = _vector(p, inst)
     return Fraction(*_best([_vector(f, inst) for f in menu], masses))
 
@@ -110,38 +111,37 @@ def benefit_of_information(menu: Menu, pi: InfoStructure, inst: Instance) -> Val
 
 
 def _benefit(menu: Menu, pi: InfoStructure, inst: Instance) -> tuple[int, int]:
-    """`benefit_of_information` as one reduced integer pair ``(num, den)``, ``den > 0``.
-
-    Memoized on *inst*.  On a memo miss (an unhashable key or a
-    non-instance *inst* is one) the argument types are checked, then each posterior's
-    and each act's vector is read once, the posteriors' first, for `_expected_best`.
-    """
-    key = (menu, pi)
-    try:
-        total = inst._benefits.get(key)
-    except (AttributeError, TypeError):
-        total = None
-    if total is None:
-        _members((menu,), Menu)
-        _members((pi,), InfoStructure)
-        _members((inst,), Instance)
-        support = [(_vector(posterior, inst), weight) for posterior, weight in pi.support]
-        acts = [_vector(f, inst) for f in menu]
-        total = inst._benefits[key] = _expected_best(acts, support)
-    return total
+    """`benefit_of_information` as one reduced integer pair ``(num, den)``, ``den > 0``."""
+    _members((menu,), Menu)
+    _members((pi,), InfoStructure)
+    _members((inst,), Instance)
+    return next(_benefit_rows((menu,), (pi,), inst))[0]
 
 
-def _expected_best(acts: Sequence[tuple], support: Sequence[tuple]) -> tuple[int, int]:
-    """The benefit kernel of `_benefit` and the scenario bands: over the *support*, pairs
-    ``(posterior vector, w)``, the sum of ``w`` times the `_best` of *acts*, reduced once."""
-    num, den = 0, 1
-    for masses, weight in support:
-        value, term_den = _best(acts, masses)
-        term_den *= weight.denominator
-        num = num * term_den + weight.numerator * value * den
-        den *= term_den
-    divisor = gcd(num, den)
-    return num // divisor, den // divisor
+def _benefit_rows(
+    menus: Sequence[Menu], structures: Sequence[InfoStructure], inst: Instance
+) -> Iterator[list[tuple[int, int]]]:
+    """Yield each of *menus*' `_benefit` pairs at the distinct *structures*, one row per
+    menu, memoized on *inst*; the caller checks the types.  Every posterior vector is read
+    first, then a menu's act vectors at its first miss: a bad posterior is reported first."""
+    get = inst._benefits.get
+    supports = [[(_vector(p, inst), w) for p, w in s.support] for s in structures]
+    for menu in menus:
+        row, acts = [], None
+        for k, pi in enumerate(structures):
+            total = get((menu, pi))
+            if total is None:
+                acts = acts or [_vector(f, inst) for f in menu]
+                num, den = 0, 1
+                for masses, weight in supports[k]:
+                    value, term_den = _best(acts, masses)
+                    term_den *= weight.denominator
+                    num = num * term_den + weight.numerator * value * den
+                    den *= term_den
+                divisor = gcd(num, den)
+                total = inst._benefits[menu, pi] = (num // divisor, den // divisor)
+            row.append(total)
+        yield row
 
 
 def mix_lotteries(x: Lottery, y: Lottery, alpha: RationalLike) -> Lottery:

@@ -32,7 +32,7 @@ from .core import (
 from .comparative import CheckReport, _scan
 from .criteria import Criterion, collection_maxmin_gap
 from .errors import BadWeightError, ValidationError
-from .evaluation import _expected_best, _vector, mix_lotteries
+from .evaluation import mix_lotteries
 
 
 @dataclass(frozen=True)
@@ -62,32 +62,21 @@ class ScenarioBand:
 
 def scenario_band(F: Menu, coll: Collection, inst: Instance) -> ScenarioBand:
     """Compute both aggregates of ``b_F`` over the collection: `_bands` for one menu."""
-    return _bands(_members((F,), Menu), coll, inst)[0]
+    corpus = _members((F,), Menu)
+    return _bands(Criterion(inst, coll), corpus)[0]
 
 
-def _bands(corpus: Sequence[Menu], coll: Collection, inst: Instance) -> list[ScenarioBand]:
-    """Every menu's scenario band: the collection's distinct generators are numbered and
-    their posterior vectors read once, a menu's act vectors once, and each distinct
-    ``(menu, generator)`` benefit once, through `Instance._benefits` and `_expected_best`."""
-    _members((coll,), Collection)
-    _members((inst,), Instance)
-    number: dict = {}
-    members = [[number.setdefault(gen, len(number)) for gen in member] for member in coll]
-    supports = [[(_vector(p, inst), weight) for p, weight in gen.support] for gen in number]
-    memo, bands = inst._benefits, []
-    for menu in corpus:
-        row, acts = [], None
-        for gen, support in zip(number, supports):
-            benefit = memo.get((menu, gen))
-            if benefit is None:
-                acts = acts or [_vector(f, inst) for f in menu]
-                benefit = memo[menu, gen] = _expected_best(acts, support)
-            row.append(benefit)
+def _bands(cmp: Criterion, corpus: Sequence[Menu]) -> list[ScenarioBand]:
+    """Every menu's scenario band over *cmp*'s collection, read from its benefit table:
+    each menu's row over the distinct generators, scaled to one denominator, and each
+    member's generator numbers, ``cmp._indices``, pick the member's min and max."""
+    bands = []
+    for row in cmp._table(corpus):
         common = lcm(*[den for _, den in row])
         scaled = [num * (common // den) for num, den in row]
-        mins = [min([scaled[k] for k in member]) for member in members]
-        maxes = [max([scaled[k] for k in member]) for member in members]
-        bands.append(ScenarioBand(Fraction(max(mins), common), Fraction(min(maxes), common)))
+        groups = [[scaled[k] for k in member] for member in cmp._indices]
+        maxmin, minmax = max(map(min, groups)), min(map(max, groups))
+        bands.append(ScenarioBand(Fraction(maxmin, common), Fraction(minmax, common)))
     return bands
 
 
@@ -213,7 +202,7 @@ def rank_menus(
         if name in seen:
             raise ValidationError(f"duplicate menu name {name!r}")
         seen.add(name)
-    bands = _bands(corpus, coll, inst)
+    bands = _bands(Criterion(inst, coll), corpus)
     values = [policy.blend(menu, band) for menu, band in zip(corpus, bands)]
     # Sort on the values as integers over their common denominator.
     common = lcm(*[value.denominator for value in values])
@@ -272,8 +261,9 @@ def check_consistency(
       strictly above G.  A constant menu is worth ``u(x)`` at every
       structure, so ``robust_strict(F, x)`` iff ``u(x) < band_low(F)`` and
       ``robust_strict(x, G)`` iff ``u(x) > band_high(G)``: this is decided on
-      the bands of the corpus, built in one pass (`_bands`) that raises on a
-      menu it cannot evaluate.
+      the bands of the corpus, read in one pass (`_bands`) from the rows
+      *comparator* builds or already holds, which raises on a menu it
+      cannot evaluate.
 
     The lottery grid is a sound partial check: it can miss separating
     outcomes but never reports a spurious failure.  Each entry of *corpus*
@@ -296,7 +286,7 @@ def check_consistency(
         for p, (xm, ym) in enumerate(pairs)
         if utility[xm] >= utility[ym]
     )
-    bands = _bands(corpus, comparator.collection, inst)
+    bands = _bands(comparator, corpus)
     cuts = sorted(utility.values())
     below = [bisect_left(cuts, band.low) for band in bands]
     upto = [bisect_right(cuts, band.high) for band in bands]

@@ -190,6 +190,27 @@ def collections(draw, inst: Instance, max_members: int = 3):
 
 
 @st.composite
+def shared_generator_collections(draw, inst: Instance):
+    """A collection whose members draw their generators from one small pool, so
+    members share them."""
+    pool = draw(st.lists(structures(inst), min_size=1, max_size=4))
+    members = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3),
+                            min_size=1, max_size=4))
+    return Collection(tuple(CredalSet(tuple(member)) for member in members))
+
+
+@st.composite
+def shared_generator_corpora(draw):
+    """An instance, a `shared_generator_collections` collection, and a corpus holding
+    a repeated menu and a menu equal to another but built from distinct objects."""
+    inst = draw(instances())
+    coll = draw(shared_generator_collections(inst))
+    drawn = draw(st.lists(menus(inst), min_size=1, max_size=4))
+    corpus = drawn + [drawn[0], twin_menu(drawn[-1])]
+    return inst, coll, draw(st.permutations(corpus))
+
+
+@st.composite
 def scenarios(draw, n_menus: int = 2):
     """A bundle: instance plus menus, a credal set, and a collection over it."""
     inst = draw(instances())

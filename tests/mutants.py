@@ -275,15 +275,32 @@ MUTANTS = (
     Mutant(
         "band reads a member's generator one index off in the generator numbering",
         "rationalize.py",
-        "        mins = [min([scaled[k] for k in member]) for member in members]\n",
-        "        mins = [min([scaled[k - 1] for k in member]) for member in members]\n",
+        "        groups = [[scaled[k] for k in member] for member in cmp._indices]\n",
+        "        groups = [[scaled[k - 1] for k in member] for member in cmp._indices]\n",
         ("tests/test_rationalize.py::TestCorpusBands::test_corpus_bands_equal_per_menu_bands",),
+    ),
+    Mutant(
+        "band end read from the wrong member",
+        "rationalize.py",
+        "min(map(max, groups))",
+        "min(map(max, groups[-1:]))",
+        ("tests/test_rationalize.py::TestCorpusBands::test_corpus_bands_equal_per_menu_bands",),
+    ),
+    Mutant(
+        "relation skips a member's last generator",
+        "criteria.py",
+        "            for k in member:\n",
+        "            for k in member[:-1]:\n",
+        (
+            "tests/test_kernel.py::TestCorpusRelations::test_weak_preference_bits",
+            "tests/test_criteria.py::TestAgainstReference::test_held_criterion_matches_reference",
+        ),
     ),
     Mutant(
         "hoisted act vectors read from the first act only",
         "evaluation.py",
-        "        acts = [_vector(f, inst) for f in menu]\n",
-        "        acts = [_vector(menu.acts[0], inst)]\n",
+        "                acts = acts or [_vector(f, inst) for f in menu]\n",
+        "                acts = acts or [_vector(menu.acts[0], inst)]\n",
         ("tests/test_kernel.py::TestIntegerKernel::test_small_menus_and_structures_match_reference",),
     ),
     Mutant(

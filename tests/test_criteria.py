@@ -42,6 +42,7 @@ from conftest import (
     menu_of,
     menus,
     scenarios,
+    shared_generator_collections,
     twin_collection,
     twin_credal_set,
     twin_instance,
@@ -342,10 +343,12 @@ class TestAgainstReference:
     def test_held_criterion_matches_reference(self, data):
         # One criterion per case ranks every pair, twice over, so most rows
         # come from its row table; the twins are equal but distinct menus,
-        # so they must find the rows of their originals.
+        # so they must find the rows of their originals.  The last case's
+        # members share generators, which the table holds once each.
         inst = data.draw(instances())
         credal = data.draw(credal_sets(inst))
         coll = data.draw(collections(inst))
+        shared = data.draw(shared_generator_collections(inst))
         drawn = [data.draw(menus(inst)) for _ in range(3)]
         candidates = [(i, menu) for i, menu in enumerate(drawn)]
         candidates += [(i, twin_menu(menu)) for i, menu in enumerate(drawn)]
@@ -355,6 +358,7 @@ class TestAgainstReference:
             ("bml", credal, Collection.of_credal_set(credal)),
             ("jml", credal, Collection.of_singletons(credal)),
             ("hml", coll, coll),
+            ("hml", shared, shared),
         ]
         for name, param, collection in cases:
             ref_compare, ref_gap = ref.CRITERIA[name]

@@ -66,6 +66,7 @@ from menulearn import (
     combine_structures,
     constant_act,
     constant_menu,
+    credal_subset,
     cross_audit,
     dominates,
     generate_corpus,
@@ -78,6 +79,7 @@ from menulearn import (
     rank_menus,
     scenario_band,
     support_value,
+    validate_instance,
 )
 from menulearn.audit import (
     _SPECS,
@@ -765,6 +767,32 @@ WRONG_TYPES = {
     ),
     "act_value": (lambda k: act_value(k.f, "p", k.inst), "a Posterior, got 'p'"),
     "support_value": (lambda k: support_value(k.F, "p", k.inst), "a Posterior, got 'p'"),
+    "act_value instance": (
+        lambda k: act_value(k.f, Posterior.degenerate("w1"), "inst"),
+        "an Instance, got 'inst'",
+    ),
+    "support_value instance": (
+        lambda k: support_value(k.F, Posterior.degenerate("w1"), "inst"),
+        "an Instance, got 'inst'",
+    ),
+    "credal_subset first": (
+        lambda k: credal_subset("a", CredalSet.singleton(k.pi)),
+        "a CredalSet, got 'a'",
+    ),
+    "credal_subset second": (
+        lambda k: credal_subset(CredalSet.singleton(k.pi), "b"),
+        "a CredalSet, got 'b'",
+    ),
+    "validate_instance": (lambda k: validate_instance("x"), "an Instance, got 'x'"),
+    # A menu is checked where the criterion first builds its row.
+    "Criterion.compare menu": (
+        lambda k: BmlComparator(k.inst, CredalSet.singleton(k.pi)).compare(k.F, "G"),
+        "a Menu, got 'G'",
+    ),
+    "Criterion.weakly_prefers menu": (
+        lambda k: BmlComparator(k.inst, CredalSet.singleton(k.pi)).weakly_prefers(k.F, "G"),
+        "a Menu, got 'G'",
+    ),
     "benefit_gap": (lambda k: benefit_gap(k.F, "G", k.pi, k.inst), "a Menu, got 'G'"),
     "Menu.union": (lambda k: k.F.union(3), "an Act, got 3"),
     "Criterion collection": (lambda k: Criterion(k.inst, "coll"), "a Collection, got 'coll'"),

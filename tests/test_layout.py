@@ -9,7 +9,9 @@ and in no other module.  Memos are tables on the `Instance` or the
 module-level function cache.  A held `Criterion` is the only way to rank
 menus, and it compares benefit rows in one place, `Criterion._relation`,
 of which the pair methods are the two-menu case, and the audit decides
-it in four places only.  Each selectable axiom
+it in four places only.  One kernel fills the benefit memo, and a
+criterion's table of rows is read by its relation and the scenario bands
+alone.  Each selectable axiom
 is defined by one entry of the audit's spec table, the test oracles
 `tests/reference_*.py` import no private name of the package, the README's
 library example runs as written, and every snippet of the mutation catalog
@@ -98,7 +100,8 @@ def test_removed_names_stay_removed(module):
 
 
 def _readers(attr: str) -> list[str]:
-    """Each place the package reads the attribute *attr*, as ``module:Class.function``."""
+    """Each place the package reads or writes the attribute *attr*, or names or imports
+    *attr*, as ``module:Class.function``."""
     readers = []
 
     def visit(node, scope, module):
@@ -106,7 +109,11 @@ def _readers(attr: str) -> list[str]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, [*scope, child.name], module)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
+            if (
+                isinstance(child, ast.Attribute) and child.attr == attr
+                or isinstance(child, ast.Name) and child.id == attr
+                or isinstance(child, ast.alias) and child.name == attr
+            ):
                 readers.append(f"{module}:{'.'.join(scope)}")
             visit(child, scope, module)
 
@@ -115,10 +122,24 @@ def _readers(attr: str) -> list[str]:
     return readers
 
 
-def test_benefit_rows_are_compared_only_by_the_relation():
-    # Weak preference has one rule: a second reader of the rows would be a
-    # second comparison path beside `_relation`.
-    assert _readers("_row") == ["criteria.py:Criterion._relation"]
+def test_benefit_memo_is_filled_only_by_the_kernel():
+    # One function evaluates a (menu, structure) benefit on a memo miss: past
+    # the field the `Instance` declares, the kernel is the only code that
+    # reads or writes the memo, and the per-benefit helper it absorbed is gone.
+    assert set(_readers("_benefits")) == {"core.py:Instance", "evaluation.py:_benefit_rows"}
+    assert _readers("_expected_best") == []
+
+
+def test_benefit_table_is_read_by_the_relation_and_the_bands():
+    # A criterion's rows over its distinct generators are one table: weak
+    # preference and the scenario bands read it, and nothing else does.
+    assert _readers("_table") == ["criteria.py:Criterion._relation", "rationalize.py:_bands"]
+
+
+def test_rankings_reach_benefits_only_through_a_criterion():
+    # The bands read the criterion's table, not the kernel's inputs or memo.
+    names = ("_vector", "_expected_best", "_benefits", "_benefit_rows")
+    assert [r for name in names for r in _readers(name) if r.startswith("rationalize.py:")] == []
 
 
 def test_audit_decides_relations_in_four_places():

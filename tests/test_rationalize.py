@@ -39,7 +39,7 @@ from conftest import (
     menu_of,
     menus,
     scenarios,
-    structures,
+    shared_generator_corpora,
     twin_instance,
     twin_menu,
     utility_lottery,
@@ -422,21 +422,6 @@ def reference_band(F: Menu, coll: Collection, inst) -> ScenarioBand:
     """Both aggregates from the reference benefit, one call per (member, generator)."""
     rows = [[ref.benefit(F, gen, inst) for gen in member] for member in coll]
     return ScenarioBand(maxmin=max(map(min, rows)), minmax=min(map(max, rows)))
-
-
-@st.composite
-def shared_generator_corpora(draw):
-    """An instance, a collection whose members draw their generators from one small
-    pool (so members share them), and a corpus holding a repeated menu and a menu
-    equal to another but built from distinct objects."""
-    inst = draw(instances())
-    pool = draw(st.lists(structures(inst), min_size=1, max_size=4))
-    members = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=3),
-                            min_size=1, max_size=4))
-    coll = Collection(tuple(CredalSet(tuple(member)) for member in members))
-    drawn = draw(st.lists(menus(inst), min_size=1, max_size=4))
-    corpus = drawn + [drawn[0], twin_menu(drawn[-1])]
-    return inst, coll, draw(st.permutations(corpus))
 
 
 class TestCorpusBands:
